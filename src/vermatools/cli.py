@@ -5,7 +5,8 @@ in one of three formats.  Reports are deterministic for a given job
 (timing aside), and the json form parses back into an equal Report.
 
 Exit codes: 0 on success, 2 on malformed parameters or a failed
-precondition, 3 when a decision procedure returns an Unknown verdict.
+precondition, 3 when a decision procedure returns an Unknown verdict or a
+computation is refused as beyond its level budget.
 """
 
 from __future__ import annotations
@@ -605,7 +606,10 @@ def main(argv=None) -> int:
     job = _job_from_args(args)
     try:
         report = run(job)
-    except (ValueError, ZeroDivisionError, KeyError) as exc:
+    except verma.OutOfReach as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, ArithmeticError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(emit(report, args.format).decode())

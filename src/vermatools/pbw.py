@@ -208,20 +208,6 @@ class ModuleVector:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def wdegree_min(self) -> int:
-        return min(m.wdegree() for m in self.terms)
-
-    def lowest_w_component(self) -> "ModuleVector":
-        """The bar operator: the homogeneous part of least W/I degree."""
-        k = self.wdegree_min()
-        return ModuleVector(
-            self.ctx, {m: c for m, c in self.terms.items() if m.wdegree() == k}
-        )
-
-    def in_current_span(self) -> bool:
-        """True when every monomial is built from W (resp. I) factors only."""
-        return all(m.ldegree() == 0 for m in self.terms)
-
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key(), reverse=True)
 
@@ -349,43 +335,7 @@ class ModuleContext:
         items.sort(key=lambda mc: mc[0].sort_key())
         return tuple(items)
 
-    # -- derived structure ---------------------------------------------
-
-    def weight_of(self, x: ModuleVector) -> Scalar:
-        return self.hw["h"] + self.scalar_ctx.scalar(x.level or 0)
-
 
 def _accumulate(acc: dict, mono: PBWMonomial, coeff: Scalar) -> None:
     s = acc.get(mono)
     acc[mono] = coeff if s is None else s + coeff
-
-
-def d_dL(x: ModuleVector, n: int) -> ModuleVector:
-    """Formal partial derivative with respect to L(-n): delete one factor
-    per occurrence, weighted by multiplicity."""
-    out: dict = {}
-    for mono, coeff in x.terms.items():
-        mult = mono.l.count(n)
-        if mult:
-            ls = list(mono.l)
-            ls.remove(n)
-            m2 = PBWMonomial.make(mono.w, ls)
-            s = out.get(m2)
-            add = coeff * mult
-            out[m2] = add if s is None else s + add
-    return ModuleVector(x.ctx, out)
-
-
-def d_dW(x: ModuleVector, m: int) -> ModuleVector:
-    """Formal partial derivative with respect to W(-m) (or I(-m))."""
-    out: dict = {}
-    for mono, coeff in x.terms.items():
-        mult = mono.w.count(m)
-        if mult:
-            ws = list(mono.w)
-            ws.remove(m)
-            m2 = PBWMonomial.make(ws, mono.l)
-            s = out.get(m2)
-            add = coeff * mult
-            out[m2] = add if s is None else s + add
-    return ModuleVector(x.ctx, out)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from vermatools import scalar
 from vermatools.cli import Job, Report, emit, main, parse_expression, run
 from vermatools.scalar import PolyContext
 
@@ -110,6 +111,32 @@ def test_hv_unknown_exit_code(capsys):
                             "--beta", "0", "--F", "-2")
     assert code == 3
     assert "Unknown" in out
+
+
+@pytest.mark.parametrize("argv,p", [
+    (("classify", "--c", "-24", "--hW", "4224", "--h", "0"), 65),
+    (("classify", "--algebra", "hv", "--cLI", "1", "--hI", "72", "--h", "0"), 71),
+    (("classify", "--algebra", "hv", "--cLI", "1", "--hI", "-70", "--h", "0"), 71),
+    (("tensor", "--c", "-24", "--hW", "4224", "--h", "0", "--alpha", "1/3",
+      "--beta", "0"), 65),
+])
+def test_degenerate_level_beyond_budget_exits_three(capsys, argv, p):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert f"p = {p}" in err
+
+
+def test_inexact_division_exits_two(capsys, monkeypatch):
+    def inexact(a, b):
+        raise ArithmeticError("inexact polynomial division")
+
+    monkeypatch.setattr(scalar, "_pdiv_exact", inexact)
+    code, out, err = run_main(capsys, "singular", "--p", "2",
+                              "--symbolic", "hW", "--symbolic", "h")
+    assert code == 2
+    assert out == ""
+    assert "inexact polynomial division" in err
 
 
 def test_missing_parameter_exits_two(capsys):

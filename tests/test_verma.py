@@ -1,11 +1,12 @@
 """Singular vectors, subsingular vectors, characters, and classification."""
 
+import logging
 import random
 from fractions import Fraction
 
 import pytest
 
-from vermatools import linalg, verma
+from vermatools import interp, linalg, verma
 from vermatools.liealg import I, L, W
 from vermatools.pbw import HighestWeight, ModuleContext, PBWMonomial
 from vermatools.scalar import PolyContext
@@ -142,6 +143,35 @@ def test_sampled_and_direct_solvers_agree():
     assert verma._subsingular_direct(M_off, 2, 1) is None
 
 
+def test_failed_reconstruction_falls_back_to_the_direct_solve(monkeypatch, caplog):
+    monkeypatch.setattr(interp, "rational_reconstruct", lambda a, m: None)
+    caplog.set_level(logging.DEBUG, logger="vermatools.verma")
+    for p, r in ((2, 1), (2, 2)):
+        M = subsingular_module(p, r)
+        assert verma.subsingular(M, p, r) == verma._subsingular_direct(M, p, r)
+    reasons = [rec.getMessage() for rec in caplog.records]
+    assert len(reasons) == 2
+    assert all("reconstruction did not stabilise" in msg for msg in reasons)
+
+
+def test_off_weight_fallback_is_logged(caplog):
+    M = subsingular_module(2, 1)
+    hw_off = HighestWeight.w22(M.scalar_ctx, c=M.hw["c"],
+                               h=M.hw["h"] + Fraction(1, 3), hW=M.hw["hW"])
+    caplog.set_level(logging.DEBUG, logger="vermatools.verma")
+    assert verma.subsingular(ModuleContext(hw_off), 2, 1) is None
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert "p=2, r=1" in record.getMessage()
+    assert "5 inconsistent samples" in record.getMessage()
+
+
+def test_found_vector_logs_no_fallback(caplog):
+    caplog.set_level(logging.DEBUG, logger="vermatools.verma")
+    assert verma.subsingular(subsingular_module(2, 2), 2, 2) is not None
+    assert caplog.records == []
+
+
 def test_recursive_construction_matches_solver():
     for p in (2, 3):
         M = subsingular_module(p, 1)
@@ -231,6 +261,39 @@ def test_quotient_reduce_is_projection():
 
 # ---------------------------------------------------------------------------
 # Classification
+
+
+def test_degenerate_level_matches_the_defining_equation():
+    """zd_find_p against a direct scan of 2 hW + (p^2 - 1) c / 12 = 0."""
+    ctx = PolyContext(())
+    for c in (Fraction(-24), Fraction(1), Fraction(-8, 5), Fraction(0)):
+        for hW in (Fraction(0), Fraction(1), Fraction(3), Fraction(-1, 8), Fraction(4224)):
+            hw = HighestWeight.w22(ctx, c=c, h=0, hW=hW)
+            scan = next((p for p in range(1, 100)
+                         if 2 * hW + Fraction(p * p - 1, 12) * c == 0), None)
+            assert verma.zd_find_p(hw) == scan
+
+
+def test_degenerate_levels_beyond_the_old_scan_are_refused():
+    """p = 65 (W(2,2)) and p = 71 (both twisted cases) were once reported
+    irreducible because the search stopped at p = 64."""
+    ctx = PolyContext(())
+    w22 = HighestWeight.w22(ctx, c=-24, h=0, hW=4224)
+    assert verma.zd_find_p(w22) == 65
+    hv_i = HighestWeight.hv(ctx, cL=0, cLI=1, h=0, hI=72)
+    hv_l = HighestWeight.hv(ctx, cL=0, cLI=1, h=0, hI=-70)
+    assert verma.hv_find_p(hv_i) == (71, "I")
+    assert verma.hv_find_p(hv_l) == (71, "L")
+    for hw, p in ((w22, 65), (hv_i, 71), (hv_l, 71)):
+        with pytest.raises(verma.OutOfReach, match=f"p = {p}"):
+            verma.classify(ModuleContext(hw))
+
+
+def test_subsingular_witness_beyond_budget_is_refused():
+    ctx = PolyContext(())
+    hw = HighestWeight.w22(ctx, c=1, h=verma.necessary_h(1, 11, Fraction(0)), hW=0)
+    with pytest.raises(verma.OutOfReach, match="r = 11"):
+        verma.classify(ModuleContext(hw))
 
 
 def test_classify_irreducible_verma():
