@@ -104,11 +104,12 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
     """The fraction n/d with n = a d mod m, or None.
 
     Maximal-quotient reconstruction: of the candidates r_i / t_i along the
-    Euclidean sequence of (m, a), take the one before the largest
-    quotient, and only when that quotient exceeds 2^20 log2(m).  A
-    fraction with |n| d well below m / 2^20 log2(m) is recovered; a
-    residue with no such preimage is refused except with probability
-    about 2^-20.
+    Euclidean sequence of (m, a), take the one whose following quotient
+    is largest, and only when that quotient exceeds 2^20 log2(m).  A
+    fraction with |n| d well below m / (2^20 log2(m)) is recovered, even
+    when n and d are unbalanced; a residue without such a preimage is
+    refused unless a large quotient occurs by chance.  Callers confirm a
+    lift by repeating it with another prime.
     """
     a %= m
     bound = m.bit_length() << 20
