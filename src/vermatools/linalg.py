@@ -1,4 +1,4 @@
-"""Exact sparse linear algebra over a Scalar field, and over GF(q).
+"""Exact sparse linear algebra over a Scalar field.
 
 Rows are sparse dicts mapping hashable column keys to Scalars.  The
 workhorse is an incremental reduced echelon structure: every stored
@@ -116,51 +116,4 @@ def solve(rows, columns, ctx):
         val = prow.get(RHS)
         if val is not None and not val.is_zero():
             sol[p] = val
-    return sol, free
-
-
-def solve_mod(rows, ncols: int, q: int):
-    """``solve`` over GF(q) for rows of plain ints with integer columns.
-
-    Columns are 0..ncols-1 and the right-hand side sits in column
-    ``ncols``; entries are ints, reduced mod the prime q.  Pivots are
-    chosen by lowest column, as ``solve`` does with the columns listed in
-    index order, so the reduced echelon form (and with it the particular
-    solution with free unknowns set to zero) is that of ``solve`` reduced
-    mod q whenever q does not lower the rank.  Returns None when the
-    system is inconsistent mod q, else (solution dict, free columns).
-    """
-    pivots: dict = {}
-    for row in rows:
-        row = {c: v % q for c, v in row.items() if v % q}
-        for col in [c for c in row if c in pivots]:
-            f = row.pop(col)
-            for c2, v2 in pivots[col].items():
-                if c2 != col:
-                    s = (row.get(c2, 0) - f * v2) % q
-                    if s:
-                        row[c2] = s
-                    else:
-                        row.pop(c2, None)
-        if not row:
-            continue
-        piv = min(row)
-        inv = pow(row[piv], -1, q)
-        row = {c: v * inv % q for c, v in row.items()}
-        for prow in pivots.values():
-            f = prow.pop(piv, None)
-            if f is None:
-                continue
-            for c2, v2 in row.items():
-                if c2 != piv:
-                    s = (prow.get(c2, 0) - f * v2) % q
-                    if s:
-                        prow[c2] = s
-                    else:
-                        prow.pop(c2, None)
-        pivots[piv] = row
-    if ncols in pivots:
-        return None
-    sol = {p: prow[ncols] for p, prow in pivots.items() if ncols in prow}
-    free = [c for c in range(ncols) if c not in pivots]
     return sol, free

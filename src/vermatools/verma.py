@@ -19,7 +19,6 @@ The central objects:
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -29,10 +28,7 @@ from functools import lru_cache
 from .scalar import Scalar
 from .liealg import W22, HV, L, W, I
 from .pbw import PBWMonomial, HighestWeight, ModuleVector, ModuleContext
-from . import interp, linalg
-# The sampled solver's modular interpolation, under the name the traced
-# benchmark (bench/tracing.py) counts.
-from .interp import rational_interpolate as _rational_interpolate
+from . import linalg
 
 _log = logging.getLogger(__name__)
 
@@ -282,32 +278,16 @@ def subsingular(M: ModuleContext, p: int, r: int):
 
     Ansatz: u = L_{-p}^r v + sum over level-rp monomials with no W_{-p}
     factor, and the requirement is g.u in J' for the four raising
-    generators.
-
-    The linear system is built once over the coefficient field.  Over a
-    one-parameter field it is first solved at integer specializations of
-    the parameter over GF(q), and the coefficients are recovered by
-    modular rational interpolation, CRT over several primes and rational
-    reconstruction; the recovered vector is then certified exactly (g.u
-    reduced against the level components of J' must vanish, for every
-    raising generator), so the fast path never weakens the result.
-    Uniqueness transfers from any specialization where the system has
-    full rank over the unknown columns.  Whenever sampling is inapplicable
-    or inconclusive, the direct symbolic solve of the same system decides;
-    each such fallback is logged at DEBUG level with its reason.
+    generators.  The linear system is built once over the coefficient
+    field and solved exactly there; one DEBUG log line per call gives
+    the system size and the outcome.
     """
-    if len(M.scalar_ctx.names) != 1:
-        return _subsingular_direct(M, p, r)
     try:
         uprime = u_prime(M, p)
     except (ValueError, ZeroDivisionError) as exc:
-        _log_fallback(p, r, f"u' failed: {exc}")
-        return _subsingular_direct(M, p, r)
-    system = _subsingular_system(M, p, r, uprime)
-    u = _subsingular_sampled(M, p, r, system)
-    if u is _SAMPLING_INCONCLUSIVE:
-        return _subsingular_direct(M, p, r, system)
-    return u
+        _log.debug("subsingular(p=%d, r=%d): u' failed: %s", p, r, exc)
+        raise
+    return _subsingular_direct(M, p, r, _subsingular_system(M, p, r, uprime))
 
 
 def _subsingular_system(M: ModuleContext, p: int, r: int, uprime: ModuleVector) -> tuple:
@@ -319,19 +299,17 @@ def _subsingular_system(M: ModuleContext, p: int, r: int, uprime: ModuleVector) 
     ``linalg.RHS``.  Rows are sorted sparsest first, because elimination
     then fills in far less.  Measured on a 2-core x86 box against
     generation order: at (p, r) = (3, 2) the solve over Q(hW) takes
-    0.01 s instead of 100 s, and at (4, 2) one solve mod q 0.003 s
-    instead of 0.11 s; the solution, a reduced echelon form, is the same.
+    0.01 s instead of 100 s; the solution, a reduced echelon form, is
+    the same.
 
-    Returns (rows, columns, jech); jech maps d to the echelon of J' at
-    level rp - d, which the certificate reuses.
+    Returns (rows, columns).
     """
     level = r * p
     lead, unknowns = _subsingular_columns(p, r)
-    jech = {deg: _j_prime_echelon(M, p, level - deg, uprime) for deg in (1, 2)}
     rows: dict = {}
     columns = [("x", m) for m in unknowns]
     for gi, g in enumerate(_raising_generators(M.hw.kind)):
-        for k, b in enumerate(jech[g.mode].rows()):
+        for k, b in enumerate(_j_prime_echelon(M, p, level - g.mode, uprime).rows()):
             columns.append(("s", gi, k))
             for tmono, coeff in b.items():
                 rows.setdefault((gi, tmono), {})[("s", gi, k)] = -coeff
@@ -342,7 +320,7 @@ def _subsingular_system(M: ModuleContext, p: int, r: int, uprime: ModuleVector) 
             image = M.act(g, M.vector({m: 1}))
             for tmono, coeff in image.terms.items():
                 rows.setdefault((gi, tmono), {})[("x", m)] = coeff
-    return sorted(rows.values(), key=len), columns, jech
+    return sorted(rows.values(), key=len), columns
 
 
 def _subsingular_direct(M: ModuleContext, p: int, r: int, system: tuple | None = None):
@@ -354,9 +332,12 @@ def _subsingular_direct(M: ModuleContext, p: int, r: int, system: tuple | None =
     """
     if system is None:
         system = _subsingular_system(M, p, r, u_prime(M, p))
-    rows, columns, _ = system
+    rows, columns = system
     ctx = M.scalar_ctx
     res = linalg.solve(rows, columns, ctx)
+    _log.debug("subsingular(p=%d, r=%d): exact solve of %d x %d system over Q(%s): %s",
+               p, r, len(rows), len(columns), ", ".join(ctx.names),
+               "inconsistent" if res is None else f"rank {len(columns) - len(res[1])}")
     if res is None:
         return None
     sol, free = res
@@ -371,165 +352,25 @@ def _subsingular_direct(M: ModuleContext, p: int, r: int, system: tuple | None =
     return M.vector(terms)
 
 
-def _certify_subsingular(M: ModuleContext, u: ModuleVector, jech: dict) -> bool:
+def _certify_subsingular(M: ModuleContext, p: int, r: int, u: ModuleVector) -> bool:
     """Exact check that g.u lies in J' for every raising generator."""
-    return not any(jech[g.mode].reduce(dict(M.act(g, u).terms))
+    uprime = u_prime(M, p)
+    return not any(_j_prime_echelon(M, p, r * p - g.mode, uprime).reduce(dict(M.act(g, u).terms))
                    for g in _raising_generators(M.hw.kind))
 
 
+# bench/tracing.py wraps the sampled solver of earlier versions under
+# these names.  That solver is gone, because the exact solve above beat it
+# at every measured point; the names stay, never called, until the
+# benchmark drops those wrappers.
 _SAMPLING_INCONCLUSIVE = object()
-_MAX_SAMPLES = 80  # per prime
-_MAX_BAD_SAMPLES = 4  # failed, and separately inconsistent, samples tolerated
 
 
-def _log_fallback(p: int, r: int, reason: str):
-    _log.debug("subsingular(p=%d, r=%d): sampled solve inconclusive (%s); "
-               "solving symbolically", p, r, reason)
+def _subsingular_sampled(*_args):
     return _SAMPLING_INCONCLUSIVE
 
 
-def _modular_table(rows: list, columns: list) -> tuple:
-    """The system with integer columns and each distinct entry stored once.
-
-    Returns (rows, entries): a row is a list of (column index, entry
-    index) pairs with the right-hand side in column len(columns), and an
-    entry is its (num, den) as dense integer coefficient lists in the
-    parameter, content multiplied through.
-    """
-    index = {c: i for i, c in enumerate(columns)}
-    index[linalg.RHS] = len(columns)
-    slots: dict = {}
-    table = [[(index[c], slots.setdefault(v, len(slots))) for c, v in row.items()]
-             for row in rows]
-
-    def dense(poly: dict, scale: int) -> list:
-        out = [0] * (max(e[0] for e in poly) + 1)
-        for (k,), c in poly.items():
-            out[k] = c * scale
-        return out
-
-    entries = [(dense(v.num, v.cont.numerator), dense(v.den, v.cont.denominator))
-               for v in slots]
-    return table, entries
-
-
-def _specialize_module(table: tuple, t: int, q: int) -> list:
-    """The prebuilt subsingular system of a module at parameter t, over GF(q).
-
-    ``table`` comes from ``_modular_table``; returns int rows for
-    ``linalg.solve_mod``.  Raises ZeroDivisionError when an entry's
-    denominator vanishes at t mod q.
-    """
-    rows, entries = table
-    vals = []
-    for num, den in entries:
-        d = interp.poly_eval(den, t, q)
-        if not d:
-            raise ZeroDivisionError(f"an entry's denominator vanishes at {t} mod {q}")
-        vals.append(interp.poly_eval(num, t, q) * pow(d, -1, q) % q)
-    return [{c: vals[e] for c, e in row} for row in rows]
-
-
-def _interpolate_all(samples: list, count: int, q: int) -> list | None:
-    """(num, den) mod q of each of ``count`` unknowns, or None if one does not fit."""
-    ts = [t for t, _ in samples]
-    fits = []
-    for i in range(count):
-        fit = _rational_interpolate(ts, [xs[i] for _, xs in samples], q)
-        if fit is None:
-            return None
-        fits.append(fit)
-    return fits
-
-
-def _subsingular_sampled(M: ModuleContext, p: int, r: int, system: tuple):
-    """Sampled solve of the prebuilt subsingular system, certified exactly.
-
-    For each prime q of ``interp.PRIMES`` in turn, the system is evaluated
-    at t = 1, 2, ... mod q and solved over GF(q); every unknown is
-    interpolated mod q as a rational function of the parameter, the
-    primes so far are combined by CRT, and the coefficients are lifted to
-    Q by rational reconstruction, until two successive lifts agree.
-    Returns the certified vector, or the inconclusive sentinel (with a
-    DEBUG log line giving the reason) when too many samples fail or are
-    inconsistent, the lift does not stabilise, or the certificate fails.
-    """
-    rows, columns, jech = system
-    lead, unknowns = _subsingular_columns(p, r)
-    nx = len(unknowns)
-    table = _modular_table(rows, columns)
-    samples = {q: [] for q in interp.PRIMES}
-    points = {q: itertools.count(1) for q in interp.PRIMES}
-    nones = failures = 0
-    target = min(2 * r * p + 8, 40)
-    while True:
-        residues = modulus = shape = lifted = None
-        for q in interp.PRIMES:
-            got = samples[q]
-            while len(got) < target:
-                t = next(points[q])
-                try:
-                    res = linalg.solve_mod(_specialize_module(table, t, q), len(columns), q)
-                except ZeroDivisionError:
-                    res = False
-                if res is None:
-                    nones += 1
-                elif res is False or (res[1] and res[1][0] < nx):
-                    failures += 1
-                else:
-                    got.append((t, [res[0].get(i, 0) for i in range(nx)]))
-                if nones > _MAX_BAD_SAMPLES or failures > _MAX_BAD_SAMPLES:
-                    return _log_fallback(p, r, f"{failures} failed and {nones} "
-                                         "inconsistent samples")
-            fits = _interpolate_all(got, nx, q)
-            if fits is None:
-                break
-            flat = [c for num, den in fits for c in num + den]
-            new_shape = [(len(num), len(den)) for num, den in fits]
-            if new_shape == shape:
-                residues = [interp.crt(a, modulus, b, q) for a, b in zip(residues, flat)]
-                modulus *= q
-            else:
-                residues, modulus, shape, lifted = flat, q, new_shape, None
-            lift = [interp.rational_reconstruct(a, modulus) for a in residues]
-            if None not in lift and lift == lifted:
-                u = _lifted_vector(M, lead, unknowns, shape, lift)
-                if _certify_subsingular(M, u, jech):
-                    return u
-                return _log_fallback(p, r, "certificate failed")
-            lifted = lift
-        else:
-            return _log_fallback(p, r, "rational reconstruction did not stabilise "
-                                 f"over {len(interp.PRIMES)} primes")
-        if target >= _MAX_SAMPLES:
-            return _log_fallback(p, r, f"interpolation did not fit {target} samples")
-        target = min(2 * target, _MAX_SAMPLES)
-
-
-def _lifted_vector(M: ModuleContext, lead, unknowns: list, shape: list,
-                   coeffs: list) -> ModuleVector:
-    """The ansatz vector whose unknowns are the lifted rational functions.
-
-    ``coeffs`` lists each unknown's numerator then denominator
-    coefficients, lowest degree first, with lengths given by ``shape``.
-    """
-    ctx = M.scalar_ctx
-    z = ctx.var(ctx.names[0])
-
-    def poly(cs) -> Scalar:
-        acc = ctx.zero
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
-    terms = {lead: ctx.one}
-    pos = 0
-    for m, (nn, nd) in zip(unknowns, shape):
-        num = poly(coeffs[pos:pos + nn])
-        if not num.is_zero():
-            terms[m] = num / poly(coeffs[pos + nn:pos + nn + nd])
-        pos += nn + nd
-    return M.vector(terms)
+_specialize_module = _rational_interpolate = _subsingular_sampled
 
 
 def subsingular_r1_recursive(M: ModuleContext, p: int) -> ModuleVector:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from vermatools import interp, linalg, verma
+from vermatools import linalg, verma
 from vermatools.liealg import I, L, W
 from vermatools.pbw import HighestWeight, ModuleContext, PBWMonomial
 from vermatools.scalar import PolyContext
@@ -143,18 +143,16 @@ def test_sampled_and_direct_solvers_agree():
     assert verma._subsingular_direct(M_off, 2, 1) is None
 
 
-def test_failed_reconstruction_falls_back_to_the_direct_solve(monkeypatch, caplog):
-    monkeypatch.setattr(interp, "rational_reconstruct", lambda a, m: None)
-    caplog.set_level(logging.DEBUG, logger="vermatools.verma")
+def test_solved_vector_passes_the_certificate():
     for p, r in ((2, 1), (2, 2)):
         M = subsingular_module(p, r)
-        assert verma.subsingular(M, p, r) == verma._subsingular_direct(M, p, r)
-    reasons = [rec.getMessage() for rec in caplog.records]
-    assert len(reasons) == 2
-    assert all("reconstruction did not stabilise" in msg for msg in reasons)
+        u = verma.subsingular(M, p, r)
+        assert verma._certify_subsingular(M, p, r, u)
+        off = M.vector({PBWMonomial.make(l=(1,) * (r * p)): 1})
+        assert not verma._certify_subsingular(M, p, r, u + off)
 
 
-def test_off_weight_fallback_is_logged(caplog):
+def test_off_weight_solve_is_logged(caplog):
     M = subsingular_module(2, 1)
     hw_off = HighestWeight.w22(M.scalar_ctx, c=M.hw["c"],
                                h=M.hw["h"] + Fraction(1, 3), hW=M.hw["hW"])
@@ -162,14 +160,27 @@ def test_off_weight_fallback_is_logged(caplog):
     assert verma.subsingular(ModuleContext(hw_off), 2, 1) is None
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
-    assert "p=2, r=1" in record.getMessage()
-    assert "5 inconsistent samples" in record.getMessage()
+    assert "subsingular(p=2, r=1)" in record.getMessage()
+    assert "over Q(hW): inconsistent" in record.getMessage()
 
 
-def test_found_vector_logs_no_fallback(caplog):
+def test_found_vector_logs_the_rank(caplog):
     caplog.set_level(logging.DEBUG, logger="vermatools.verma")
     assert verma.subsingular(subsingular_module(2, 2), 2, 2) is not None
-    assert caplog.records == []
+    [record] = caplog.records
+    assert "subsingular(p=2, r=2)" in record.getMessage()
+    assert ": rank " in record.getMessage()
+
+
+def test_failed_u_prime_is_logged_and_raised(caplog):
+    ctx = PolyContext(("hW",))
+    hW = ctx.var("hW")
+    hw = HighestWeight.w22(ctx, c=hW * Fraction(-3), h=verma.necessary_h(2, 1, hW), hW=hW)
+    caplog.set_level(logging.DEBUG, logger="vermatools.verma")
+    with pytest.raises(ValueError, match="no pure-W singular vector"):
+        verma.subsingular(ModuleContext(hw), 2, 1)
+    [record] = caplog.records
+    assert "subsingular(p=2, r=1): u' failed" in record.getMessage()
 
 
 def test_recursive_construction_matches_solver():
