@@ -24,8 +24,7 @@ from .liealg import HV, W22, Generator
 from .pbw import HighestWeight, ModuleContext, PBWMonomial
 from .scalar import PolyContext, Scalar
 from .verma import (QuotientModule, classify, necessary_h, quotient_l,
-                    quotient_l_prime, singular_space, u_prime,
-                    weight_space_basis)
+                    quotient_l_prime, singular_space, u_prime, word_images)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +198,7 @@ class TensorSpace:
         if series.ctx != M.scalar_ctx:
             raise ValueError("series parameters use a different context")
         self.M = M
+        self.kind = M.kind
         self.series = series
         self.window = (int(window[0]), int(window[1]))
         if self.window[0] > self.window[1]:
@@ -339,15 +339,10 @@ def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
     space = TensorSpace(M, s, (n - 1, n + depth), quotient=Q)
     if space.excluded == n - 1:
         raise ValueError("target index is excluded from the primed series")
-    kind = hw.kind
     ech = linalg.Echelon(key=_column_key)
     for k in range(n, n + depth + 1):
-        if k == space.excluded:
-            continue
-        for word_mono in weight_space_basis(k - (n - 1)):
-            vec = space.multiply(word_mono.as_word(kind), space.vacuum_at(k))
-            if not vec.is_zero():
-                ech.add(dict(vec.terms))
+        if k != space.excluded:
+            ech.extend(word_images(space, k - (n - 1), space.vacuum_at(k)))
     target = {(n - 1, PBWMonomial.make()): M.scalar_ctx.one}
     return ech.contains(target)
 
@@ -364,23 +359,14 @@ def subquotient_free_dims(hw: HighestWeight, s: IntermediateSeries, n: int,
     """
     M = ModuleContext(hw)
     space = TensorSpace(M, s, (n - max_level - extra, n + extra))
-    kind = hw.kind
     dims = {}
     for d in range(1, max_level + 1):
         ech = linalg.Echelon(key=_column_key)
         for k in range(n + 1, n + extra + 1):
-            if k == space.excluded:
-                continue
-            for word_mono in weight_space_basis(d + (k - n)):
-                vec = space.multiply(word_mono.as_word(kind),
-                                     space.vacuum_at(k))
-                if not vec.is_zero():
-                    ech.add(dict(vec.terms))
+            if k != space.excluded:
+                ech.extend(word_images(space, d + (k - n), space.vacuum_at(k)))
         before = len(ech)
-        for word_mono in weight_space_basis(d):
-            vec = space.multiply(word_mono.as_word(kind), space.vacuum_at(n))
-            if not vec.is_zero():
-                ech.add(dict(vec.terms))
+        ech.extend(word_images(space, d, space.vacuum_at(n)))
         dims[d] = len(ech) - before
     return dims
 
@@ -586,7 +572,6 @@ def _eliminate_to_target(space: TensorSpace, T: TensorVector,
     change of generators and leaves a unique multiple of the bare
     target vector.
     """
-    kind = space.M.hw.kind
     tgt = (target_index, PBWMonomial.make())
 
     def key(col):
@@ -594,10 +579,7 @@ def _eliminate_to_target(space: TensorSpace, T: TensorVector,
 
     ech = linalg.Echelon(key=key)
     for k in range(target_index + 1, top_index):
-        for word_mono in weight_space_basis(k - target_index):
-            vec = space.multiply(word_mono.as_word(kind), space.vacuum_at(k))
-            if not vec.is_zero():
-                ech.add(dict(vec.terms))
+        ech.extend(word_images(space, k - target_index, space.vacuum_at(k)))
     if any(col == tgt for col in ech.pivots):
         raise ValueError("degenerate elimination: an intermediate word "
                          "reduced to the bare target vector")

@@ -202,3 +202,23 @@ def test_subsingular_none_is_a_clean_report(capsys):
     doc = json.loads(out)
     assert doc["results"]["found"] is False
     assert doc["results"]["vector"] is None
+
+
+def test_symbolic_classify_verdict_is_marked_generic(capsys):
+    code, out, _ = run_main(capsys, "classify", "--symbolic", "hW", "--c=-8")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "verdict: VermaIrreducible"
+    assert "holds over Q(hW)" in lines[1] and "generic" in lines[1]
+    code, out, _ = run_main(capsys, "classify", "--symbolic", "hW", "--c=-8",
+                            "--format", "json")
+    assert code == 0
+    report = json.loads(out)["results"]["report"]
+    assert report["verdict"] == "VermaIrreducible"
+    assert len(report["notes"]) == 1
+    assert "Q(hW)" in report["notes"][0] and "specialising" in report["notes"][0]
+    # a numeric weight keeps its verdict without the note
+    code, out, _ = run_main(capsys, "classify", "--c=-8", "--hW=1", "--h=5",
+                            "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["report"]["notes"] == []

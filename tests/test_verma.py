@@ -131,10 +131,16 @@ def test_subsingular_none_off_the_necessary_h():
     assert verma.subsingular(ModuleContext(hw), 2, 1) is None
 
 
-def test_sampled_and_direct_solvers_agree():
+def test_subsingular_solve_ignores_row_order():
+    rng = random.Random(5)
     for p, r in ((2, 1), (2, 2)):
         M = subsingular_module(p, r)
-        assert verma.subsingular(M, p, r) == verma._subsingular_direct(M, p, r)
+        rows, columns = verma._subsingular_system(M, p, r, verma.u_prime(M, p))
+        expected = verma._subsingular_direct(M, p, r, (rows, columns))
+        assert expected is not None
+        for _ in range(3):
+            shuffled = rng.sample(rows, len(rows))
+            assert verma._subsingular_direct(M, p, r, (shuffled, columns)) == expected
     M = subsingular_module(2, 1)
     hw_off = HighestWeight.w22(M.scalar_ctx, c=M.hw["c"],
                                h=M.hw["h"] + Fraction(1, 3), hW=M.hw["hW"])
