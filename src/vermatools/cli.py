@@ -14,14 +14,11 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 from . import render, tensor, verma
 from .pbw import HighestWeight, ModuleContext
@@ -425,15 +422,7 @@ def _run_scan(job: Job, params: _Params) -> Report:
     raw = job.parameters.get("offsets")
     if raw:
         offsets = [Fraction(piece.strip()) for piece in raw.split(",") if piece.strip()]
-    points = [(p, r) for p in range(1, p_max + 1) for r in range(1, r_max + 1)]
-    workers = int(os.environ.get("VERMATOOLS_WORKERS", "1") or "1")
-    if workers > 1 and len(points) > 1:
-        fn = partial(_scan_point, offsets=tuple(offsets))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(fn, points))
-    else:
-        rows = [verma.conjecture_scan_point(p, r, offsets) for p, r in points]
-    rows.sort(key=lambda row: (row["p"], row["r"]))
+    rows = verma.conjecture_scan(p_max, r_max, offsets)
     results = {"pmax": p_max, "rmax": r_max,
                "offsets": [str(d) for d in offsets], "rows": rows}
     headers = ["p", "r", "found", "offsets excluded", "shape", "ok"]
@@ -448,11 +437,6 @@ def _run_scan(job: Job, params: _Params) -> Report:
     rendered = {"text": "\n".join(text_lines),
                 "latex": render.latex_table(headers, table)}
     return Report(job, results, rendered=rendered)
-
-
-def _scan_point(point, offsets):
-    p, r = point
-    return verma.conjecture_scan_point(p, r, offsets)
 
 
 _RUNNERS = {

@@ -467,9 +467,8 @@ def decide_tensor(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision:
     if hw.kind != W22:
         raise ValueError("decide_tensor handles the first algebra; "
                          "use decide_tensor_hv")
-    a = _require_constant(s.alpha, "alpha")
-    b = _require_constant(s.beta, "beta")
-    del a, b
+    _require_constant(s.alpha, "alpha")
+    _require_constant(s.beta, "beta")
     if not s.F.is_zero():
         raise ValueError("the series parameter F must vanish for this algebra")
     for name in ("c", "h", "hW"):
@@ -632,8 +631,8 @@ def hv_decision_polynomials(hw: HighestWeight, s: IntermediateSeries,
         if len(space_) != 1:
             raise ValueError("expected a one-dimensional singular space")
         u = space_[0]
-        head = PBWMonomial.make(l=(p,))
-        u = u.scaled(ectx.one / u.terms[head])
+        if PBWMonomial.make(l=(p,)) not in u.terms:
+            raise ValueError(f"the singular vector has no L_{{-{p}}} term")
         quotient = _hv_quotient(M, p, "L", u)
         target, top = 0, p
     space = TensorSpace(M, s2, (target, top), quotient=quotient,

@@ -174,6 +174,38 @@ def _raising_generators(kind: str) -> list:
     return [L(1), L(2), second(1), second(2)]
 
 
+def _raising_system(M: ModuleContext, unknowns, known=None, spans=None) -> tuple:
+    """The conditions g.(known + sum_m x_m m) = sum_k s_{g,k} b_k, one row
+    per raising generator g and image monomial.
+
+    Columns are the unknown monomials, then ("s", gi, k) for the k-th term
+    dict b_k of ``spans(g)`` when ``spans`` is given; the terms of g.known
+    sit under ``linalg.RHS``.  Rows come unknown by unknown, generator by
+    generator within each.  ``Echelon.extend`` breaks ties in sparsity by
+    this order, and generator by generator first made ``singular_space``
+    at p = 5 and 6 over Q(hW, h) about twice as slow (2-core x86 box).
+
+    Returns (rows, columns).
+    """
+    gens = _raising_generators(M.hw.kind)
+    rows: dict = {}
+    columns = list(unknowns)
+    for gi, g in enumerate(gens):
+        for k, b in enumerate(spans(g) if spans else ()):
+            columns.append(("s", gi, k))
+            for tmono, coeff in b.items():
+                rows.setdefault((gi, tmono), {})[("s", gi, k)] = -coeff
+        if known is not None:
+            for tmono, coeff in M.act(g, known).terms.items():
+                rows.setdefault((gi, tmono), {})[linalg.RHS] = -coeff
+    for m in unknowns:
+        vec = M.vector({m: 1})
+        for gi, g in enumerate(gens):
+            for tmono, coeff in M.act(g, vec).terms.items():
+                rows.setdefault((gi, tmono), {})[m] = coeff
+    return list(rows.values()), columns
+
+
 def singular_space(M: ModuleContext, level: int) -> list:
     """Basis of the singular vectors at the given level.
 
@@ -181,22 +213,29 @@ def singular_space(M: ModuleContext, level: int) -> list:
     generator g; it is enough to impose this for L_1, L_2 and the degree
     1 and 2 modes of the second family, which generate the raising part.
     """
-    basis = weight_space_basis(level)
     ctx = M.scalar_ctx
-    rows: dict = {}
-    for j, mono in enumerate(basis):
-        for gi, g in enumerate(_raising_generators(M.hw.kind)):
-            image = M.act(g, M.vector({mono: 1}))
-            for tmono, coeff in image.terms.items():
-                rows.setdefault((gi, tmono), {})[j] = coeff
-    columns = list(range(len(basis)))
-    sols = linalg.nullspace(rows.values(), columns, ctx)
+    rows, columns = _raising_system(M, weight_space_basis(level))
     vectors = []
-    for sol in sols:
-        vec = M.vector({basis[j]: v for j, v in sol.items()})
+    for sol in linalg.nullspace(rows, columns, ctx):
+        vec = M.vector(sol)
         lead = max(vec.terms, key=lambda m: m.sort_key())
         vectors.append(vec.scaled(ctx.one / vec.terms[lead]))
     return vectors
+
+
+def _pure_w_completion(M: ModuleContext, p: int, known: ModuleVector, what: str) -> ModuleVector:
+    """The singular vector known + sum_m x_m m, over the monomials m of level
+    p with no L factor other than W_{-p}; ValueError unless it exists with
+    every x_m determined."""
+    head = PBWMonomial((p,), ())
+    unknowns = [m for m in pure_w_basis(p) if m != head]
+    res = linalg.solve(*_raising_system(M, unknowns, known), M.scalar_ctx)
+    if res is None:
+        raise ValueError(f"no {what}")
+    sol, free = res
+    if free:
+        raise ValueError(f"{what} underdetermined: {free} free")
+    return known + M.vector(sol)
 
 
 def u_prime(M: ModuleContext, p: int) -> ModuleVector:
@@ -204,7 +243,8 @@ def u_prime(M: ModuleContext, p: int) -> ModuleVector:
 
     Normalized so the coefficient of W_{-p} (or I_{-p}) is 1 and no
     monomial contains an L factor.  Exists exactly at the degenerate
-    level; raises ValueError otherwise.
+    level; raises ValueError otherwise.  It is solved directly on the
+    ansatz W_{-p} v + the other monomials of level p with no L factor.
     """
     hw = M.hw
     if hw.kind == W22:
@@ -215,29 +255,8 @@ def u_prime(M: ModuleContext, p: int) -> ModuleVector:
         hI, cLI = hw["hI"], hw["cLI"]
         if cLI.is_zero() or not (hI - (1 + p) * cLI).is_zero():
             raise ValueError(f"hI/cLI != 1+p at p={p}; no pure-I singular vector")
-    space = singular_space(M, p)
-    if not space:
-        raise ValueError(f"no singular vector at level {p}")
-    ctx = M.scalar_ctx
-    head = PBWMonomial((p,), ())
-    # Solve for the combination with no L factors and coefficient 1 on the head.
-    rows = []
-    target_monos = set()
-    for vec in space:
-        target_monos.update(m for m in vec.terms if m.l)
-    for tmono in sorted(target_monos, key=lambda m: m.sort_key()):
-        rows.append({j: vec.terms[tmono] for j, vec in enumerate(space) if tmono in vec.terms})
-    head_row = {j: vec.terms[head] for j, vec in enumerate(space) if head in vec.terms}
-    head_row[linalg.RHS] = ctx.one
-    rows.append(head_row)
-    res = linalg.solve(rows, list(range(len(space))), ctx)
-    if res is None:
-        raise ValueError(f"no pure singular vector at level {p}")
-    sol, _free = res
-    out = M.zero()
-    for j, coeff in sol.items():
-        out = out + space[j].scaled(coeff)
-    return out
+    return _pure_w_completion(M, p, M.vector({PBWMonomial((p,), ()): 1}),
+                              f"pure singular vector at level {p}")
 
 
 def j_prime_span(M: ModuleContext, p: int, level: int, uprime: ModuleVector | None = None) -> list:
@@ -298,30 +317,16 @@ def subsingular(M: ModuleContext, p: int, r: int):
 def _subsingular_system(M: ModuleContext, p: int, r: int, uprime: ModuleVector) -> tuple:
     """The subsingular linear system over the coefficient field.
 
-    Unknowns are the ansatz coefficients ("x", m), then for each raising
-    generator g of degree d the coefficients ("s", gi, k) of g.u in the
-    echelon basis of J' at level rp - d; right-hand sides sit under
-    ``linalg.RHS``.
+    Unknowns are the ansatz monomials, then for each raising generator g
+    of degree d the coefficients ("s", gi, k) of g.u in the echelon basis
+    of J' at level rp - d; the lead monomial is the known part.
 
     Returns (rows, columns).
     """
-    level = r * p
     lead, unknowns = _subsingular_columns(p, r)
-    rows: dict = {}
-    columns = [("x", m) for m in unknowns]
-    for gi, g in enumerate(_raising_generators(M.hw.kind)):
-        for k, b in enumerate(_j_prime_echelon(M, p, level - g.mode, uprime).rows()):
-            columns.append(("s", gi, k))
-            for tmono, coeff in b.items():
-                rows.setdefault((gi, tmono), {})[("s", gi, k)] = -coeff
-        image = M.act(g, M.vector({lead: 1}))
-        for tmono, coeff in image.terms.items():
-            rows.setdefault((gi, tmono), {})[linalg.RHS] = -coeff
-        for m in unknowns:
-            image = M.act(g, M.vector({m: 1}))
-            for tmono, coeff in image.terms.items():
-                rows.setdefault((gi, tmono), {})[("x", m)] = coeff
-    return list(rows.values()), columns
+    return _raising_system(
+        M, unknowns, M.vector({lead: 1}),
+        lambda g: _j_prime_echelon(M, p, r * p - g.mode, uprime).rows())
 
 
 def _subsingular_direct(M: ModuleContext, p: int, r: int, system: tuple | None = None):
@@ -342,14 +347,12 @@ def _subsingular_direct(M: ModuleContext, p: int, r: int, system: tuple | None =
     if res is None:
         return None
     sol, free = res
-    free_x = [c for c in free if c[0] == "x"]
+    free_x = [c for c in free if isinstance(c, PBWMonomial)]
     if free_x:
         raise ValueError(f"subsingular solve underdetermined at p={p}, r={r}: {free_x}")
     lead, _ = _subsingular_columns(p, r)
     terms = {lead: ctx.one}
-    for col, coeff in sol.items():
-        if col[0] == "x":
-            terms[col[1]] = coeff
+    terms.update((col, coeff) for col, coeff in sol.items() if isinstance(col, PBWMonomial))
     return M.vector(terms)
 
 
@@ -407,28 +410,7 @@ def subsingular_r1_recursive(M: ModuleContext, p: int) -> ModuleVector:
         for mono, coeff in wvec[n].terms.items():
             terms[PBWMonomial.make(mono.w, (n,))] = coeff
         known = known + M.vector(terms)
-    # solve for w_0: pure-W monomials of level p except W_{-p} itself
-    unknowns = [m for m in pure_w_basis(p) if m != PBWMonomial((p,), ())]
-    rows: dict = {}
-    for gi, g in enumerate(_raising_generators(W22)):
-        image = M.act(g, known)
-        for tmono, coeff in image.terms.items():
-            rows.setdefault((gi, tmono), {})[linalg.RHS] = -coeff
-        for m in unknowns:
-            image = M.act(g, M.vector({m: 1}))
-            for tmono, coeff in image.terms.items():
-                rows.setdefault((gi, tmono), {})[("x", m)] = coeff
-    res = linalg.solve(rows.values(), [("x", m) for m in unknowns], ctx)
-    if res is None:
-        raise ValueError(f"no singular vector of the assumed shape at level {p}")
-    sol, free = res
-    if free:
-        raise ValueError(f"recursion completion underdetermined at p={p}")
-    out = known
-    extra = {col[1]: coeff for col, coeff in sol.items()}
-    if extra:
-        out = out + M.vector(extra)
-    return out
+    return _pure_w_completion(M, p, known, f"singular vector of the assumed shape at level {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -723,11 +705,7 @@ def _classify(M: ModuleContext) -> StructureReport:
     if not space:
         return StructureReport(kind=HV, verdict="VermaIrreducible", p=p, case=case,
                                notes=["no singular vector at the degenerate level"])
-    vec = space[0]
-    head = PBWMonomial((), (p,))
-    if head in vec.terms:
-        vec = vec.scaled(M.scalar_ctx.one / vec.terms[head])
-    return StructureReport(kind=HV, verdict="UprimeOnly", p=p, case=case, u_prime=vec)
+    return StructureReport(kind=HV, verdict="UprimeOnly", p=p, case=case, u_prime=space[0])
 
 
 # ---------------------------------------------------------------------------

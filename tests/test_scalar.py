@@ -134,3 +134,60 @@ def test_display_uses_parentheses_only_when_needed():
     assert str(CTX.scalar(3) / (CTX.scalar(4) * X)) == "3/(4*x)"
     assert str(CTX.one / X ** 2) == "1/x^2"
     assert str((X + CTX.one) / Y) == "(x + 1)/y"
+
+
+# ---------------------------------------------------------------------------
+# Oracle: sympy's rational functions, which share no code with scalar.py
+
+# A recipe is a leaf, a list of (coeff, ex, ey) terms of a polynomial, or
+# a node (op, left, right) with op one of + - * /.
+recipes = st.recursive(
+    st.lists(st.tuples(small_ints, st.integers(0, 2), st.integers(0, 2)),
+             min_size=1, max_size=3),
+    lambda kids: st.tuples(st.sampled_from("+-*/"), kids, kids),
+    max_leaves=5)
+
+
+def build(recipe, sympy, x, y):
+    """The recipe's value as a Scalar and as a sympy expression.  A division
+    by what sympy calls zero is skipped, keeping the dividend."""
+    if isinstance(recipe, list):
+        s, e = CTX.zero, sympy.Integer(0)
+        for c, ex, ey in recipe:
+            s = s + CTX.scalar(c) * X ** ex * Y ** ey
+            e = e + c * x ** ex * y ** ey
+        return s, e
+    op, left, right = recipe
+    (a, ea), (b, eb) = build(left, sympy, x, y), build(right, sympy, x, y)
+    if op == "+":
+        return a + b, ea + eb
+    if op == "-":
+        return a - b, ea - eb
+    if op == "*":
+        return a * b, ea * eb
+    if sympy.cancel(eb) == 0:
+        return a, ea
+    return a / b, ea / eb
+
+
+@given(recipes, recipes)
+@settings(max_examples=60, deadline=None)
+def test_canonical_form_matches_sympy(r1, r2):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def poly(p):
+        return sum((c * x ** e[0] * y ** e[1] for e, c in p.items()), sympy.Integer(0))
+
+    (a, ea), (b, eb) = build(r1, sympy, x, y), build(r2, sympy, x, y)
+    for s, e in ((a, ea), (b, eb)):
+        num, den = poly(s.num), poly(s.den)
+        assert sympy.gcd(num, den).is_number
+        cont = sympy.Rational(s.cont.numerator, s.cont.denominator)
+        assert sympy.cancel(cont * num / den - e) == 0
+        assert sympy.cancel(sympy.sympify(str(s).replace("^", "**")) - e) == 0
+    assert (a == b) == (sympy.cancel(ea - eb) == 0)
+    assert (a + b) - b == a
+    if sympy.cancel(eb) != 0:
+        assert (a * b) / b == a
+        assert hash((a * b) / b) == hash(a)

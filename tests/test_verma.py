@@ -78,6 +78,45 @@ def test_u_prime_has_no_l_factors():
         assert u.coeff(PBWMonomial.make(w=(p,))) == M.scalar_ctx.one
 
 
+def twisted_case_i_module(p):
+    """Twisted V with hI = (1 + p) cLI over Q(h, cLI): degenerate at p, case I."""
+    ctx = PolyContext(("h", "cLI"))
+    cLI = ctx.var("cLI")
+    return ModuleContext(HighestWeight.hv(ctx, cL=0, cLI=cLI, h=ctx.var("h"),
+                                          hI=cLI * (1 + p), cI=0))
+
+
+@pytest.mark.parametrize("algebra,p", [("w22", p) for p in (2, 3, 4, 5)]
+                         + [("hv", p) for p in (1, 2, 3, 4)])
+def test_singular_space_dimensions(algebra, p):
+    """No singular vector below the degenerate level p, and one at p: u'."""
+    M = degenerate_module(p) if algebra == "w22" else twisted_case_i_module(p)
+    for n in range(1, p):
+        assert verma.singular_space(M, n) == []
+    assert verma.singular_space(M, p) == [verma.u_prime(M, p)]
+
+
+@pytest.mark.parametrize("p", [8, 10])
+def test_u_prime_at_high_levels(p):
+    M = degenerate_module(p)
+    u = verma.u_prime(M, p)
+    assert all(m.ldegree() == 0 for m in u.terms)
+    assert u.coeff(PBWMonomial.make(w=(p,))) == M.scalar_ctx.one
+    for g in RAISERS_W22:
+        assert M.act(g, u).is_zero()
+
+
+def test_u_prime_refused_where_only_the_level_condition_holds():
+    """At c = hW = 0 the level condition holds at every p, and there are
+    singular vectors at level 2, but none with a W_{-2} term."""
+    ctx = PolyContext(("h",))
+    M = ModuleContext(HighestWeight.w22(ctx, c=0, h=ctx.var("h"), hW=0))
+    assert verma.u_prime(M, 1) == M.monomial_vector(w=(1,))
+    assert verma.singular_space(M, 2)
+    with pytest.raises(ValueError, match="no pure singular vector at level 2"):
+        verma.u_prime(M, 2)
+
+
 # ---------------------------------------------------------------------------
 # Subsingular vectors
 
