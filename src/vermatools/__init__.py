@@ -22,7 +22,6 @@ from .tensor import (
     lambda_product,
     subquotient_free_dims,
     subquotient_weight,
-    tensor_act,
 )
 from .verma import (
     CharacterSeries,
@@ -40,7 +39,6 @@ from .verma import (
     necessary_h,
     quotient_l,
     quotient_l_prime,
-    quotient_verma,
     singular_space,
     subsingular,
     subsingular_r1_recursive,
@@ -73,7 +71,6 @@ __all__ = [
     "lambda_product",
     "subquotient_free_dims",
     "subquotient_weight",
-    "tensor_act",
     "CharacterSeries",
     "QuotientModule",
     "StructureReport",
@@ -89,7 +86,6 @@ __all__ = [
     "necessary_h",
     "quotient_l",
     "quotient_l_prime",
-    "quotient_verma",
     "singular_space",
     "subsingular",
     "subsingular_r1_recursive",

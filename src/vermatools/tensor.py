@@ -23,8 +23,8 @@ from . import linalg
 from .liealg import HV, W22, Generator
 from .pbw import HighestWeight, ModuleContext, PBWMonomial
 from .scalar import PolyContext, Scalar
-from .verma import (QuotientModule, classify, necessary_h, quotient_l,
-                    quotient_l_prime, singular_space, u_prime, word_images)
+from .verma import (QuotientModule, _check_reach, classify, necessary_h, quotient_case_l,
+                    quotient_l, quotient_l_prime, singular_space, u_prime, word_images)
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +120,8 @@ class TensorVector:
         self.space = space
         self.terms = {key: cf for key, cf in terms.items() if not cf.is_zero()}
 
-    @property
-    def window(self):
-        return self.space.window
-
-    @property
-    def hw(self):
-        return self.space.M.hw
-
-    @property
-    def series(self):
-        return self.space.series
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff(self, m: int, mono: PBWMonomial) -> Scalar:
-        return self.terms.get((m, mono), self.space.M.scalar_ctx.zero)
 
     def __add__(self, other: "TensorVector") -> "TensorVector":
         out = dict(self.terms)
@@ -159,15 +144,6 @@ class TensorVector:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: _column_key(kv[0]))
-
-    def to_json(self) -> dict:
-        return {"window": list(self.space.window),
-                "terms": [{"index": m, "monomial": mono.to_json(),
-                           "coeff": cf.to_json()}
-                          for (m, mono), cf in self.sorted_terms()]}
 
     def __repr__(self):
         return f"TensorVector({len(self.terms)} terms, window={self.space.window})"
@@ -272,21 +248,8 @@ class TensorSpace:
         return out
 
 
-def tensor_act(g: Generator, x: TensorVector) -> TensorVector:
-    """Module-level entry point for the Leibniz action."""
-    return x.space.act(g, x)
-
-
 # ---------------------------------------------------------------------------
 # Cyclicity
-
-
-def _hv_quotient(M: ModuleContext, p: int, case: str, u) -> QuotientModule:
-    """Quotient of a twisted Heisenberg-Virasoro Verma module by its
-    singular vector: basis monomials avoid I_{-p} (case I) or L_{-p}."""
-    if case == "I":
-        return QuotientModule(M, [u], lambda mono: p not in mono.w)
-    return QuotientModule(M, [u], lambda mono: p not in mono.l)
 
 
 def _pick_quotient(M: ModuleContext, choice: str) -> QuotientModule | None:
@@ -295,31 +258,20 @@ def _pick_quotient(M: ModuleContext, choice: str) -> QuotientModule | None:
     "auto" matches the classification of the highest weight: the full
     irreducible quotient when a subsingular vector exists, the quotient
     by u' when only u' does, and no reduction for an irreducible Verma
-    module.  "verma", "lprime" and "l" force a choice.
+    module.  "verma" forces no reduction.
     """
     if choice == "verma":
         return None
+    if choice != "auto":
+        raise ValueError(f"unknown quotient choice {choice!r}")
     rep = classify(M)
-    if choice == "auto":
-        if rep.verdict == "VermaIrreducible":
-            return None
-        if rep.kind == HV:
-            return _hv_quotient(M, rep.p, rep.case, rep.u_prime)
-        if rep.verdict == "UprimeOnly":
-            return quotient_l_prime(M, rep.p, rep.u_prime)
-        return quotient_l(M, rep.p, rep.r, rep.u_prime, rep.u)
     if rep.verdict == "VermaIrreducible":
-        raise ValueError("the Verma module is irreducible; no quotient exists")
-    if choice == "lprime":
-        if rep.kind == HV:
-            return _hv_quotient(M, rep.p, rep.case, rep.u_prime)
-        return quotient_l_prime(M, rep.p, rep.u_prime)
-    if choice == "l":
-        if rep.verdict != "UprimeAndSubsingular":
-            raise ValueError("no subsingular vector; the quotient by u' is "
-                             "already irreducible")
+        return None
+    if rep.verdict == "UprimeAndSubsingular":
         return quotient_l(M, rep.p, rep.r, rep.u_prime, rep.u)
-    raise ValueError(f"unknown quotient choice {choice!r}")
+    if rep.case == "L":
+        return quotient_case_l(M, rep.p, rep.u_prime)
+    return quotient_l_prime(M, rep.p, rep.u_prime)
 
 
 def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
@@ -330,7 +282,9 @@ def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
     The span is built from all lowering words applied to v_k (x) v for
     k in [n, n + depth], each word of the degree matching the weight of
     the target.  A True answer is a proof of membership; False means
-    the truncated span misses the target.
+    the truncated span misses the target.  ``quotient`` is "auto", the
+    quotient that matches the classification of the highest weight, or
+    "verma", the Verma module itself; any other choice raises ValueError.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -348,15 +302,16 @@ def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
 
 
 def subquotient_free_dims(hw: HighestWeight, s: IntermediateSeries, n: int,
-                          max_level: int, extra: int = 2) -> dict:
+                          max_level: int) -> dict:
     """Level dimensions of the layer U_n / U_{n+1} of V' (x) V, truncated.
 
     U_k is the submodule generated by v_k (x) v.  For each degree d up
     to max_level, counts how many new directions the degree-d words on
     v_n (x) v add beyond the span of words on v_k (x) v for
-    k in (n, n + extra].  A count of pair_partition_count(d) at every
+    k in (n, n + 2].  A count of pair_partition_count(d) at every
     level is freeness evidence at this truncation.
     """
+    extra = 2
     M = ModuleContext(hw)
     space = TensorSpace(M, s, (n - max_level - extra, n + extra))
     dims = {}
@@ -613,6 +568,7 @@ def hv_decision_polynomials(hw: HighestWeight, s: IntermediateSeries,
         case = "L"
     else:
         raise ValueError(f"weight is not degenerate at p={p}")
+    _check_reach(p)
     if "n" in hw.ctx.names:
         raise ValueError("the parameter name 'n' is reserved for the "
                          "series index")
@@ -624,7 +580,7 @@ def hv_decision_polynomials(hw: HighestWeight, s: IntermediateSeries,
     M = ModuleContext(hw2)
     if case == "I":
         u = u_prime(M, p)
-        quotient = _hv_quotient(M, p, "I", u)
+        quotient = quotient_l_prime(M, p, u)
         target, top = -1, p - 1
     else:
         space_ = singular_space(M, p)
@@ -633,7 +589,7 @@ def hv_decision_polynomials(hw: HighestWeight, s: IntermediateSeries,
         u = space_[0]
         if PBWMonomial.make(l=(p,)) not in u.terms:
             raise ValueError(f"the singular vector has no L_{{-{p}}} term")
-        quotient = _hv_quotient(M, p, "L", u)
+        quotient = quotient_case_l(M, p, u)
         target, top = 0, p
     space = TensorSpace(M, s2, (target, top), quotient=quotient,
                         index_origin=n_sym)
@@ -649,11 +605,6 @@ def hv_decision_polynomials(hw: HighestWeight, s: IntermediateSeries,
                          "linear in the index")
     return HVCertificate(case="L", p=p, q_poly=lam.coeff_of("n", 1),
                          r_poly=lam.coeff_of("n", 0))
-
-
-def _certificate_value(poly: Scalar, f_value: Fraction) -> Scalar:
-    """Evaluate a certificate polynomial at a concrete F (and n = 0)."""
-    return poly.substitute({"F": f_value, "n": 0})
 
 
 def decide_tensor_hv(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision:
@@ -718,7 +669,7 @@ def decide_tensor_hv(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision
                 "Irreducible", "ProductNonzero", witness, p=p,
                 notes=("F transcendental: F s(F) cannot vanish",))
         f = s.F.as_fraction()
-        val = _certificate_value(cert.s_poly, f).as_fraction() * f
+        val = cert.s_poly.substitute({"F": f, "n": 0}).as_fraction() * f
         if val == 0:
             return TensorDecision(
                 "Unknown", None, None, p=p,

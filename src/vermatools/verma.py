@@ -174,36 +174,37 @@ def _raising_generators(kind: str) -> list:
     return [L(1), L(2), second(1), second(2)]
 
 
-def _raising_system(M: ModuleContext, unknowns, known=None, spans=None) -> tuple:
-    """The conditions g.(known + sum_m x_m m) = sum_k s_{g,k} b_k, one row
-    per raising generator g and image monomial.
+def _raising_system(M: ModuleContext, unknowns, known=None, modulo=None) -> tuple:
+    """The conditions g.(known + sum_m x_m m) = 0, one row per raising
+    generator g and image monomial; with a QuotientModule ``modulo``,
+    every image is reduced by it first, so the conditions hold in that
+    quotient.
 
-    Columns are the unknown monomials, then ("s", gi, k) for the k-th term
-    dict b_k of ``spans(g)`` when ``spans`` is given; the terms of g.known
-    sit under ``linalg.RHS``.  Rows come unknown by unknown, generator by
-    generator within each.  ``Echelon.extend`` breaks ties in sparsity by
-    this order, and generator by generator first made ``singular_space``
-    at p = 5 and 6 over Q(hW, h) about twice as slow (2-core x86 box).
+    The columns are the unknown monomials; the terms of g.known sit under
+    ``linalg.RHS``.  Rows come unknown by unknown, generator by generator
+    within each.  ``Echelon.extend`` breaks ties in sparsity by this
+    order, and generator by generator first made ``singular_space`` at
+    p = 5 and 6 over Q(hW, h) about twice as slow (2-core x86 box).
 
     Returns (rows, columns).
     """
     gens = _raising_generators(M.hw.kind)
     rows: dict = {}
-    columns = list(unknowns)
-    for gi, g in enumerate(gens):
-        for k, b in enumerate(spans(g) if spans else ()):
-            columns.append(("s", gi, k))
-            for tmono, coeff in b.items():
-                rows.setdefault((gi, tmono), {})[("s", gi, k)] = -coeff
-        if known is not None:
-            for tmono, coeff in M.act(g, known).terms.items():
+
+    def image(g, vec):
+        img = M.act(g, vec)
+        return (img if modulo is None else modulo.reduce(img)).terms
+
+    if known is not None:
+        for gi, g in enumerate(gens):
+            for tmono, coeff in image(g, known).items():
                 rows.setdefault((gi, tmono), {})[linalg.RHS] = -coeff
     for m in unknowns:
         vec = M.vector({m: 1})
         for gi, g in enumerate(gens):
-            for tmono, coeff in M.act(g, vec).terms.items():
+            for tmono, coeff in image(g, vec).items():
                 rows.setdefault((gi, tmono), {})[m] = coeff
-    return list(rows.values()), columns
+    return list(rows.values()), list(unknowns)
 
 
 def singular_space(M: ModuleContext, level: int) -> list:
@@ -301,10 +302,10 @@ def subsingular(M: ModuleContext, p: int, r: int):
     """The level-rp vector singular modulo J', or None.
 
     Ansatz: u = L_{-p}^r v + sum over level-rp monomials with no W_{-p}
-    factor, and the requirement is g.u in J' for the four raising
-    generators.  The linear system is built once over the coefficient
-    field and solved exactly there; one DEBUG log line per call gives
-    the system size and the outcome.
+    factor, and the requirement is g.u = 0 in V / J' for the four
+    raising generators.  The linear system is built once over the
+    coefficient field and solved exactly there; one DEBUG log line per
+    call gives the system size and the outcome.
     """
     try:
         uprime = u_prime(M, p)
@@ -317,24 +318,21 @@ def subsingular(M: ModuleContext, p: int, r: int):
 def _subsingular_system(M: ModuleContext, p: int, r: int, uprime: ModuleVector) -> tuple:
     """The subsingular linear system over the coefficient field.
 
-    Unknowns are the ansatz monomials, then for each raising generator g
-    of degree d the coefficients ("s", gi, k) of g.u in the echelon basis
-    of J' at level rp - d; the lead monomial is the known part.
+    Unknowns are the ansatz monomials and the lead monomial is the known
+    part; each g.u is reduced modulo J' = U(g) u'.
 
     Returns (rows, columns).
     """
     lead, unknowns = _subsingular_columns(p, r)
-    return _raising_system(
-        M, unknowns, M.vector({lead: 1}),
-        lambda g: _j_prime_echelon(M, p, r * p - g.mode, uprime).rows())
+    return _raising_system(M, unknowns, M.vector({lead: 1}),
+                           modulo=quotient_l_prime(M, p, uprime))
 
 
 def _subsingular_direct(M: ModuleContext, p: int, r: int, system: tuple | None = None):
     """Solve the subsingular system symbolically over the coefficient field.
 
-    The span coefficients of J' enter the linear system as extra
-    unknowns; the system is consistent exactly at the necessary h.
-    ``system`` is the one ``_subsingular_system`` built, or None to build it.
+    The system is consistent exactly at the necessary h.  ``system`` is
+    the one ``_subsingular_system`` built, or None to build it.
     """
     if system is None:
         system = _subsingular_system(M, p, r, u_prime(M, p))
@@ -347,13 +345,10 @@ def _subsingular_direct(M: ModuleContext, p: int, r: int, system: tuple | None =
     if res is None:
         return None
     sol, free = res
-    free_x = [c for c in free if isinstance(c, PBWMonomial)]
-    if free_x:
-        raise ValueError(f"subsingular solve underdetermined at p={p}, r={r}: {free_x}")
+    if free:
+        raise ValueError(f"subsingular solve underdetermined at p={p}, r={r}: {free}")
     lead, _ = _subsingular_columns(p, r)
-    terms = {lead: ctx.one}
-    terms.update((col, coeff) for col, coeff in sol.items() if isinstance(col, PBWMonomial))
-    return M.vector(terms)
+    return M.vector({lead: ctx.one, **sol})
 
 
 def _certify_subsingular(M: ModuleContext, p: int, r: int, u: ModuleVector) -> bool:
@@ -577,15 +572,18 @@ class QuotientModule:
         return len(weight_space_basis(level)) - len(self._echelon(level).pivots)
 
 
-def quotient_verma(M: ModuleContext) -> QuotientModule:
-    """The trivial quotient: the Verma module itself."""
-    return QuotientModule(M, [], lambda m: True)
-
-
 def quotient_l_prime(M: ModuleContext, p: int, uprime: ModuleVector | None = None) -> QuotientModule:
+    """V / J': basis monomials avoid W_{-p} (I_{-p} for the twisted
+    algebra, which covers its case I)."""
     if uprime is None:
         uprime = u_prime(M, p)
     return QuotientModule(M, [uprime], lambda m: p not in m.w)
+
+
+def quotient_case_l(M: ModuleContext, p: int, u: ModuleVector) -> QuotientModule:
+    """Twisted Heisenberg-Virasoro case L: the quotient by the singular
+    vector u of level p, whose basis monomials avoid L_{-p}."""
+    return QuotientModule(M, [u], lambda m: p not in m.l)
 
 
 def quotient_l(M: ModuleContext, p: int, r: int,
@@ -637,9 +635,10 @@ def recover_r(p: int, hw: HighestWeight) -> Scalar:
     return (hW - h) * Fraction(2, p) + 1 + Fraction((13 * p + 1) * (p - 1), 6 * p)
 
 
-# Highest level at which classify builds a witness vector; beyond it,
-# classify refuses.  At p = 10, r = 1 a numeric weight takes about 0.4 s
-# on a 2-core x86 box (c = -24, hW = 99, h = 0).
+# Highest level at which classify, and tensor.hv_decision_polynomials,
+# build a witness vector; beyond it they refuse.  At p = 10, r = 1 a
+# numeric weight takes about 0.4 s in classify, and the twisted case-L
+# certificate about 1.2 s, on a 2-core x86 box.
 CLASSIFY_MAX_LEVEL = 10
 
 
@@ -651,7 +650,7 @@ def _check_reach(p: int, r: int = 1) -> None:
     if r * p > CLASSIFY_MAX_LEVEL:
         what = f"p = {p}" if r == 1 else f"p = {p}, r = {r} (level {r * p})"
         raise OutOfReach(f"the weight is degenerate at {what}, beyond level "
-                         f"{CLASSIFY_MAX_LEVEL}, the highest that classify computes; "
+                         f"{CLASSIFY_MAX_LEVEL}, the highest that is computed; "
                          "no verdict")
 
 
@@ -683,7 +682,7 @@ def _classify(M: ModuleContext) -> StructureReport:
             r = int(r_val.as_fraction())
             if r >= 1:
                 _check_reach(p, r)
-                u = subsingular(M, p, r)
+                u = _subsingular_direct(M, p, r, _subsingular_system(M, p, r, uprime))
                 if u is not None:
                     return StructureReport(kind=W22, verdict="UprimeAndSubsingular",
                                            p=p, r=r, u_prime=uprime, u=u)
@@ -712,8 +711,7 @@ def _classify(M: ModuleContext) -> StructureReport:
 # Conjecture evidence
 
 
-def conjecture_scan_point(p: int, r: int, offsets=(),
-                          param_name: str = "hW") -> dict:
+def conjecture_scan_point(p: int, r: int, offsets=()) -> dict:
     """One grid point of the subsingular-existence scan.
 
     Works over the field of rational functions in one symbol: h_W itself
@@ -730,8 +728,8 @@ def conjecture_scan_point(p: int, r: int, offsets=(),
         c = ctx.var("c")
         hW = ctx.zero
     else:
-        ctx = PolyContext((param_name,))
-        hW = ctx.var(param_name)
+        ctx = PolyContext(("hW",))
+        hW = ctx.var("hW")
         c = hW * Fraction(-24, p * p - 1)
     h = necessary_h(p, r, hW)
     hw = HighestWeight.w22(ctx, c=c, h=h, hW=hW)
@@ -750,8 +748,8 @@ def conjecture_scan_point(p: int, r: int, offsets=(),
     return row
 
 
-def conjecture_scan(p_max: int, r_max: int, offsets=(), param_name: str = "hW") -> list:
+def conjecture_scan(p_max: int, r_max: int, offsets=()) -> list:
     """Existence and exclusivity evidence for the subsingular conjecture,
     over the full (p, r) grid up to the given bounds."""
-    return [conjecture_scan_point(p, r, offsets, param_name)
+    return [conjecture_scan_point(p, r, offsets)
             for p in range(1, p_max + 1) for r in range(1, r_max + 1)]

@@ -127,6 +127,17 @@ def test_degenerate_level_beyond_budget_exits_three(capsys, argv, p):
     assert f"p = {p}" in err
 
 
+def test_hv_decide_beyond_budget_exits_three(capsys):
+    argv = ("hv-decide", "--cLI", "1", "--h", "3", "--alpha", "1/3", "--beta", "0")
+    code, out, err = run_main(capsys, *argv, "--F", "3", "--hI", "71")
+    assert code == 3
+    assert out == ""
+    assert "p = 70" in err
+    code, out, _ = run_main(capsys, *argv, "--F", "0", "--hI", "71", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["decision"]["reason"] == "NoSubsingular"
+
+
 def test_inexact_division_exits_two(capsys, monkeypatch):
     def inexact(a, b):
         raise ArithmeticError("inexact polynomial division")

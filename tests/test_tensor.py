@@ -219,6 +219,14 @@ def test_verma_factor_chain_never_stabilizes():
         assert not cyclicity_check(hw, s_frac, n, 4, quotient="verma")
 
 
+def test_cyclicity_rejects_unknown_quotient_choice():
+    hw = subsingular_weight(2, 1)
+    s = IntermediateSeries.make(hw.ctx, Fraction(1, 2), 0)
+    for choice in ("l", "lprime"):
+        with pytest.raises(ValueError, match="unknown quotient choice"):
+            cyclicity_check(hw, s, 0, 2, quotient=choice)
+
+
 def test_layer_dimensions_match_free_modules():
     hw = subsingular_weight(2, 1)
     s = IntermediateSeries.make(hw.ctx, Fraction(1, 2), 0)
@@ -293,6 +301,13 @@ def test_certificate_degrees(p, case):
     else:
         assert cert.q_poly.degree_in("F") == p - 1
         assert cert.r_poly.degree_in("F") == p
+
+
+def test_certificate_beyond_budget_is_refused():
+    hw = hv_weight(1, 2, 3, 2 * (1 + 11))
+    s = IntermediateSeries.make(hw.ctx, Fraction(1, 3), 0, F=1)
+    with pytest.raises(verma.OutOfReach, match="p = 11"):
+        hv_decision_polynomials(hw, s, 11)
 
 
 def test_hv_vacuum_decisions():

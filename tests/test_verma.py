@@ -135,7 +135,7 @@ def test_leading_w_coefficients(p, r):
         assert u.coeff(mono) == expect
 
 
-@pytest.mark.parametrize("p,r", [(2, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("p,r", [(2, 1), (1, 2), (2, 2), (3, 2), (2, 3)])
 def test_subsingular_defining_property(p, r):
     """Raising operators send u into J', and W_0 acts as hW modulo J'."""
     M = subsingular_module(p, r)
@@ -374,6 +374,21 @@ def test_classify_with_subsingular():
     assert rep.verdict == "UprimeAndSubsingular"
     assert (rep.p, rep.r) == (2, 1)
     assert rep.u == verma.subsingular(M, 2, 1)
+
+
+def test_classify_solves_u_prime_once(monkeypatch):
+    calls = []
+    u_prime = verma.u_prime
+
+    def counted(M, p):
+        calls.append(p)
+        return u_prime(M, p)
+
+    monkeypatch.setattr(verma, "u_prime", counted)
+    ctx = PolyContext(())
+    rep = verma.classify(ModuleContext(HighestWeight.w22(ctx, c=-8, h=Fraction(13, 4), hW=1)))
+    assert rep.verdict == "UprimeAndSubsingular"
+    assert calls == [2]
 
 
 def test_classify_vacuum():
