@@ -272,12 +272,6 @@ class ModuleContext:
                 out[m2] = prod if s is None else s + prod
         return ModuleVector(self, out)
 
-    def multiply(self, word, x: ModuleVector) -> ModuleVector:
-        """Apply a product of generators: multiply([a, b], x) = a.(b.x)."""
-        for g in reversed(tuple(word)):
-            x = self.act(g, x)
-        return x
-
     def _act_mono(self, g: Generator, mono: PBWMonomial):
         key = (g, mono)
         hit = self._memo.get(key)

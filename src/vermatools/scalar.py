@@ -451,7 +451,8 @@ class PolyContext:
         f = Fraction(value)
         if not f:
             return self.zero
-        return Scalar(self, f, {self._nil: 1}, {self._nil: 1})
+        unit = self.one.num
+        return Scalar(self, f, unit, unit, True)
 
     def var(self, name: str) -> "Scalar":
         i = self.names.index(name)
@@ -474,15 +475,19 @@ class Scalar:
     with positive leading coefficients.
     """
 
-    __slots__ = ("ctx", "cont", "num", "den", "_hash")
+    __slots__ = ("ctx", "cont", "num", "den", "_hash", "_const")
 
-    def __init__(self, ctx: PolyContext, cont: Fraction, num: Poly, den: Poly):
-        # Trusted constructor: fields must already be canonical.
+    def __init__(self, ctx: PolyContext, cont: Fraction, num: Poly, den: Poly,
+                 const: bool | None = None):
+        # Trusted constructor: fields must already be canonical, and
+        # ``const``, when given, must say whether num and den are constant.
+        # Polynomial dicts are shared between Scalars and never mutated.
         self.ctx = ctx
         self.cont = cont
         self.num = num
         self.den = den
         self._hash = None
+        self._const = const
 
     @staticmethod
     def make(ctx: PolyContext, num: Poly, den: Poly, cont: Fraction = Fraction(1)) -> "Scalar":
@@ -506,7 +511,10 @@ class Scalar:
         return not self.num
 
     def is_constant(self) -> bool:
-        return _pis_const(self.num) and _pis_const(self.den)
+        const = self._const
+        if const is None:
+            const = self._const = _pis_const(self.num) and _pis_const(self.den)
+        return const
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
@@ -519,6 +527,8 @@ class Scalar:
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other) -> "Scalar":
+        if type(other) is Scalar and other.ctx is self.ctx:
+            return other
         if isinstance(other, Scalar):
             if other.ctx != self.ctx:
                 raise ValueError("parameter context mismatch")
@@ -532,7 +542,10 @@ class Scalar:
         if not other.num:
             return self
         if self.is_constant() and other.is_constant():
-            return self.ctx.scalar(self.cont + other.cont)
+            cont = self.cont + other.cont
+            if not cont:
+                return self.ctx.zero
+            return Scalar(self.ctx, cont, self.num, self.den, True)
         g = _fr_gcd(self.cont, other.cont)
         fa = int(self.cont / g)
         fb = int(other.cont / g)
@@ -573,7 +586,7 @@ class Scalar:
     def __neg__(self):
         if not self.num:
             return self
-        return Scalar(self.ctx, -self.cont, self.num, self.den)
+        return Scalar(self.ctx, -self.cont, self.num, self.den, self._const)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -586,9 +599,9 @@ class Scalar:
         if not self.num or not other.num:
             return self.ctx.zero
         if other.is_constant():
-            return Scalar(self.ctx, self.cont * other.cont, self.num, self.den)
+            return Scalar(self.ctx, self.cont * other.cont, self.num, self.den, self._const)
         if self.is_constant():
-            return Scalar(self.ctx, self.cont * other.cont, other.num, other.den)
+            return Scalar(self.ctx, self.cont * other.cont, other.num, other.den, False)
         g1 = _pgcd(self.num, other.den)
         g2 = _pgcd(other.num, self.den)
         na = self.num if _pis_const(g1) else _pdiv_exact(self.num, g1)
@@ -606,9 +619,9 @@ class Scalar:
         if not self.num:
             return self
         if other.is_constant():
-            return Scalar(self.ctx, self.cont / other.cont, self.num, self.den)
+            return Scalar(self.ctx, self.cont / other.cont, self.num, self.den, self._const)
         if self.is_constant():
-            return Scalar(self.ctx, self.cont / other.cont, other.den, other.num)
+            return Scalar(self.ctx, self.cont / other.cont, other.den, other.num, False)
         g1 = _pgcd(self.num, other.num)
         g2 = _pgcd(other.den, self.den)
         na = self.num if _pis_const(g1) else _pdiv_exact(self.num, g1)

@@ -184,6 +184,7 @@ class TensorSpace:
                              else index_origin)
         self.excluded = series.excluded_index()
         self._module_images: dict = {}
+        self._series_coeffs: dict = {}
 
     def vector(self, terms: dict) -> TensorVector:
         return TensorVector(self, dict(terms))
@@ -213,12 +214,13 @@ class TensorSpace:
 
     def act(self, g: Generator, x: TensorVector) -> TensorVector:
         """Leibniz action of a generator on a tensor vector."""
-        ctx = self.M.scalar_ctx
         lo, hi = self.window
         out: dict = {}
         for (m, mono), cf in x.terms.items():
-            coeff = _series_coefficient(g, self.index_origin + ctx.scalar(m),
-                                        self.series)
+            coeff = self._series_coeffs.get((g, m))
+            if coeff is None:
+                coeff = _series_coefficient(g, self.index_origin + m, self.series)
+                self._series_coeffs[(g, m)] = coeff
             if not coeff.is_zero():
                 m2 = m + g.mode
                 if m2 != self.excluded:

@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalar import Scalar
-from .liealg import W22, HV, L, W, I
-from .pbw import PBWMonomial, HighestWeight, ModuleVector, ModuleContext
+from .liealg import W22, HV, L, W, I, Generator
+from .pbw import EMPTY, PBWMonomial, HighestWeight, ModuleVector, ModuleContext
 from . import linalg
 
 _log = logging.getLogger(__name__)
@@ -107,10 +107,39 @@ def weight_space_basis(level: int) -> tuple:
 
 def word_images(space, degree: int, start) -> list:
     """Nonzero images, as term dicts, of every PBW word of the given degree
-    (none when it is negative) applied to ``start``; ``space`` is a
-    ModuleContext or a TensorSpace."""
-    vecs = (space.multiply(m.as_word(space.kind), start) for m in weight_space_basis(degree))
-    return [vec.terms for vec in vecs if not vec.is_zero()]
+    (none when it is negative) applied to ``start``, in
+    weight_space_basis(degree) order; ``space`` is a ModuleContext or a
+    TensorSpace.
+
+    The image of a word X r, with X its leftmost factor, is
+    ``space.act(X, image of r)``, so each word costs one action.  The
+    suffixes r are walked depth first; a branch stops at a zero image, or
+    where no word of the degree extends it (a leftmost W mode k leaves 0
+    or at least k to go).
+    """
+    if degree < 0 or start.is_zero():
+        return []
+    fam = "W" if space.kind == W22 else "I"
+    images = {}
+    stack = [(0, EMPTY, None, start)]
+    while stack:
+        level, mono, g, vec = stack.pop()
+        if g is not None:
+            vec = space.act(g, vec)
+            if vec.is_zero():
+                continue
+        rest = degree - level
+        if not rest:
+            images[mono] = vec.terms
+            continue
+        w, l = mono.w, mono.l
+        for k in range(w[0] if w else 1, rest + 1):
+            if k == rest or 2 * k <= rest:
+                stack.append((level + k, PBWMonomial((k,) + w, l), Generator(fam, -k), vec))
+        if not w:
+            for n in range(l[0] if l else 1, rest + 1):
+                stack.append((level + n, PBWMonomial((), (n,) + l), Generator("L", -n), vec))
+    return [images[m] for m in weight_space_basis(degree) if m in images]
 
 
 def pure_w_basis(level: int) -> list:
@@ -592,7 +621,7 @@ def quotient_l(M: ModuleContext, p: int, r: int,
     if uprime is None:
         uprime = u_prime(M, p)
     if u is None:
-        u = subsingular(M, p, r)
+        u = _subsingular_direct(M, p, r, _subsingular_system(M, p, r, uprime))
         if u is None:
             raise ValueError(f"no subsingular vector at p={p}, r={r}")
     return QuotientModule(M, [uprime, u],
@@ -637,8 +666,8 @@ def recover_r(p: int, hw: HighestWeight) -> Scalar:
 
 # Highest level at which classify, and tensor.hv_decision_polynomials,
 # build a witness vector; beyond it they refuse.  At p = 10, r = 1 a
-# numeric weight takes about 0.4 s in classify, and the twisted case-L
-# certificate about 1.2 s, on a 2-core x86 box.
+# numeric weight takes about 0.7 s in classify, and the twisted case-L
+# and case-I certificates about 1.6 s and 0.9 s, on a 2-core x86 box.
 CLASSIFY_MAX_LEVEL = 10
 
 

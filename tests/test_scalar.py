@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vermatools.scalar import PolyContext, Scalar
+from vermatools.scalar import PolyContext, Scalar, _pis_const
 
 CTX = PolyContext(("x", "y"))
 X = CTX.var("x")
@@ -191,3 +191,86 @@ def test_canonical_form_matches_sympy(r1, r2):
     if sympy.cancel(eb) != 0:
         assert (a * b) / b == a
         assert hash((a * b) / b) == hash(a)
+
+
+# ---------------------------------------------------------------------------
+# Constant fast paths: Fraction arithmetic is the oracle
+
+Q = PolyContext(())
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+# A constant recipe is an int or Fraction leaf, or (op, left, right, flag);
+# the flag picks which operand is lifted to a Scalar when both are plain.
+constant_recipes = st.recursive(
+    st.one_of(small_ints, small_fractions),
+    lambda kids: st.tuples(st.sampled_from("+-*/"), kids, kids, st.booleans()),
+    max_leaves=8)
+
+OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+       "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def evaluate(recipe, ctx, check):
+    """(value, Fraction value); a node's value is a Scalar, a leaf's is plain.
+    A division by zero keeps the dividend.  ``check`` sees every result."""
+    if not isinstance(recipe, tuple):
+        return recipe, Fraction(recipe)
+    op, left, right, lift_left = recipe
+    (a, fa), (b, fb) = evaluate(left, ctx, check), evaluate(right, ctx, check)
+    if not isinstance(a, Scalar) and not isinstance(b, Scalar):
+        if lift_left:
+            a = ctx.scalar(a)
+        else:
+            b = ctx.scalar(b)
+    if op == "/" and not fb:
+        return ctx.scalar(a), fa
+    value = OPS[op](a, b)
+    check(value)
+    return value, OPS[op](fa, fb)
+
+
+@given(constant_recipes)
+@settings(max_examples=200, deadline=None)
+def test_constant_arithmetic_matches_fractions(recipe):
+    def check(s):
+        f = s.as_fraction()
+        assert s.is_constant()
+        assert s == Q.scalar(f)
+        assert hash(s) == hash(Q.scalar(f))
+        assert -s == Q.scalar(-f)
+
+    value, expected = evaluate(recipe, Q, check)
+    assert Q.scalar(value) == Q.scalar(expected)
+    assert Q.scalar(value).as_fraction() == expected
+
+
+QX = PolyContext(("x",))
+XX = QX.var("x")
+
+# Leaves are small polynomials in x, so quotients often cancel to constants.
+x_recipes = st.recursive(
+    st.lists(st.tuples(small_ints, st.integers(0, 1)), min_size=1, max_size=2),
+    lambda kids: st.tuples(st.sampled_from("+-*/"), kids, kids),
+    max_leaves=6)
+
+
+@given(x_recipes)
+@settings(max_examples=200, deadline=None)
+def test_cached_constness_matches_the_polynomials(recipe):
+    def check(s):
+        for t in (s, -s):
+            assert t.is_constant() == (_pis_const(t.num) and _pis_const(t.den))
+
+    def run(r):
+        if isinstance(r, list):
+            value = sum((QX.scalar(c) * XX ** e for c, e in r), QX.zero)
+        else:
+            op, left, right = r
+            a, b = run(left), run(right)
+            if op == "/" and b.is_zero():
+                return a
+            value = OPS[op](a, b)
+        check(value)
+        return value
+
+    run(recipe)

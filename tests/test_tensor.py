@@ -148,6 +148,55 @@ def test_component_weights_are_homogeneous():
         assert offsets == {sum(-g.mode for g in word) - 2}
 
 
+def _word_images_by_loop(space, degree, start):
+    """Each PBW word applied factor by factor, rightmost first."""
+    out = []
+    for m in verma.weight_space_basis(degree):
+        vec = start
+        for g in reversed(m.as_word(space.kind)):
+            vec = space.act(g, vec)
+        if not vec.is_zero():
+            out.append(vec.terms)
+    return out
+
+
+def _word_image_case(label):
+    if label.startswith("w22"):
+        ctx = PolyContext(("hW", "h") if "symbolic" in label else ())
+        hW, h = (ctx.var("hW"), ctx.var("h")) if ctx.names else (1, 3)
+        M = ModuleContext(HighestWeight.w22(ctx, c=1, h=h, hW=hW))
+        return M, M.monomial_vector((1,), (2,))
+    if label.startswith("hv"):
+        ctx = PolyContext(("h", "hI") if "symbolic" in label else ())
+        h, hI = (ctx.var("h"), ctx.var("hI")) if ctx.names else (3, 4)
+        M = ModuleContext(HighestWeight.hv(ctx, cL=1, cLI=2, h=h, hI=hI, cI=0))
+        return M, M.vacuum()
+    if label == "tensor quotient":
+        # u' = W_{-1} v at the vacuum weight, so every word with a W_{-1}
+        # factor is zero in V / J'
+        M = ModuleContext(w22_weight(1, 0, 0))
+        s = IntermediateSeries.make(M.scalar_ctx, Fraction(1, 3), 0)
+        space = TensorSpace(M, s, (-4, 3), quotient=verma.quotient_l_prime(M, 1))
+        return space, space.vacuum_at(2)
+    hw = subsingular_weight(2, 1)
+    space = TensorSpace(ModuleContext(hw), IntermediateSeries.make(hw.ctx, 0, 0), (-3, 3))
+    assert space.excluded == 0
+    return space, space.vacuum_at(3)
+
+
+@pytest.mark.parametrize("label", ["w22", "w22 symbolic", "hv", "hv symbolic",
+                                   "tensor quotient", "tensor primed"])
+def test_word_images_match_factor_by_factor_loop(label):
+    space, start = _word_image_case(label)
+    for degree in range(7):
+        expected = _word_images_by_loop(space, degree, start)
+        assert verma.word_images(space, degree, start) == expected, degree
+        if label == "tensor quotient" and degree:
+            assert len(expected) < len(verma.weight_space_basis(degree))
+    assert verma.word_images(space, -1, start) == []
+    assert verma.word_images(space, 3, space.zero()) == []
+
+
 # ---------------------------------------------------------------------------
 # Cyclicity chains and the decision
 

@@ -391,6 +391,20 @@ def test_classify_solves_u_prime_once(monkeypatch):
     assert calls == [2]
 
 
+def test_quotient_l_solves_u_prime_once(monkeypatch):
+    calls = []
+    u_prime = verma.u_prime
+
+    def counted(M, p):
+        calls.append(p)
+        return u_prime(M, p)
+
+    monkeypatch.setattr(verma, "u_prime", counted)
+    Q = verma.quotient_l(subsingular_module(2, 1), 2, 1)
+    assert calls == [2]
+    assert Q.dim(2) == verma.pair_partition_count(2) - 2
+
+
 def test_classify_vacuum():
     ctx = PolyContext(())
     M = ModuleContext(HighestWeight.w22(ctx, c=1, h=0, hW=0))
