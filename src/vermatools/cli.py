@@ -258,6 +258,15 @@ def _series(params: _Params, with_f: bool) -> tensor.IntermediateSeries:
 # Command implementations
 
 
+def _positive(job: Job, *names: str) -> list:
+    """The named integer parameters; ValueError unless each is at least 1."""
+    values = [int(job.parameters[name]) for name in names]
+    if min(values) < 1:
+        what = "a positive integer" if len(names) == 1 else "positive integers"
+        raise ValueError(f"{' and '.join(names)} must be {what}")
+    return values
+
+
 def _vector_renderings(vectors):
     text = [render.text_vector(v) for v in vectors]
     latex = [render.latex_vector(v) for v in vectors]
@@ -266,9 +275,7 @@ def _vector_renderings(vectors):
 
 def _run_singular(job: Job, params: _Params) -> Report:
     algebra = job.parameters.get("algebra", "w22")
-    p = int(job.parameters["p"])
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    [p] = _positive(job, "p")
     if algebra == "w22":
         hw = _w22_weight(params, p=p)
     else:
@@ -286,10 +293,7 @@ def _run_singular(job: Job, params: _Params) -> Report:
 
 
 def _run_subsingular(job: Job, params: _Params) -> Report:
-    p = int(job.parameters["p"])
-    r = int(job.parameters["r"])
-    if p < 1 or r < 1:
-        raise ValueError("p and r must be positive integers")
+    p, r = _positive(job, "p", "r")
     hw = _w22_weight(params, p=p, r=r)
     M = ModuleContext(hw)
     u = verma.subsingular(M, p, r)
@@ -337,8 +341,8 @@ def _run_character(job: Job, params: _Params) -> Report:
     if family not in _CHAR_FAMILIES:
         raise ValueError(f"family must be one of {_CHAR_FAMILIES}")
     n_order = int(job.parameters.get("N", 20))
-    p = job.parameters.get("p")
-    r = job.parameters.get("r")
+    if n_order < 0:
+        raise ValueError("N must be a nonnegative integer")
     if family == "verma":
         ctx = params.ctx
         hw = HighestWeight.w22(
@@ -348,17 +352,17 @@ def _run_character(job: Job, params: _Params) -> Report:
             hW=params.default("hW", 0, "hW does not change the series"))
         series = verma.char_verma(hw, n_order)
     else:
-        if p is None:
+        if job.parameters.get("p") is None:
             raise ValueError(f"family {family!r} needs --p")
-        p = int(p)
         if family in ("l", "j"):
-            if r is None:
+            if job.parameters.get("r") is None:
                 raise ValueError(f"family {family!r} needs --r")
-            r = int(r)
+            p, r = _positive(job, "p", "r")
             hw = _w22_weight(params, p=p, r=r)
             fn = verma.char_l if family == "l" else verma.char_j
             series = fn(hw, p, r, n_order)
         else:
+            [p] = _positive(job, "p")
             hw = _w22_weight(params, p=p)
             fn = verma.char_l_prime if family == "lprime" else verma.char_j_prime
             series = fn(hw, p, n_order)
@@ -367,7 +371,9 @@ def _run_character(job: Job, params: _Params) -> Report:
     return Report(job, results, rendered=rendered)
 
 
-def _decision_text(decision: tensor.TensorDecision) -> str:
+def _decision_report(job: Job, results: dict, decision: tensor.TensorDecision) -> Report:
+    """Report of a tensor decision: text and LaTeX renderings of the
+    verdict and witness, and exit code 3 on an Unknown verdict."""
     lines = [f"verdict: {decision.verdict}"]
     if decision.reason:
         lines.append(f"reason: {decision.reason}")
@@ -377,7 +383,12 @@ def _decision_text(decision: tensor.TensorDecision) -> str:
         lines.append(f"p = {decision.p}" +
                      (f", r = {decision.r}" if decision.r else ""))
     lines.extend(decision.notes)
-    return "\n".join(lines)
+    wit = decision.witness
+    wit_tex = render.latex_scalar(wit) if isinstance(wit, Scalar) else str(wit)
+    rendered = {"text": "\n".join(lines),
+                "latex": f"\\text{{{decision.verdict}}}: {wit_tex}"}
+    return Report(job, results, rendered=rendered,
+                  exit_code=3 if decision.verdict == "Unknown" else 0)
 
 
 def _run_tensor(job: Job, params: _Params) -> Report:
@@ -390,27 +401,16 @@ def _run_tensor(job: Job, params: _Params) -> Report:
     if layer is not None:
         wq = tensor.subquotient_weight(hw, s, int(layer))
         results["subquotientWeight"] = wq.to_json()
-    wit = decision.witness
-    wit_tex = render.latex_scalar(wit) if isinstance(wit, Scalar) else str(wit)
-    rendered = {"text": _decision_text(decision),
-                "latex": f"\\text{{{decision.verdict}}}: {wit_tex}"}
-    return Report(job, results, rendered=rendered,
-                  exit_code=3 if decision.verdict == "Unknown" else 0)
+    return _decision_report(job, results, decision)
 
 
 def _run_hv_decide(job: Job, params: _Params) -> Report:
-    hw = _hv_weight(params, p=(int(job.parameters["p"])
-                               if job.parameters.get("p") else None),
-                    case=job.parameters.get("case", "I"))
+    p = _positive(job, "p")[0] if job.parameters.get("p") is not None else None
+    hw = _hv_weight(params, p=p, case=job.parameters.get("case", "I"))
     s = _series(params, with_f=True)
     decision = tensor.decide_tensor_hv(hw, s)
-    results = {"decision": decision.to_json(), "series": s.to_json()}
-    wit = decision.witness
-    wit_tex = render.latex_scalar(wit) if isinstance(wit, Scalar) else str(wit)
-    rendered = {"text": _decision_text(decision),
-                "latex": f"\\text{{{decision.verdict}}}: {wit_tex}"}
-    return Report(job, results, rendered=rendered,
-                  exit_code=3 if decision.verdict == "Unknown" else 0)
+    return _decision_report(job, {"decision": decision.to_json(), "series": s.to_json()},
+                            decision)
 
 
 def _run_scan(job: Job, params: _Params) -> Report:

@@ -23,8 +23,8 @@ from . import linalg
 from .liealg import HV, W22, Generator
 from .pbw import HighestWeight, ModuleContext, PBWMonomial
 from .scalar import PolyContext, Scalar
-from .verma import (QuotientModule, _check_reach, classify, necessary_h, quotient_case_l,
-                    quotient_l, quotient_l_prime, singular_space, u_prime, word_images)
+from .verma import (QuotientModule, classify, hv_find_p, necessary_h, witness_quotient,
+                    word_images)
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +254,6 @@ class TensorSpace:
 # Cyclicity
 
 
-def _pick_quotient(M: ModuleContext, choice: str) -> QuotientModule | None:
-    """Quotient of the Verma module used for the second tensor factor.
-
-    "auto" matches the classification of the highest weight: the full
-    irreducible quotient when a subsingular vector exists, the quotient
-    by u' when only u' does, and no reduction for an irreducible Verma
-    module.  "verma" forces no reduction.
-    """
-    if choice == "verma":
-        return None
-    if choice != "auto":
-        raise ValueError(f"unknown quotient choice {choice!r}")
-    rep = classify(M)
-    if rep.verdict == "VermaIrreducible":
-        return None
-    if rep.verdict == "UprimeAndSubsingular":
-        return quotient_l(M, rep.p, rep.r, rep.u_prime, rep.u)
-    if rep.case == "L":
-        return quotient_case_l(M, rep.p, rep.u_prime)
-    return quotient_l_prime(M, rep.p, rep.u_prime)
-
-
 def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
                     depth: int, quotient: str = "auto") -> bool:
     """Whether v_{n-1} (x) v lies in the submodule generated by higher
@@ -285,13 +263,15 @@ def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
     k in [n, n + depth], each word of the degree matching the weight of
     the target.  A True answer is a proof of membership; False means
     the truncated span misses the target.  ``quotient`` is "auto", the
-    quotient that matches the classification of the highest weight, or
+    ``witness_quotient`` of the classification of the highest weight, or
     "verma", the Verma module itself; any other choice raises ValueError.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if quotient not in ("auto", "verma"):
+        raise ValueError(f"unknown quotient choice {quotient!r}")
     M = ModuleContext(hw)
-    Q = _pick_quotient(M, quotient)
+    Q = witness_quotient(M, classify(M)) if quotient == "auto" else None
     space = TensorSpace(M, s, (n - 1, n + depth), quotient=Q)
     if space.excluded == n - 1:
         raise ValueError("target index is excluded from the primed series")
@@ -556,48 +536,35 @@ def hv_decision_polynomials(hw: HighestWeight, s: IntermediateSeries,
     hI = (1 - p) cLI (case L) with cI = 0 and cLI nonzero.  The returned
     polynomials are exact in the field extended by n and F; the series
     parameter F supplied in s is ignored and replaced by the formal one.
+    The singular vector and the quotient are those of ``classify`` and
+    ``witness_quotient`` over that field.
     """
     if hw.kind != HV:
         raise ValueError("certificates exist for the twisted algebra only")
     if p < 1:
         raise ValueError("p must be a positive integer")
-    cLI, hI, cI = hw["cLI"], hw["hI"], hw["cI"]
-    if cLI.is_zero() or not cI.is_zero():
+    if hw["cLI"].is_zero() or not hw["cI"].is_zero():
         raise ValueError("requires c_I = 0 and c_LI nonzero")
-    if (hI - cLI * (1 + p)).is_zero():
-        case = "I"
-    elif (hI - cLI * (1 - p)).is_zero():
-        case = "L"
-    else:
+    found = hv_find_p(hw)
+    if found is None or found[0] != p:
         raise ValueError(f"weight is not degenerate at p={p}")
-    _check_reach(p)
     if "n" in hw.ctx.names:
         raise ValueError("the parameter name 'n' is reserved for the "
                          "series index")
     ectx, lift = _extend_context(hw.ctx, ("n", "F"))
     n_sym, f_sym = ectx.var("n"), ectx.var("F")
-    hw2 = HighestWeight.hv(ectx, cL=lift(hw["cL"]), cLI=lift(cLI),
-                           h=lift(hw["h"]), hI=lift(hI), cI=lift(cI))
+    hw2 = HighestWeight(HV, ectx, {name: lift(x) for name, x in hw.weights.items()})
     s2 = IntermediateSeries(lift(s.alpha), lift(s.beta), f_sym)
     M = ModuleContext(hw2)
-    if case == "I":
-        u = u_prime(M, p)
-        quotient = quotient_l_prime(M, p, u)
-        target, top = -1, p - 1
-    else:
-        space_ = singular_space(M, p)
-        if len(space_) != 1:
-            raise ValueError("expected a one-dimensional singular space")
-        u = space_[0]
-        if PBWMonomial.make(l=(p,)) not in u.terms:
-            raise ValueError(f"the singular vector has no L_{{-{p}}} term")
-        quotient = quotient_case_l(M, p, u)
-        target, top = 0, p
-    space = TensorSpace(M, s2, (target, top), quotient=quotient,
+    rep = classify(M)
+    if rep.u_prime is None:
+        raise ValueError("no singular vector at the degenerate level")
+    target, top = (-1, p - 1) if rep.case == "I" else (0, p)
+    space = TensorSpace(M, s2, (target, top), quotient=witness_quotient(M, rep),
                         index_origin=n_sym)
-    T = space.apply_module_vector(u, top)
+    T = space.apply_module_vector(rep.u_prime, top)
     lam = _eliminate_to_target(space, T, target, top)
-    if case == "I":
+    if rep.case == "I":
         if not lam.is_zero() and lam.degree_in("n") > 0:
             raise ValueError("degenerate elimination: unexpected index "
                              "dependence in the pure-I certificate")
@@ -645,16 +612,16 @@ def decide_tensor_hv(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision
             notes=("vacuum second factor: irreducible exactly when alpha "
                    "is not an integer",))
 
-    ratio = (hw["hI"] / hw["cLI"]).as_fraction()
-    if ratio.denominator != 1 or ratio == 1:
+    found = hv_find_p(hw)
+    if found is None:
         return TensorDecision(
             "Reducible", "NoSubsingular", None,
             notes=("the second factor is an irreducible Verma module; "
                    "every index yields a Verma subquotient with I_0 "
                    "weight hI + F",))
 
-    if ratio >= 2:
-        p = int(ratio) - 1
+    p, case = found
+    if case == "I":
         if f_const and s.F.is_zero():
             return TensorDecision(
                 "Reducible", "NoSubsingular", None, p=p,
@@ -680,7 +647,6 @@ def decide_tensor_hv(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision
         return TensorDecision("Irreducible", "ProductNonzero", ctx.scalar(val),
                               p=p, notes=("F s(F) is nonzero",))
 
-    p = 1 - int(ratio)
     if f_const and s.F.is_zero():
         shift = a + (1 - p) * b
         if shift.denominator == 1:

@@ -318,15 +318,6 @@ def necessary_h(p: int, r: int, hW) -> Scalar | Fraction:
     return hW + Fraction((13 * p + 1) * (p - 1), 12) + Fraction((1 - r) * p, 2)
 
 
-def _subsingular_columns(p: int, r: int) -> tuple:
-    """Unknown monomials for the subsingular solve: level rp, no W_{-p} factor."""
-    level = r * p
-    lead = PBWMonomial((), (p,) * r)
-    unknowns = [m for m in weight_space_basis(level)
-                if p not in m.w and m != lead]
-    return lead, unknowns
-
-
 def subsingular(M: ModuleContext, p: int, r: int):
     """The level-rp vector singular modulo J', or None.
 
@@ -341,31 +332,21 @@ def subsingular(M: ModuleContext, p: int, r: int):
     except (ValueError, ZeroDivisionError) as exc:
         _log.debug("subsingular(p=%d, r=%d): u' failed: %s", p, r, exc)
         raise
-    return _subsingular_direct(M, p, r, _subsingular_system(M, p, r, uprime))
+    return _subsingular_direct(M, p, r, uprime)
 
 
-def _subsingular_system(M: ModuleContext, p: int, r: int, uprime: ModuleVector) -> tuple:
-    """The subsingular linear system over the coefficient field.
+def _subsingular_direct(M: ModuleContext, p: int, r: int, uprime: ModuleVector):
+    """Build the subsingular system and solve it exactly over the
+    coefficient field.
 
-    Unknowns are the ansatz monomials and the lead monomial is the known
-    part; each g.u is reduced modulo J' = U(g) u'.
-
-    Returns (rows, columns).
+    The unknowns are the ansatz monomials and the lead L_{-p}^r is the
+    known part; each g.u is reduced modulo J' = U(g) u'.  The system is
+    consistent exactly at the necessary h.
     """
-    lead, unknowns = _subsingular_columns(p, r)
-    return _raising_system(M, unknowns, M.vector({lead: 1}),
-                           modulo=quotient_l_prime(M, p, uprime))
-
-
-def _subsingular_direct(M: ModuleContext, p: int, r: int, system: tuple | None = None):
-    """Solve the subsingular system symbolically over the coefficient field.
-
-    The system is consistent exactly at the necessary h.  ``system`` is
-    the one ``_subsingular_system`` built, or None to build it.
-    """
-    if system is None:
-        system = _subsingular_system(M, p, r, u_prime(M, p))
-    rows, columns = system
+    lead = PBWMonomial((), (p,) * r)
+    unknowns = [m for m in weight_space_basis(r * p) if p not in m.w and m != lead]
+    rows, columns = _raising_system(M, unknowns, M.vector({lead: 1}),
+                                    modulo=quotient_l_prime(M, p, uprime))
     ctx = M.scalar_ctx
     res = linalg.solve(rows, columns, ctx)
     _log.debug("subsingular(p=%d, r=%d): exact solve of %d x %d system over Q(%s): %s",
@@ -376,7 +357,6 @@ def _subsingular_direct(M: ModuleContext, p: int, r: int, system: tuple | None =
     sol, free = res
     if free:
         raise ValueError(f"subsingular solve underdetermined at p={p}, r={r}: {free}")
-    lead, _ = _subsingular_columns(p, r)
     return M.vector({lead: ctx.one, **sol})
 
 
@@ -621,11 +601,26 @@ def quotient_l(M: ModuleContext, p: int, r: int,
     if uprime is None:
         uprime = u_prime(M, p)
     if u is None:
-        u = _subsingular_direct(M, p, r, _subsingular_system(M, p, r, uprime))
+        u = _subsingular_direct(M, p, r, uprime)
         if u is None:
             raise ValueError(f"no subsingular vector at p={p}, r={r}")
     return QuotientModule(M, [uprime, u],
                           lambda m: p not in m.w and m.l.count(p) < r)
+
+
+def witness_quotient(M: ModuleContext, rep: StructureReport) -> QuotientModule | None:
+    """The quotient of the Verma module by the vectors of its classify
+    report: the full irreducible quotient when a subsingular vector
+    exists, the quotient by u' (by the case-L singular vector for the
+    twisted algebra) when only u' does, and None for an irreducible
+    Verma module."""
+    if rep.verdict == "VermaIrreducible":
+        return None
+    if rep.verdict == "UprimeAndSubsingular":
+        return quotient_l(M, rep.p, rep.r, rep.u_prime, rep.u)
+    if rep.case == "L":
+        return quotient_case_l(M, rep.p, rep.u_prime)
+    return quotient_l_prime(M, rep.p, rep.u_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +659,8 @@ def recover_r(p: int, hw: HighestWeight) -> Scalar:
     return (hW - h) * Fraction(2, p) + 1 + Fraction((13 * p + 1) * (p - 1), 6 * p)
 
 
-# Highest level at which classify, and tensor.hv_decision_polynomials,
-# build a witness vector; beyond it they refuse.  At p = 10, r = 1 a
+# Highest level at which classify builds a witness vector; beyond it,
+# it and so tensor.hv_decision_polynomials refuse.  At p = 10, r = 1 a
 # numeric weight takes about 0.7 s in classify, and the twisted case-L
 # and case-I certificates about 1.6 s and 0.9 s, on a 2-core x86 box.
 CLASSIFY_MAX_LEVEL = 10
@@ -711,7 +706,7 @@ def _classify(M: ModuleContext) -> StructureReport:
             r = int(r_val.as_fraction())
             if r >= 1:
                 _check_reach(p, r)
-                u = _subsingular_direct(M, p, r, _subsingular_system(M, p, r, uprime))
+                u = _subsingular_direct(M, p, r, uprime)
                 if u is not None:
                     return StructureReport(kind=W22, verdict="UprimeAndSubsingular",
                                            p=p, r=r, u_prime=uprime, u=u)
@@ -733,6 +728,10 @@ def _classify(M: ModuleContext) -> StructureReport:
     if not space:
         return StructureReport(kind=HV, verdict="VermaIrreducible", p=p, case=case,
                                notes=["no singular vector at the degenerate level"])
+    if len(space) != 1:
+        raise ValueError("expected a one-dimensional singular space")
+    if PBWMonomial.make(l=(p,)) not in space[0].terms:
+        raise ValueError(f"the singular vector has no L_{{-{p}}} term")
     return StructureReport(kind=HV, verdict="UprimeOnly", p=p, case=case, u_prime=space[0])
 
 

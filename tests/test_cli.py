@@ -233,3 +233,35 @@ def test_symbolic_classify_verdict_is_marked_generic(capsys):
                             "--format", "json")
     assert code == 0
     assert json.loads(out)["results"]["report"]["notes"] == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("character", "--family", "lprime", "--p", "0", "--hW", "1"), "p must be a positive integer"),
+    (("character", "--family", "jprime", "--p", "-2", "--hW", "1"), "p must be a positive integer"),
+    (("character", "--family", "l", "--p", "2", "--r", "0", "--hW", "1"),
+     "p and r must be positive integers"),
+    (("character", "--family", "j", "--p", "2", "--r", "-1", "--hW", "1"),
+     "p and r must be positive integers"),
+    (("character", "--N", "-3"), "N must be a nonnegative integer"),
+    (("hv-decide", "--cLI", "1", "--h", "3", "--alpha", "1/3", "--beta", "0", "--F", "3",
+      "--p", "-3"), "p must be a positive integer"),
+    (("hv-decide", "--cLI", "1", "--h", "3", "--alpha", "1/3", "--beta", "0", "--F", "3",
+      "--p", "0", "--hI", "3"), "p must be a positive integer"),
+    (("singular", "--p", "0", "--hW", "1"), "p must be a positive integer"),
+    (("subsingular", "--p", "2", "--r", "0", "--hW", "1"), "p and r must be positive integers"),
+])
+def test_out_of_range_levels_exit_two(capsys, argv, message):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_character_smallest_levels_are_accepted(capsys):
+    code, out, _ = run_main(capsys, "character", "--N", "0")
+    assert (code, out.strip()) == (0, "1")
+    code, out, _ = run_main(capsys, "character", "--family", "l", "--p", "1", "--r", "1",
+                            "--c", "1", "--N", "3")
+    assert code == 0
+    # (1 - q)^2 (1 + 2q + 5q^2 + 10q^3), with h = 0 at (p, r) = (1, 1)
+    assert out.strip() == "1 + 2q^2 + 2q^3"

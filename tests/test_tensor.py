@@ -337,19 +337,52 @@ def test_certificate_value_level_two():
     assert cert.s_poly == ectx.one + ectx.var("F") / 2
 
 
-@pytest.mark.parametrize("p,case", [(1, "I"), (2, "I"), (1, "L"), (2, "L")])
-def test_certificate_degrees(p, case):
-    if case == "I":
-        hw = hv_weight(1, 2, 3, 2 * (1 + p))
-    else:
-        hw = hv_weight(1, 2, 3, 2 * (1 - p))
-    s = IntermediateSeries.make(hw.ctx, Fraction(1, 3), 0, F=1)
+_CERTIFICATE_POINTS = [(p, case, names) for names in ((), ("cLI",))
+                       for p, case in ((1, "I"), (2, "I"), (1, "L"), (2, "L"))]
+
+
+@pytest.mark.parametrize("p,case,names", _CERTIFICATE_POINTS,
+                         ids=["-".join(map(str, (p, case) + names))
+                              for p, case, names in _CERTIFICATE_POINTS])
+def test_certificate_degrees(p, case, names):
+    # cLI = 2, or cLI formal: hI = (1 + p) cLI (case I) or (1 - p) cLI (case L)
+    ctx = PolyContext(names)
+    cLI = ctx.var("cLI") if names else ctx.scalar(2)
+    hw = HighestWeight.hv(ctx, cL=1, cLI=cLI, h=3, hI=cLI * (1 + p if case == "I" else 1 - p))
+    s = IntermediateSeries.make(ctx, Fraction(1, 3), 0, F=1)
     cert = hv_decision_polynomials(hw, s, p)
+    assert (cert.case, cert.p) == (case, p)
     if case == "I":
         assert cert.s_poly.degree_in("F") == p - 1
     else:
         assert cert.q_poly.degree_in("F") == p - 1
         assert cert.r_poly.degree_in("F") == p
+
+
+def _refusal(hw, p):
+    s = IntermediateSeries.make(hw.ctx, Fraction(1, 3), 0, F=1)
+    with pytest.raises(ValueError) as info:
+        hv_decision_polynomials(hw, s, p)
+    return str(info.value)
+
+
+def test_certificate_refusals():
+    # degenerate, but at another level than the one asked for
+    assert _refusal(hv_weight(1, 2, 3, 6), 3) == "weight is not degenerate at p=3"
+    assert _refusal(hv_weight(1, 2, 3, 6), 1) == "weight is not degenerate at p=1"
+    assert _refusal(hv_weight(1, 2, 3, -2), 1) == "weight is not degenerate at p=1"
+    assert _refusal(hv_weight(1, 2, 3, 3), 1) == "weight is not degenerate at p=1"
+    ctx = PolyContext(())
+    assert _refusal(HighestWeight.hv(ctx, cL=1, cLI=0, h=3, hI=0, cI=1), 1) == (
+        "requires c_I = 0 and c_LI nonzero")
+    assert _refusal(HighestWeight.hv(ctx, cL=1, cLI=2, h=3, hI=4, cI=1), 1) == (
+        "requires c_I = 0 and c_LI nonzero")
+    for p in (0, -1):
+        assert _refusal(hv_weight(1, 2, 3, 2 * (1 - p)), p) == "p must be a positive integer"
+    assert _refusal(w22_weight(-8, 1, 1), 2) == "certificates exist for the twisted algebra only"
+    nctx = PolyContext(("n",))
+    reserved = HighestWeight.hv(nctx, cL=1, cLI=2, h=nctx.var("n"), hI=4, cI=0)
+    assert _refusal(reserved, 1) == "the parameter name 'n' is reserved for the series index"
 
 
 def test_certificate_beyond_budget_is_refused():

@@ -174,18 +174,24 @@ def test_subsingular_solve_ignores_row_order():
     rng = random.Random(5)
     for p, r in ((2, 1), (2, 2)):
         M = subsingular_module(p, r)
-        rows, columns = verma._subsingular_system(M, p, r, verma.u_prime(M, p))
-        expected = verma._subsingular_direct(M, p, r, (rows, columns))
+        uprime = verma.u_prime(M, p)
+        lead = PBWMonomial.make(l=(p,) * r)
+        unknowns = [m for m in verma.weight_space_basis(r * p) if p not in m.w and m != lead]
+        rows, columns = verma._raising_system(M, unknowns, M.vector({lead: 1}),
+                                              modulo=verma.quotient_l_prime(M, p, uprime))
+        expected = verma._subsingular_direct(M, p, r, uprime)
         assert expected is not None
         for _ in range(3):
             shuffled = rng.sample(rows, len(rows))
-            assert verma._subsingular_direct(M, p, r, (shuffled, columns)) == expected
+            sol, free = linalg.solve(shuffled, columns, M.scalar_ctx)
+            assert not free
+            assert M.vector({lead: 1, **sol}) == expected
     M = subsingular_module(2, 1)
     hw_off = HighestWeight.w22(M.scalar_ctx, c=M.hw["c"],
                                h=M.hw["h"] + Fraction(1, 3), hW=M.hw["hW"])
     M_off = ModuleContext(hw_off)
     assert verma.subsingular(M_off, 2, 1) is None
-    assert verma._subsingular_direct(M_off, 2, 1) is None
+    assert verma._subsingular_direct(M_off, 2, 1, verma.u_prime(M_off, 2)) is None
 
 
 def test_solved_vector_passes_the_certificate():
@@ -226,6 +232,16 @@ def test_failed_u_prime_is_logged_and_raised(caplog):
         verma.subsingular(ModuleContext(hw), 2, 1)
     [record] = caplog.records
     assert "subsingular(p=2, r=1): u' failed" in record.getMessage()
+
+
+def test_pure_w_completion_refuses_a_free_unknown():
+    # At c = h = hW = 0 the vector W_{-1}^2 v is singular, so with nothing
+    # known the level-2 ansatz leaves its coefficient free.
+    M = ModuleContext(HighestWeight.w22(PolyContext(()), c=0, h=0, hW=0))
+    free = M.monomial_vector(w=(1, 1))
+    assert all(M.act(g, free).is_zero() for g in RAISERS_W22)
+    with pytest.raises(ValueError, match=r"^probe underdetermined: \[W\(-1\)\^2\.v\] free$"):
+        verma._pure_w_completion(M, 2, M.zero(), "probe")
 
 
 def test_recursive_construction_matches_solver():
