@@ -25,8 +25,6 @@ from .pbw import HighestWeight, ModuleContext
 from .scalar import PolyContext, Scalar
 
 _PARAM_ORDER = ("c", "h", "hW", "cL", "cLI", "cI", "hI", "alpha", "beta", "F")
-_W22_WEIGHTS = ("c", "h", "hW")
-_HV_WEIGHTS = ("cL", "cLI", "h", "hI", "cI")
 _MAX_SYMBOLIC = 3
 
 
@@ -267,12 +265,6 @@ def _positive(job: Job, *names: str) -> list:
     return values
 
 
-def _vector_renderings(vectors):
-    text = [render.text_vector(v) for v in vectors]
-    latex = [render.latex_vector(v) for v in vectors]
-    return text, latex
-
-
 def _run_singular(job: Job, params: _Params) -> Report:
     algebra = job.parameters.get("algebra", "w22")
     [p] = _positive(job, "p")
@@ -282,7 +274,8 @@ def _run_singular(job: Job, params: _Params) -> Report:
         hw = _hv_weight(params, p=p, case=job.parameters.get("case", "I"))
     M = ModuleContext(hw)
     vectors = verma.singular_space(M, p)
-    text, latex = _vector_renderings(vectors)
+    text = [render.text_vector(v) for v in vectors]
+    latex = [render.latex_vector(v) for v in vectors]
     results = {"algebra": algebra, "p": p,
                "vectors": [v.to_json() for v in vectors]}
     rendered = {

@@ -50,8 +50,11 @@ class Echelon:
         if not row:
             return None
         piv = min(row, key=self._key)
-        inv = row[piv]
-        row = {c: v / inv for c, v in row.items()}
+        # Most pivots are already 1 (three in four on the tensor-chains
+        # benchmark), and normalising costs an inversion per row.
+        if row[piv] != 1:
+            inv = 1 / row[piv]
+            row = {c: v * inv for c, v in row.items()}
         for prow in self.pivots.values():
             f = prow.get(piv)
             if f is None or f.is_zero():

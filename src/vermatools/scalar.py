@@ -612,31 +612,21 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if not other.num:
-            raise ZeroDivisionError("division by zero scalar")
+    def _inverse(self) -> "Scalar":
+        # Swapping num and den keeps the canonical form.
         if not self.num:
-            return self
-        if other.is_constant():
-            return Scalar(self.ctx, self.cont / other.cont, self.num, self.den, self._const)
-        if self.is_constant():
-            return Scalar(self.ctx, self.cont / other.cont, other.den, other.num, False)
-        g1 = _pgcd(self.num, other.num)
-        g2 = _pgcd(other.den, self.den)
-        na = self.num if _pis_const(g1) else _pdiv_exact(self.num, g1)
-        nb = other.num if _pis_const(g1) else _pdiv_exact(other.num, g1)
-        db = other.den if _pis_const(g2) else _pdiv_exact(other.den, g2)
-        da = self.den if _pis_const(g2) else _pdiv_exact(self.den, g2)
-        return Scalar(self.ctx, self.cont / other.cont, _pmul(na, db), _pmul(da, nb))
+            raise ZeroDivisionError("division by zero scalar")
+        return Scalar(self.ctx, 1 / self.cont, self.den, self.num, self._const)
+
+    def __truediv__(self, other):
+        return self * self._coerce(other)._inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return self._coerce(other) * self._inverse()
 
     def __pow__(self, k: int):
         if k < 0:
-            inv = Scalar(self.ctx, 1 / self.cont, self.den, self.num)
-            return inv ** (-k)
+            return self._inverse() ** (-k)
         if k == 0:
             return self.ctx.one
         if not self.num:

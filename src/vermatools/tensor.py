@@ -464,13 +464,6 @@ class HVCertificate:
     q_poly: Scalar | None = None
     r_poly: Scalar | None = None
 
-    def to_json(self) -> dict:
-        def enc(x):
-            return None if x is None else {"scalar": x.to_json(),
-                                           "text": str(x)}
-        return {"case": self.case, "p": self.p, "sPoly": enc(self.s_poly),
-                "qPoly": enc(self.q_poly), "rPoly": enc(self.r_poly)}
-
 
 def _extend_context(ctx: PolyContext, extra: tuple):
     """Context with appended parameter names, plus an exact lift map.
@@ -543,8 +536,6 @@ def hv_decision_polynomials(hw: HighestWeight, s: IntermediateSeries,
         raise ValueError("certificates exist for the twisted algebra only")
     if p < 1:
         raise ValueError("p must be a positive integer")
-    if hw["cLI"].is_zero() or not hw["cI"].is_zero():
-        raise ValueError("requires c_I = 0 and c_LI nonzero")
     found = hv_find_p(hw)
     if found is None or found[0] != p:
         raise ValueError(f"weight is not degenerate at p={p}")
@@ -557,8 +548,6 @@ def hv_decision_polynomials(hw: HighestWeight, s: IntermediateSeries,
     s2 = IntermediateSeries(lift(s.alpha), lift(s.beta), f_sym)
     M = ModuleContext(hw2)
     rep = classify(M)
-    if rep.u_prime is None:
-        raise ValueError("no singular vector at the degenerate level")
     target, top = (-1, p - 1) if rep.case == "I" else (0, p)
     space = TensorSpace(M, s2, (target, top), quotient=witness_quotient(M, rep),
                         index_origin=n_sym)
@@ -589,10 +578,7 @@ def decide_tensor_hv(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision
                          "use decide_tensor")
     for name in ("cL", "cLI", "h", "hI", "cI"):
         _require_constant(hw[name], name)
-    if not hw["cI"].is_zero():
-        raise ValueError("requires c_I = 0")
-    if hw["cLI"].is_zero():
-        raise ValueError("requires c_LI nonzero")
+    found = hv_find_p(hw)
     a = _require_constant(s.alpha, "alpha")
     b = _require_constant(s.beta, "beta")
     ctx = s.ctx
@@ -612,7 +598,6 @@ def decide_tensor_hv(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision
             notes=("vacuum second factor: irreducible exactly when alpha "
                    "is not an integer",))
 
-    found = hv_find_p(hw)
     if found is None:
         return TensorDecision(
             "Reducible", "NoSubsingular", None,
@@ -621,33 +606,12 @@ def decide_tensor_hv(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision
                    "weight hI + F",))
 
     p, case = found
-    if case == "I":
-        if f_const and s.F.is_zero():
+    if f_const and s.F.is_zero():
+        if case == "I":
             return TensorDecision(
                 "Reducible", "NoSubsingular", None, p=p,
                 notes=("F = 0 with a pure-I singular vector: every layer "
                        "U_n / U_{n+1} is irreducible",))
-        cert = hv_decision_polynomials(hw, s, p)
-        if not f_const:
-            if cert.s_poly.is_zero():
-                return TensorDecision(
-                    "Unknown", None, None, p=p,
-                    notes=("the pure-I certificate vanishes identically",))
-            witness = cert.s_poly * cert.s_poly.ctx.var("F")
-            return TensorDecision(
-                "Irreducible", "ProductNonzero", witness, p=p,
-                notes=("F transcendental: F s(F) cannot vanish",))
-        f = s.F.as_fraction()
-        val = cert.s_poly.substitute({"F": f, "n": 0}).as_fraction() * f
-        if val == 0:
-            return TensorDecision(
-                "Unknown", None, None, p=p,
-                notes=(f"F = {f} is a root of the certificate polynomial "
-                       "F s(F); the criterion is silent here",))
-        return TensorDecision("Irreducible", "ProductNonzero", ctx.scalar(val),
-                              p=p, notes=("F s(F) is nonzero",))
-
-    if f_const and s.F.is_zero():
         shift = a + (1 - p) * b
         if shift.denominator == 1:
             k = 1 - p - int(shift)
@@ -659,41 +623,47 @@ def decide_tensor_hv(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision
         return TensorDecision(
             "Irreducible", "ProductNonzero", witness, p=p,
             notes=("alpha + (1 - p) beta is not an integer",))
+
     cert = hv_decision_polynomials(hw, s, p)
-    if not f_const:
-        q, r_ = cert.q_poly, cert.r_poly
-        if q.is_zero() and r_.is_zero():
+
+    def at_f(x: Scalar) -> Scalar:
+        # The certificate at the series' F: formal for a symbolic F, and
+        # a number of s.ctx for a numeric one.
+        return ctx.scalar(x.substitute({"F": s.F})) if f_const else x
+
+    f = s.F.as_fraction() if f_const else None
+    if case == "I":
+        sf = at_f(cert.s_poly * cert.s_poly.ctx.var("F"))
+        if sf.is_zero():
             return TensorDecision(
                 "Unknown", None, None, p=p,
-                notes=("the certificate q(F) n + r(F) vanishes identically",))
-        if q.is_zero():
-            return TensorDecision(
-                "Irreducible", "ProductNonzero", r_, p=p,
-                notes=("F transcendental: the certificate is the nonzero "
-                       "constant r(F)",))
-        root = r_ / q
-        if root.is_constant() and (-root.as_fraction()).denominator == 1:
-            k = int(-root.as_fraction())
-            return TensorDecision(
-                "Unknown", None, None, p=p,
-                notes=(f"the certificate vanishes at index n = {k} for "
-                       "every F; the criterion is silent there",))
+                notes=(f"F = {f} is a root of the certificate polynomial "
+                       "F s(F); the criterion is silent here" if f_const
+                       else "the pure-I certificate vanishes identically",))
         return TensorDecision(
-            "Irreducible", "ProductNonzero", r_, p=p,
-            notes=("F transcendental: q(F) n + r(F) has no integer root",))
-    f = s.F.as_fraction()
-    qv = cert.q_poly.substitute({"F": f, "n": 0}).as_fraction()
-    rv = cert.r_poly.substitute({"F": f, "n": 0}).as_fraction()
-    if qv == 0 and rv == 0:
+            "Irreducible", "ProductNonzero", sf, p=p,
+            notes=("F s(F) is nonzero" if f_const
+                   else "F transcendental: F s(F) cannot vanish",))
+
+    q, r_ = at_f(cert.q_poly), at_f(cert.r_poly)
+    if q.is_zero() and r_.is_zero():
         return TensorDecision(
             "Unknown", None, None, p=p,
-            notes=(f"the certificate vanishes identically at F = {f}",))
-    if qv != 0 and (Fraction(-rv, qv)).denominator == 1:
-        k = int(Fraction(-rv, qv))
+            notes=(f"the certificate vanishes identically at F = {f}" if f_const
+                   else "the certificate q(F) n + r(F) vanishes identically",))
+    root = None if q.is_zero() else -r_ / q
+    if root is not None and root.is_integer():
+        k = int(root.as_fraction())
         return TensorDecision(
             "Unknown", None, None, p=p,
             notes=(f"the certificate q(F) n + r(F) vanishes at index n = {k}; "
-                   "the criterion is silent there",))
-    return TensorDecision(
-        "Irreducible", "ProductNonzero", ctx.scalar(rv), p=p,
-        notes=("q(F) n + r(F) is nonzero at every integer index",))
+                   "the criterion is silent there" if f_const
+                   else f"the certificate vanishes at index n = {k} for "
+                   "every F; the criterion is silent there",))
+    if f_const:
+        note = "q(F) n + r(F) is nonzero at every integer index"
+    elif q.is_zero():
+        note = "F transcendental: the certificate is the nonzero constant r(F)"
+    else:
+        note = "F transcendental: q(F) n + r(F) has no integer root"
+    return TensorDecision("Irreducible", "ProductNonzero", r_, p=p, notes=(note,))

@@ -178,11 +178,13 @@ def hv_find_p(hw: HighestWeight):
     Returns (p, case) where case is "I" when h_I / c_LI = 1 + p (the
     singular vector is built from I modes) and "L" when h_I / c_LI = 1 - p
     (it is built from L and I modes), or None when h_I / c_LI is not an
-    integer different from 1.  Requires c_LI != 0.
+    integer different from 1.  This is the level-zero structure of
+    c_I = 0 and c_LI != 0 (Billig 2003); any other central charges raise
+    ValueError.
     """
     hI, cLI = hw["hI"], hw["cLI"]
-    if cLI.is_zero():
-        raise ValueError("classification requires cLI != 0")
+    if cLI.is_zero() or not hw["cI"].is_zero():
+        raise ValueError("requires c_I = 0 and c_LI nonzero")
     ratio = hI / cLI
     if not ratio.is_integer():
         return None
@@ -253,12 +255,9 @@ def singular_space(M: ModuleContext, level: int) -> list:
     return vectors
 
 
-def _pure_w_completion(M: ModuleContext, p: int, known: ModuleVector, what: str) -> ModuleVector:
-    """The singular vector known + sum_m x_m m, over the monomials m of level
-    p with no L factor other than W_{-p}; ValueError unless it exists with
-    every x_m determined."""
-    head = PBWMonomial((p,), ())
-    unknowns = [m for m in pure_w_basis(p) if m != head]
+def _complete(M: ModuleContext, known: ModuleVector, unknowns, what: str) -> ModuleVector:
+    """The singular vector known + sum_m x_m m over the unknown monomials m;
+    ValueError unless it exists with every x_m determined."""
     res = linalg.solve(*_raising_system(M, unknowns, known), M.scalar_ctx)
     if res is None:
         raise ValueError(f"no {what}")
@@ -274,19 +273,18 @@ def u_prime(M: ModuleContext, p: int) -> ModuleVector:
     Normalized so the coefficient of W_{-p} (or I_{-p}) is 1 and no
     monomial contains an L factor.  Exists exactly at the degenerate
     level; raises ValueError otherwise.  It is solved directly on the
-    ansatz W_{-p} v + the other monomials of level p with no L factor.
+    ansatz W_{-p} v + the other monomials of level p with no L factor
+    (pure_w_basis lists W_{-p} first).
     """
     hw = M.hw
     if hw.kind == W22:
         c, hW = hw["c"], hw["hW"]
         if not (hW + hW + c * Fraction(p * p - 1, 12)).is_zero():
             raise ValueError(f"2*hW + (p^2-1)*c/12 != 0 at p={p}; no pure-W singular vector")
-    else:
-        hI, cLI = hw["hI"], hw["cLI"]
-        if cLI.is_zero() or not (hI - (1 + p) * cLI).is_zero():
-            raise ValueError(f"hI/cLI != 1+p at p={p}; no pure-I singular vector")
-    return _pure_w_completion(M, p, M.vector({PBWMonomial((p,), ()): 1}),
-                              f"pure singular vector at level {p}")
+    elif hv_find_p(hw) != (p, "I"):
+        raise ValueError(f"hI/cLI != 1+p at p={p}; no pure-I singular vector")
+    return _complete(M, M.vector({PBWMonomial((p,), ()): 1}), pure_w_basis(p)[1:],
+                     f"pure singular vector at level {p}")
 
 
 def j_prime_span(M: ModuleContext, p: int, level: int, uprime: ModuleVector | None = None) -> list:
@@ -414,7 +412,8 @@ def subsingular_r1_recursive(M: ModuleContext, p: int) -> ModuleVector:
         for mono, coeff in wvec[n].terms.items():
             terms[PBWMonomial.make(mono.w, (n,))] = coeff
         known = known + M.vector(terms)
-    return _pure_w_completion(M, p, known, f"singular vector of the assumed shape at level {p}")
+    return _complete(M, known, pure_w_basis(p)[1:],
+                     f"singular vector of the assumed shape at level {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -722,17 +721,13 @@ def _classify(M: ModuleContext) -> StructureReport:
     _check_reach(p)
     if case == "I":
         uprime = u_prime(M, p)
-        return StructureReport(kind=HV, verdict="UprimeOnly", p=p, case=case,
-                               u_prime=uprime)
-    space = singular_space(M, p)
-    if not space:
-        return StructureReport(kind=HV, verdict="VermaIrreducible", p=p, case=case,
-                               notes=["no singular vector at the degenerate level"])
-    if len(space) != 1:
-        raise ValueError("expected a one-dimensional singular space")
-    if PBWMonomial.make(l=(p,)) not in space[0].terms:
-        raise ValueError(f"the singular vector has no L_{{-{p}}} term")
-    return StructureReport(kind=HV, verdict="UprimeOnly", p=p, case=case, u_prime=space[0])
+    else:
+        # The one singular vector at level p has an L_{-p} term: it is L_{-p} v
+        # completed over the rest of the level (weight_space_basis lists L_{-p} first).
+        head = M.vector({PBWMonomial.make(l=(p,)): 1})
+        uprime = _complete(M, head, weight_space_basis(p)[1:],
+                           f"singular vector with an L_{{-{p}}} term at level {p}")
+    return StructureReport(kind=HV, verdict="UprimeOnly", p=p, case=case, u_prime=uprime)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,9 @@ JOBS = [
      "--beta", "0", "--F", "-2"),
     ("hv-decide", "--cLI", "1", "--h", "0", "--hI", "0", "--alpha", "-3", "--beta", "1",
      "--F", "5"),
+    *[("classify", "--algebra", "hv", "--cLI", "1", "--hI", hI, "--cI", "1", "--h", h)
+      for hI, h in (("0", "3"), ("2", "3"), ("0", "0"))],
+    _HV + ("--p", "2", "--case", "L", "--F", "3", "--cI", "1"),
     ("scan", "--pmax", "2", "--rmax", "2", "--offsets", "1/3,-2"),
 ]
 

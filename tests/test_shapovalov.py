@@ -1,0 +1,117 @@
+"""The structure theorem against an independent oracle: the Gram matrix of
+the contravariant (Shapovalov) form.
+
+A vector x of level n lies in the maximal submodule exactly when every
+raising word of degree n sends it to a vector with no v component.  So
+dim L_n, the level-n dimension of the irreducible quotient, is the rank
+of the matrix whose (X, m) entry is the coefficient of v in X.m.v, with m
+running over the level-n PBW monomials and X over the raising words of
+degree n (Shapovalov 1972).  Each lowering word reversed, with every mode
+negated, gives those raising words: up to signs they are the images of
+the PBW basis under the anti-involution that the form is built on.
+
+``gram_rank`` uses only the generator action and exact rationals: no
+solver, no QuotientModule and no character formula.  The tests compare
+it with the quotient that ``classify`` and ``witness_quotient`` give.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from vermatools import verma
+from vermatools.liealg import Generator
+from vermatools.pbw import EMPTY, HighestWeight, ModuleContext
+from vermatools.scalar import PolyContext
+
+LEVELS = 6
+Q = PolyContext(())
+
+
+def _rank(rows: list) -> int:
+    """Rank of a matrix of Fractions: each row is scaled to integers, then
+    eliminated fraction-free (Bareiss 1968), where every division is exact."""
+    scales = [math.lcm(*(v.denominator for v in r)) for r in rows]
+    rows = [[int(v * k) for v in r] for r, k in zip(rows, scales)]
+    rank, prev = 0, 1
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            a = rows[i][col]
+            rows[i] = [(x * top[col] - a * y) // prev for x, y in zip(rows[i], top)]
+        prev = top[col]
+        rank += 1
+    return rank
+
+
+def gram_rank(M: ModuleContext, n: int) -> int:
+    """Rank of the level-n Gram matrix of the contravariant form."""
+    kind = M.hw.kind
+    # form[word] maps each monomial x of the word's level to the
+    # coefficient of v in X.x.v, X the raising word of the lowering word.
+    # X acts first by the negated leftmost factor, then by the raising
+    # word of the rest, which is again a PBW word of lower level.
+    form = {(): {EMPTY: Fraction(1)}}
+    images = {}
+    for d in range(1, n + 1):
+        basis = verma.weight_space_basis(d)
+        for m in basis:
+            word = m.as_word(kind)
+            first, rest = Generator(word[0].family, -word[0].mode), form[word[1:]]
+            form[word] = {}
+            for x in basis:
+                if (first, x) not in images:
+                    images[first, x] = M.act(first, M.vector({x: 1})).terms
+                form[word][x] = sum(c.as_fraction() * rest.get(y, 0)
+                                    for y, c in images[first, x].items())
+    basis = verma.weight_space_basis(n)
+    return _rank([[form[m.as_word(kind)][x] for x in basis] for m in basis])
+
+
+def _w22(p, r, offset=0, hW=Fraction(1)):
+    if p == 1:
+        return HighestWeight.w22(Q, c=5, h=verma.necessary_h(1, r, Fraction(0)) + offset, hW=0)
+    return HighestWeight.w22(Q, c=hW * Fraction(-24, p * p - 1),
+                             h=verma.necessary_h(p, r, hW) + offset, hW=hW)
+
+
+def _hv(hI, cLI=1, h=Fraction(5, 2)):
+    return HighestWeight.hv(Q, cL=1, cLI=cLI, h=h, hI=hI, cI=0)
+
+
+U_PRIME, BOTH, IRREDUCIBLE = "UprimeOnly", "UprimeAndSubsingular", "VermaIrreducible"
+
+# label -> (weight, classify verdict); the verdict pins that each point
+# has the structure it is meant to test.
+POINTS = {
+    # twisted Heisenberg-Virasoro at cI = 0: cases I (hI/cLI = 1 + p) and
+    # L (hI/cLI = 1 - p), and a weight with no singular vector
+    **{f"hv I p={p}": (_hv(1 + p), U_PRIME) for p in (1, 2, 3)},
+    **{f"hv L p={p}": (_hv(1 - p), U_PRIME) for p in (1, 2, 3)},
+    "hv L p=2 cLI=2 h=0": (_hv(-2, cLI=2, h=0), U_PRIME),
+    "hv generic": (_hv(Fraction(1, 2)), IRREDUCIBLE),
+    # W(2,2): u' and u at (p, r), u' alone at an offset h, and no degeneracy
+    **{f"w22 ({p},{r})": (_w22(p, r), BOTH) for p, r in ((1, 2), (2, 1), (2, 2), (3, 1), (1, 3))},
+    "w22 (2,2) off": (_w22(2, 2, offset=Fraction(1, 3)), U_PRIME),
+    "w22 (1,1) off": (_w22(1, 1, offset=Fraction(1, 3)), U_PRIME),
+    "w22 generic": (HighestWeight.w22(Q, c=1, h=3, hW=1), IRREDUCIBLE),
+}
+
+
+@pytest.mark.parametrize("label", POINTS)
+def test_gram_rank_is_the_witness_quotient_dimension(label):
+    hw, verdict = POINTS[label]
+    M = ModuleContext(hw)
+    rep = verma.classify(M)
+    assert rep.verdict == verdict
+    quotient = verma.witness_quotient(M, rep)
+    for n in range(LEVELS + 1):
+        expected = (len(verma.weight_space_basis(n)) if quotient is None
+                    else quotient.dim(n))
+        assert gram_rank(M, n) == expected, (label, n)
+

@@ -241,7 +241,7 @@ def test_pure_w_completion_refuses_a_free_unknown():
     free = M.monomial_vector(w=(1, 1))
     assert all(M.act(g, free).is_zero() for g in RAISERS_W22)
     with pytest.raises(ValueError, match=r"^probe underdetermined: \[W\(-1\)\^2\.v\] free$"):
-        verma._pure_w_completion(M, 2, M.zero(), "probe")
+        verma._complete(M, M.zero(), verma.pure_w_basis(2)[1:], "probe")
 
 
 def test_recursive_construction_matches_solver():
