@@ -105,7 +105,7 @@ def parse_expression(text: str, ctx: PolyContext) -> Scalar:
 
     Accepts integer literals, the declared symbolic names, +, -, *, /,
     and ** with integer exponents; floats are rejected to keep every
-    value exact.
+    value exact, and True and False are not integers here.
     """
     try:
         node = ast.parse(str(text).strip(), mode="eval").body
@@ -116,7 +116,7 @@ def parse_expression(text: str, ctx: PolyContext) -> Scalar:
 
 def _eval_node(node: ast.AST, ctx: PolyContext) -> Scalar:
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, int):
+        if type(node.value) is int:
             return ctx.scalar(node.value)
         raise ValueError(f"only integer literals are exact: {node.value!r}")
     if isinstance(node, ast.Name):
@@ -131,7 +131,7 @@ def _eval_node(node: ast.AST, ctx: PolyContext) -> Scalar:
         left = _eval_node(node.left, ctx)
         if isinstance(node.op, ast.Pow):
             if not (isinstance(node.right, ast.Constant)
-                    and isinstance(node.right.value, int)):
+                    and type(node.right.value) is int):
                 raise ValueError("exponents must be integer literals")
             return left ** node.right.value
         right = _eval_node(node.right, ctx)
@@ -470,13 +470,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "decisions for two extended Virasoro algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p_sub, weights=True, series=False):
+    def common(p_sub, series=False):
         p_sub.add_argument("--format", choices=("json", "text", "latex"),
                            default="text")
         p_sub.add_argument("--symbolic", action="append", default=[],
                            metavar="NAME",
                            help="treat NAME as a formal parameter (up to 3)")
-        names = list(_PARAM_ORDER if weights else ())
+        names = list(_PARAM_ORDER)
         if not series:
             for skip in ("alpha", "beta", "F"):
                 names.remove(skip)

@@ -441,13 +441,20 @@ class PolyContext:
         return self._one
 
     def scalar(self, value) -> "Scalar":
-        """Lift an int, Fraction, or Scalar into this context."""
+        """Lift an int, Fraction, or Scalar into this context; a Scalar
+        must be constant or come from a context whose names begin these."""
         if isinstance(value, Scalar):
             if value.ctx == self:
                 return value
             if value.is_constant():
                 return self.scalar(value.as_fraction())
-            raise ValueError("parameter context mismatch")
+            k = len(value.ctx.names)
+            if value.ctx.names != self.names[:k]:
+                raise ValueError("parameter context mismatch")
+            # Appending zero exponents preserves the canonical form.
+            pad = self._nil[k:]
+            return Scalar(self, value.cont, {e + pad: c for e, c in value.num.items()},
+                          {e + pad: c for e, c in value.den.items()})
         f = Fraction(value)
         if not f:
             return self.zero

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .liealg import HV, W22, Generator
+from .liealg import HV, W22, Generator, check_generator
 from .pbw import HighestWeight, ModuleContext, PBWMonomial
 from .scalar import PolyContext, Scalar
-from .verma import (QuotientModule, classify, hv_find_p, necessary_h, witness_quotient,
-                    word_images)
+from .verma import classify, hv_find_p, necessary_h, witness_quotient, word_images
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +158,17 @@ def _acc(store: dict, key, coeff: Scalar) -> None:
 
 
 class TensorSpace:
-    """Computation window for (intermediate series) (x) (module quotient).
+    """Computation window for (intermediate series) (x) M.
 
-    The second factor is a Verma module over the same highest weight and
-    parameter context, reduced through `quotient` coordinates when one is
-    given.  `index_origin` is added to every series index inside
+    The second factor M is a Verma module or a quotient of one
+    (a ModuleContext or a QuotientModule), over the parameter context of
+    the series.  `index_origin` is added to every series index inside
     coefficients, so indices may be kept symbolic (origin n plus an
     integer offset) while the stored labels stay integers.
     """
 
     def __init__(self, M: ModuleContext, series: IntermediateSeries,
-                 window: tuple, quotient: QuotientModule | None = None,
-                 index_origin: Scalar | None = None):
+                 window: tuple, index_origin: Scalar | None = None):
         if series.ctx != M.scalar_ctx:
             raise ValueError("series parameters use a different context")
         self.M = M
@@ -179,11 +177,9 @@ class TensorSpace:
         self.window = (int(window[0]), int(window[1]))
         if self.window[0] > self.window[1]:
             raise ValueError("empty window")
-        self.quotient = quotient
         self.index_origin = (M.scalar_ctx.zero if index_origin is None
                              else index_origin)
         self.excluded = series.excluded_index()
-        self._module_images: dict = {}
         self._series_coeffs: dict = {}
 
     def vector(self, terms: dict) -> TensorVector:
@@ -202,18 +198,9 @@ class TensorSpace:
         one = self.M.scalar_ctx.one
         return TensorVector(self, {(m, PBWMonomial.make()): one})
 
-    def _module_image(self, g: Generator, mono: PBWMonomial) -> dict:
-        cached = self._module_images.get((g, mono))
-        if cached is not None:
-            return cached
-        img = self.M.act(g, self.M.vector({mono: self.M.scalar_ctx.one}))
-        if self.quotient is not None:
-            img = self.quotient.reduce(img)
-        self._module_images[(g, mono)] = img.terms
-        return img.terms
-
     def act(self, g: Generator, x: TensorVector) -> TensorVector:
         """Leibniz action of a generator on a tensor vector."""
+        check_generator(g, self.kind)
         lo, hi = self.window
         out: dict = {}
         for (m, mono), cf in x.terms.items():
@@ -228,7 +215,7 @@ class TensorSpace:
                         raise ValueError(
                             f"window overflow: index {m2} outside [{lo}, {hi}]")
                     _acc(out, (m2, mono), cf * coeff)
-            for mono2, c2 in self._module_image(g, mono).items():
+            for mono2, c2 in self.M._act_mono(g, mono):
                 _acc(out, (m, mono2), cf * c2)
         return TensorVector(self, out)
 
@@ -271,8 +258,9 @@ def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
     if quotient not in ("auto", "verma"):
         raise ValueError(f"unknown quotient choice {quotient!r}")
     M = ModuleContext(hw)
-    Q = witness_quotient(M, classify(M)) if quotient == "auto" else None
-    space = TensorSpace(M, s, (n - 1, n + depth), quotient=Q)
+    if quotient == "auto":
+        M = witness_quotient(M, classify(M)) or M
+    space = TensorSpace(M, s, (n - 1, n + depth))
     if space.excluded == n - 1:
         raise ValueError("target index is excluded from the primed series")
     ech = linalg.Echelon(key=_column_key)
@@ -379,7 +367,7 @@ def subquotient_weight(hw: HighestWeight, s: IntermediateSeries,
     algebra, with L_0 eigenvalue h - n - alpha - beta; for the twisted
     algebra the I_0 eigenvalue shifts by F.
     """
-    if s.is_reducible_series() and n == s.excluded_index():
+    if n == s.excluded_index():
         raise ValueError(f"index {n} is excluded from the primed series")
     ctx = s.ctx
     h_layer = hw["h"] - (ctx.scalar(n) + s.alpha + s.beta)
@@ -465,28 +453,6 @@ class HVCertificate:
     r_poly: Scalar | None = None
 
 
-def _extend_context(ctx: PolyContext, extra: tuple):
-    """Context with appended parameter names, plus an exact lift map.
-
-    Names already present keep their slot and are not duplicated.
-    """
-    fresh = tuple(name for name in extra if name not in ctx.names)
-    ectx = PolyContext(ctx.names + fresh)
-    pad = (0,) * len(fresh)
-
-    def lift(x: Scalar) -> Scalar:
-        if x.ctx == ectx:
-            return x
-        if x.ctx != ctx:
-            raise ValueError("scalar from an unexpected context")
-        num = {e + pad: cf for e, cf in x.num.items()}
-        den = {e + pad: cf for e, cf in x.den.items()}
-        # Appending zero exponents preserves the canonical form.
-        return Scalar(ectx, x.cont, num, den)
-
-    return ectx, lift
-
-
 def _eliminate_to_target(space: TensorSpace, T: TensorVector,
                          target_index: int, top_index: int) -> Scalar:
     """Coefficient left on v_target (x) v after eliminating the
@@ -542,15 +508,14 @@ def hv_decision_polynomials(hw: HighestWeight, s: IntermediateSeries,
     if "n" in hw.ctx.names:
         raise ValueError("the parameter name 'n' is reserved for the "
                          "series index")
-    ectx, lift = _extend_context(hw.ctx, ("n", "F"))
+    ectx = PolyContext(hw.ctx.names + tuple(x for x in ("n", "F") if x not in hw.ctx.names))
     n_sym, f_sym = ectx.var("n"), ectx.var("F")
-    hw2 = HighestWeight(HV, ectx, {name: lift(x) for name, x in hw.weights.items()})
-    s2 = IntermediateSeries(lift(s.alpha), lift(s.beta), f_sym)
+    hw2 = HighestWeight(HV, ectx, hw.weights)
+    s2 = IntermediateSeries.make(ectx, s.alpha, s.beta, f_sym)
     M = ModuleContext(hw2)
     rep = classify(M)
     target, top = (-1, p - 1) if rep.case == "I" else (0, p)
-    space = TensorSpace(M, s2, (target, top), quotient=witness_quotient(M, rep),
-                        index_origin=n_sym)
+    space = TensorSpace(witness_quotient(M, rep), s2, (target, top), index_origin=n_sym)
     T = space.apply_module_vector(rep.u_prime, top)
     lam = _eliminate_to_target(space, T, target, top)
     if rep.case == "I":

@@ -12,7 +12,7 @@ The central objects:
                    singular modulo the submodule generated by ``u_prime``;
 * characters of the Verma module, the submodules J' = U(g) u' and
   J = U(g){u', u}, and the corresponding quotients;
-* ``QuotientModule`` for reducing vectors to quotient-basis coordinates;
+* ``QuotientModule``, a quotient of V acting in quotient-basis coordinates;
 * ``classify`` assembling these into a structure report;
 * ``conjecture_scan`` collecting existence/uniqueness evidence on a grid.
 """
@@ -205,11 +205,10 @@ def _raising_generators(kind: str) -> list:
     return [L(1), L(2), second(1), second(2)]
 
 
-def _raising_system(M: ModuleContext, unknowns, known=None, modulo=None) -> tuple:
-    """The conditions g.(known + sum_m x_m m) = 0, one row per raising
-    generator g and image monomial; with a QuotientModule ``modulo``,
-    every image is reduced by it first, so the conditions hold in that
-    quotient.
+def _raising_system(M: ModuleContext, unknowns, known=None) -> tuple:
+    """The conditions g.(known + sum_m x_m m) = 0 in M, one row per raising
+    generator g and image monomial; M is a Verma module or a quotient of
+    one.
 
     The columns are the unknown monomials; the terms of g.known sit under
     ``linalg.RHS``.  Rows come unknown by unknown, generator by generator
@@ -219,21 +218,15 @@ def _raising_system(M: ModuleContext, unknowns, known=None, modulo=None) -> tupl
 
     Returns (rows, columns).
     """
-    gens = _raising_generators(M.hw.kind)
+    gens = _raising_generators(M.kind)
     rows: dict = {}
-
-    def image(g, vec):
-        img = M.act(g, vec)
-        return (img if modulo is None else modulo.reduce(img)).terms
-
     if known is not None:
         for gi, g in enumerate(gens):
-            for tmono, coeff in image(g, known).items():
+            for tmono, coeff in M.act(g, known).terms.items():
                 rows.setdefault((gi, tmono), {})[linalg.RHS] = -coeff
     for m in unknowns:
-        vec = M.vector({m: 1})
         for gi, g in enumerate(gens):
-            for tmono, coeff in image(g, vec).items():
+            for tmono, coeff in M._act_mono(g, m):
                 rows.setdefault((gi, tmono), {})[m] = coeff
     return list(rows.values()), list(unknowns)
 
@@ -338,13 +331,13 @@ def _subsingular_direct(M: ModuleContext, p: int, r: int, uprime: ModuleVector):
     coefficient field.
 
     The unknowns are the ansatz monomials and the lead L_{-p}^r is the
-    known part; each g.u is reduced modulo J' = U(g) u'.  The system is
-    consistent exactly at the necessary h.
+    known part; each g.u is taken in the quotient V / J', J' = U(g) u'.
+    The system is consistent exactly at the necessary h.
     """
     lead = PBWMonomial((), (p,) * r)
     unknowns = [m for m in weight_space_basis(r * p) if p not in m.w and m != lead]
-    rows, columns = _raising_system(M, unknowns, M.vector({lead: 1}),
-                                    modulo=quotient_l_prime(M, p, uprime))
+    rows, columns = _raising_system(quotient_l_prime(M, p, uprime), unknowns,
+                                    M.vector({lead: 1}))
     ctx = M.scalar_ctx
     res = linalg.solve(rows, columns, ctx)
     _log.debug("subsingular(p=%d, r=%d): exact solve of %d x %d system over Q(%s): %s",
@@ -528,17 +521,19 @@ def basis_l(p: int, r: int, level: int) -> list:
             if p not in m.w and m.l.count(p) < r]
 
 
-class QuotientModule:
-    """Reduction of module vectors to coordinates in a quotient basis.
+class QuotientModule(ModuleContext):
+    """The quotient of a Verma module M by the submodule its relation
+    vectors generate, as a module in its own right.
 
-    Given relation vectors (generators of the submodule being divided
-    out) and a predicate selecting the quotient-basis monomials at each
-    level, reduces any vector to an equal vector supported on the basis
-    monomials.  Raises if the relations fail to eliminate exactly the
-    non-basis monomials, which would mean the proposed basis is wrong.
+    A predicate selects the quotient-basis monomials at each level;
+    ``reduce`` rewrites any vector of M as an equal vector supported on
+    them, and the action is M's, reduced.  Raises if the relations fail
+    to eliminate exactly the non-basis monomials, which would mean the
+    proposed basis is wrong.
     """
 
     def __init__(self, M: ModuleContext, relations: list, basis_pred):
+        super().__init__(M.hw)
         self.M = M
         self.relations = list(relations)
         self.basis_pred = basis_pred
@@ -578,6 +573,10 @@ class QuotientModule:
 
     def dim(self, level: int) -> int:
         return len(weight_space_basis(level)) - len(self._echelon(level).pivots)
+
+    def _act_mono_compute(self, g: Generator, mono: PBWMonomial):
+        return tuple(self.reduce(ModuleVector(self.M, dict(self.M._act_mono(g, mono))))
+                     .terms.items())
 
 
 def quotient_l_prime(M: ModuleContext, p: int, uprime: ModuleVector | None = None) -> QuotientModule:

@@ -150,6 +150,21 @@ def test_inexact_division_exits_two(capsys, monkeypatch):
     assert "inexact polynomial division" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("classify", "--c", "True", "--h", "0", "--hW", "1"),
+     "only integer literals are exact: True"),
+    (("classify", "--c", "True", "--h", "0", "--hW", "False"),
+     "only integer literals are exact: False"),
+    (("classify", "--c", "2**True", "--h", "0", "--hW", "1"),
+     "exponents must be integer literals"),
+])
+def test_boolean_literals_exit_two(capsys, argv, message):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_missing_parameter_exits_two(capsys):
     code, _, err = run_main(capsys, "tensor", "--c", "-8", "--hW", "1",
                             "--alpha", "1/3")

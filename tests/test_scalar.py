@@ -274,3 +274,22 @@ def test_cached_constness_matches_the_polynomials(recipe):
         return value
 
     run(recipe)
+
+
+def test_lift_into_a_context_extending_the_names():
+    """A Q(hW) function lifted into Q(hW, n, F) equals the same expression
+    built there; a context whose names do not begin the target's raises."""
+    small, big = PolyContext(("hW",)), PolyContext(("hW", "n", "F"))
+
+    def expr(ctx):
+        hW = ctx.var("hW")
+        return (hW * hW * 3 - Fraction(1, 2)) / (hW * 4 + 7) + Fraction(5, 3)
+
+    assert big.scalar(expr(small)) == expr(big)
+    assert big.scalar(small.scalar(Fraction(-2, 9))) == big.scalar(Fraction(-2, 9))
+    for target, value in ((PolyContext(("n",)), expr(small)),
+                          (PolyContext(("n", "hW")), expr(small)),
+                          (small, expr(big)),
+                          (PolyContext(("hW", "F")), big.var("F"))):
+        with pytest.raises(ValueError, match="parameter context mismatch"):
+            target.scalar(value)

@@ -176,7 +176,7 @@ def _word_image_case(label):
         # factor is zero in V / J'
         M = ModuleContext(w22_weight(1, 0, 0))
         s = IntermediateSeries.make(M.scalar_ctx, Fraction(1, 3), 0)
-        space = TensorSpace(M, s, (-4, 3), quotient=verma.quotient_l_prime(M, 1))
+        space = TensorSpace(verma.quotient_l_prime(M, 1), s, (-4, 3))
         return space, space.vacuum_at(2)
     hw = subsingular_weight(2, 1)
     space = TensorSpace(ModuleContext(hw), IntermediateSeries.make(hw.ctx, 0, 0), (-3, 3))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from vermatools import linalg, verma
-from vermatools.liealg import I, L, W
+from vermatools.liealg import I, L, W, bracket
 from vermatools.pbw import HighestWeight, ModuleContext, PBWMonomial
 from vermatools.scalar import PolyContext
 
@@ -177,8 +177,8 @@ def test_subsingular_solve_ignores_row_order():
         uprime = verma.u_prime(M, p)
         lead = PBWMonomial.make(l=(p,) * r)
         unknowns = [m for m in verma.weight_space_basis(r * p) if p not in m.w and m != lead]
-        rows, columns = verma._raising_system(M, unknowns, M.vector({lead: 1}),
-                                              modulo=verma.quotient_l_prime(M, p, uprime))
+        rows, columns = verma._raising_system(verma.quotient_l_prime(M, p, uprime), unknowns,
+                                              M.vector({lead: 1}))
         expected = verma._subsingular_direct(M, p, r, uprime)
         assert expected is not None
         for _ in range(3):
@@ -329,6 +329,39 @@ def test_quotient_reduce_is_projection():
         diff = vec - red
         ech = membership_echelon(verma.j_prime_span(M, 2, 4))
         assert not ech.reduce(dict(diff.terms))
+
+
+def _quotients_for_representation_check():
+    ctx = PolyContext(())
+    hw = HighestWeight.w22(ctx, c=-8, h=verma.necessary_h(2, 2, Fraction(1)), hW=1)
+    M = ModuleContext(hw)
+    yield verma.quotient_l_prime(M, 2), W
+    yield verma.quotient_l(M, 2, 2), W
+    Mhv = ModuleContext(HighestWeight.hv(ctx, cL=1, cLI=1, h=3, hI=-1, cI=0))
+    rep = verma.classify(Mhv)
+    assert rep.case == "L"
+    yield verma.witness_quotient(Mhv, rep), I
+
+
+def test_quotient_is_a_representation():
+    """[a, b] acts on a quotient as a b - b a, and every image stays on the
+    quotient basis."""
+    rng = random.Random(2024)
+    for Q, second in _quotients_for_representation_check():
+        gens = [L(k) for k in range(-2, 3)] + [second(k) for k in range(-2, 3)]
+        kind = Q.kind
+        for _ in range(12):
+            level = rng.randint(0, 3)
+            basis = [m for m in verma.weight_space_basis(level) if Q.basis_pred(m)]
+            x = Q.vector({m: rng.randint(-3, 3) for m in rng.sample(basis, min(3, len(basis)))})
+            a, b = rng.choice(gens), rng.choice(gens)
+            lhs = Q.act(a, Q.act(b, x)) - Q.act(b, Q.act(a, x))
+            rhs = Q.zero()
+            for g, c in bracket(a, b, kind):
+                rhs = rhs + Q.act(g, x).scaled(c)
+            assert lhs == rhs, (a, b, x)
+            for img in (Q.act(a, x), Q.act(b, x), Q.act(a, Q.act(b, x)), lhs):
+                assert all(Q.basis_pred(m) for m in img.terms)
 
 
 # ---------------------------------------------------------------------------
