@@ -104,8 +104,9 @@ def parse_expression(text: str, ctx: PolyContext) -> Scalar:
     """Evaluate an exact rational expression over the job's parameters.
 
     Accepts integer literals, the declared symbolic names, +, -, *, /,
-    and ** with integer exponents; floats are rejected to keep every
-    value exact, and True and False are not integers here.
+    and ** with integer exponents, a negative one written -k; floats are
+    rejected to keep every value exact, and True and False are not
+    integers here.
     """
     try:
         node = ast.parse(str(text).strip(), mode="eval").body
@@ -130,10 +131,12 @@ def _eval_node(node: ast.AST, ctx: PolyContext) -> Scalar:
     if isinstance(node, ast.BinOp) and isinstance(node.op, _BIN_OPS):
         left = _eval_node(node.left, ctx)
         if isinstance(node.op, ast.Pow):
-            if not (isinstance(node.right, ast.Constant)
-                    and type(node.right.value) is int):
+            exp, sign = node.right, 1
+            if isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub):
+                exp, sign = exp.operand, -1
+            if not (isinstance(exp, ast.Constant) and type(exp.value) is int):
                 raise ValueError("exponents must be integer literals")
-            return left ** node.right.value
+            return left ** (sign * exp.value)
         right = _eval_node(node.right, ctx)
         if isinstance(node.op, ast.Add):
             return left + right

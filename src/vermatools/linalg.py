@@ -13,6 +13,12 @@ on the order: under a fixed pivot priority the pivot set is the set of
 leading columns of the row space and the reduced form is unique.
 Measured on a 2-core x86 box against generation order: the subsingular
 system at (p, r) = (3, 2) solves over Q(hW) in 0.01 s instead of 100 s.
+
+Back-substitution scans the stored rows only when the new pivot is a
+column some row ever held (``_seen``); stored rows never hold zeros, so a
+skipped scan would change nothing.  On the tensor-chains benchmark (seed
+1) 2,799 of 3,205 new pivots skip it, and the skip alone took wall_s
+from 2.45 to 2.24 ref_s (median of 4 alternating pairs).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ class Echelon:
     def __init__(self, key=None):
         self._key = key if key is not None else lambda c: c
         self.pivots: dict = {}
+        self._seen: set = set()
 
     def __len__(self):
         return len(self.pivots)
@@ -55,11 +62,10 @@ class Echelon:
         if row[piv] != 1:
             inv = 1 / row[piv]
             row = {c: v * inv for c, v in row.items()}
-        for prow in self.pivots.values():
-            f = prow.get(piv)
-            if f is None or f.is_zero():
+        for prow in self.pivots.values() if piv in self._seen else ():
+            f = prow.pop(piv, None)
+            if f is None:
                 continue
-            del prow[piv]
             for c2, v2 in row.items():
                 if c2 == piv:
                     continue
@@ -69,6 +75,7 @@ class Echelon:
                     prow.pop(c2, None)
                 else:
                     prow[c2] = s
+        self._seen.update(row)
         self.pivots[piv] = row
         return piv
 

@@ -106,8 +106,10 @@ def series_action(g: Generator, m: int, s: IntermediateSeries):
 
 
 def _column_key(col):
+    # Highest index first: a word X on v_k (x) v has top component
+    # v_k (x) X.v, so rows of different starts pivot in different blocks.
     m, mono = col
-    return (m, mono.sort_key())
+    return (-m, mono.sort_key())
 
 
 class TensorVector:
@@ -248,8 +250,10 @@ def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
 
     The span is built from all lowering words applied to v_k (x) v for
     k in [n, n + depth], each word of the degree matching the weight of
-    the target.  A True answer is a proof of membership; False means
-    the truncated span misses the target.  ``quotient`` is "auto", the
+    the target.  It returns True at the first start whose words put the
+    target in the span, which is the full-window answer since membership
+    only grows; False means the whole truncated span misses the
+    target.  ``quotient`` is "auto", the
     ``witness_quotient`` of the classification of the highest weight, or
     "verma", the Verma module itself; any other choice raises ValueError.
     """
@@ -264,11 +268,13 @@ def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
     if space.excluded == n - 1:
         raise ValueError("target index is excluded from the primed series")
     ech = linalg.Echelon(key=_column_key)
+    target = {(n - 1, PBWMonomial.make()): M.scalar_ctx.one}
     for k in range(n, n + depth + 1):
         if k != space.excluded:
             ech.extend(word_images(space, k - (n - 1), space.vacuum_at(k)))
-    target = {(n - 1, PBWMonomial.make()): M.scalar_ctx.one}
-    return ech.contains(target)
+            if ech.contains(target):
+                return True
+    return False
 
 
 def subquotient_free_dims(hw: HighestWeight, s: IntermediateSeries, n: int,

@@ -158,9 +158,14 @@ def zd_find_p(hw: HighestWeight):
     otherwise c != 0 and p^2 = 1 - 24 h_W / c must be the square of an
     integer.  The module is reducible exactly when such a p exists (for
     W(2,2) weights; use hv_find_p for the twisted Heisenberg-Virasoro case).
+    At c = h_W = 0 the condition holds at every p and u' = W_{-1} v does
+    not generate the maximal submodule, so that weight raises ValueError;
+    over a field with parameters only exact zeros do.
     """
     c, hW = hw["c"], hw["hW"]
     if hW.is_zero():
+        if c.is_zero():
+            raise ValueError("requires c or h_W nonzero")
         return 1
     if c.is_zero():
         return None

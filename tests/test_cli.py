@@ -1,6 +1,7 @@
 """Command-line jobs: dispatch, rendering, determinism, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -207,6 +208,33 @@ def test_expression_parser_is_exact():
         parse_expression("c + 1", ctx)
     with pytest.raises(ValueError):
         parse_expression("hW ** hW", ctx)
+
+
+def test_negative_integer_exponents_parse():
+    ctx = PolyContext(("hW",))
+    hW = ctx.var("hW")
+    assert parse_expression("hW**-1", ctx) * hW == ctx.one
+    assert parse_expression("2**(-1)", ctx).as_fraction() == Fraction(1, 2)
+    assert parse_expression("(hW + 1)**-2", ctx) == 1 / (hW + 1) ** 2
+    with pytest.raises(ValueError, match="exponents must be integer literals"):
+        parse_expression("2**-True", ctx)
+
+
+def test_negative_exponent_of_zero_exits_two(capsys):
+    code, out, err = run_main(capsys, "classify", "--c", "0**-1", "--h", "0",
+                              "--hW", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: division by zero scalar\n"
+
+
+def test_negative_exponents_reach_the_verdict(capsys):
+    # c = -4 and hW = 1/2 satisfy 2 hW + (p^2 - 1) c / 12 = 0 at p = 2
+    code, out, _ = run_main(capsys, "classify", "--c", "-8*2**-1", "--h", "0",
+                            "--hW", "2**(-1)", "--format", "json")
+    assert code == 0
+    report = json.loads(out)["results"]["report"]
+    assert (report["verdict"], report["p"]) == ("UprimeOnly", 2)
 
 
 def test_unknown_command_raises():

@@ -65,6 +65,8 @@ JOBS = [
       for hI, h in (("0", "3"), ("2", "3"), ("0", "0"))],
     _HV + ("--p", "2", "--case", "L", "--F", "3", "--cI", "1"),
     ("scan", "--pmax", "2", "--rmax", "2", "--offsets", "1/3,-2"),
+    ("classify", "--c", "0", "--h", "5", "--hW", "0"),
+    ("tensor", "--c", "0", "--h", "5", "--hW", "0", "--alpha", "1/3", "--beta", "0"),
 ]
 
 

@@ -99,6 +99,14 @@ def test_nullspace_and_solve_match_sympy(augmented):
     theirs = [[Fraction(int(x.p), int(x.q)) for x in v] for v in A.nullspace()]
     assert ours == theirs
 
+    # the stored pivot rows are the nonzero rows of the reduced row echelon form
+    ech = linalg.Echelon()
+    ech.extend(rows)
+    rref, _ = A.rref()
+    assert ([as_fractions(r, columns) for r in ech.rows()]
+            == [[Fraction(int(x.p), int(x.q)) for x in rref.row(i)]
+                for i in range(rref.rows) if any(rref.row(i))])
+
     for row, d in zip(augmented, rows):
         if row[-1]:
             d[linalg.RHS] = CTX.scalar(row[-1])
@@ -114,3 +122,20 @@ def test_nullspace_and_solve_match_sympy(augmented):
     sol, free = res
     assert as_fractions(sol, columns) == expected
     assert free == [c for c in columns if c not in pivots]
+
+
+@given(rational_matrices(), st.lists(st.fractions(min_value=-2, max_value=2,
+                                                 max_denominator=3), min_size=6, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_rank_and_membership_do_not_depend_on_the_pivot_priority(matrix, probe):
+    """A key and its reverse choose other pivots but span the same rows."""
+    rows = [{j: CTX.scalar(x) for j, x in enumerate(row) if x} for row in matrix]
+    forward, backward = linalg.Echelon(), linalg.Echelon(key=lambda c: -c)
+    forward.extend(rows)
+    backward.extend(rows)
+    assert len(forward) == len(backward)
+    assert all(forward.contains(row) and backward.contains(row) for row in rows)
+    probes = [{j: CTX.scalar(x) for j, x in enumerate(probe[:len(matrix[0])]) if x}]
+    probes += [{**a, **b} for a in rows for b in rows]
+    for row in probes:
+        assert forward.contains(row) == backward.contains(row)

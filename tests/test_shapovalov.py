@@ -85,6 +85,9 @@ def _hv(hI, cLI=1, h=Fraction(5, 2)):
 
 
 U_PRIME, BOTH, IRREDUCIBLE = "UprimeOnly", "UprimeAndSubsingular", "VermaIrreducible"
+# At c = hW = 0 the level condition holds at every p, u' = W_{-1} v does
+# not generate the maximal submodule, and classify refuses the weight.
+REFUSED = "refused"
 
 # label -> (weight, classify verdict); the verdict pins that each point
 # has the structure it is meant to test.
@@ -100,6 +103,10 @@ POINTS = {
     "w22 (2,2) off": (_w22(2, 2, offset=Fraction(1, 3)), U_PRIME),
     "w22 (1,1) off": (_w22(1, 1, offset=Fraction(1, 3)), U_PRIME),
     "w22 generic": (HighestWeight.w22(Q, c=1, h=3, hW=1), IRREDUCIBLE),
+    # the c = hW = 0 locus: Gram ranks 1,1,2,3,5,7 at h = 5, 1,1,2,2,4,5 at
+    # h = 1/3 and 1,0,0,0,0,0 at h = 0, below any quotient by W_{-1} v
+    **{f"w22 c=hW=0 h={h}": (HighestWeight.w22(Q, c=0, h=h, hW=0), REFUSED)
+       for h in (5, Fraction(1, 3), 0)},
 }
 
 
@@ -107,6 +114,10 @@ POINTS = {
 def test_gram_rank_is_the_witness_quotient_dimension(label):
     hw, verdict = POINTS[label]
     M = ModuleContext(hw)
+    if verdict == REFUSED:
+        with pytest.raises(ValueError, match="requires c or h_W nonzero"):
+            verma.classify(M)
+        return
     rep = verma.classify(M)
     assert rep.verdict == verdict
     quotient = verma.witness_quotient(M, rep)

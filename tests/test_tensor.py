@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from vermatools import verma
+from vermatools import tensor, verma
 from vermatools.liealg import HV, W22, I, L, W
-from vermatools.pbw import HighestWeight, ModuleContext
+from vermatools.pbw import HighestWeight, ModuleContext, PBWMonomial
 from vermatools.scalar import PolyContext
 from vermatools.tensor import (
     IntermediateSeries,
@@ -288,6 +288,113 @@ def test_cyclicity_rejects_excluded_target():
     s = IntermediateSeries.make(hw.ctx, 0, 0)  # excluded index 0
     with pytest.raises(ValueError, match="excluded"):
         cyclicity_check(hw, s, 1, 4)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the same spans eliminated densely over Fractions, without linalg
+
+
+def _dense_rank(rows: list) -> int:
+    """Rank of term-dict rows by plain Gaussian elimination over Fractions."""
+    columns = sorted({col for row in rows for col in row}, key=repr)
+    matrix = [[row[col].as_fraction() if col in row else Fraction(0)
+               for col in columns] for row in rows]
+    rank = 0
+    for j in range(len(columns)):
+        piv = next((i for i in range(rank, len(matrix)) if matrix[i][j]), None)
+        if piv is None:
+            continue
+        matrix[rank], matrix[piv] = matrix[piv], matrix[rank]
+        top = matrix[rank]
+        for i in range(rank + 1, len(matrix)):
+            if matrix[i][j]:
+                f = matrix[i][j] / top[j]
+                matrix[i] = [x - f * y if y else x for x, y in zip(matrix[i], top)]
+        rank += 1
+    return rank
+
+
+def _dense_cyclic(hw, s, n, depth, quotient):
+    """cyclicity_check's full-window answer: is v_{n-1} (x) v in the span of
+    every start's word images?"""
+    M = ModuleContext(hw)
+    if quotient == "auto":
+        M = verma.witness_quotient(M, verma.classify(M)) or M
+    space = TensorSpace(M, s, (n - 1, n + depth))
+    rows = [row for k in range(n, n + depth + 1) if k != space.excluded
+            for row in verma.word_images(space, k - (n - 1), space.vacuum_at(k))]
+    target = {(n - 1, PBWMonomial.make()): M.scalar_ctx.one}
+    return _dense_rank(rows + [target]) == _dense_rank(rows)
+
+
+def _dense_free_dims(hw, s, n, max_level):
+    """subquotient_free_dims by ranks: new directions of the words on
+    v_n (x) v beyond those on v_{n+1} (x) v and v_{n+2} (x) v."""
+    space = TensorSpace(ModuleContext(hw), s, (n - max_level - 2, n + 2))
+    dims = {}
+    for d in range(1, max_level + 1):
+        higher = [row for k in (n + 1, n + 2) if k != space.excluded
+                  for row in verma.word_images(space, d + k - n, space.vacuum_at(k))]
+        own = verma.word_images(space, d, space.vacuum_at(n))
+        dims[d] = _dense_rank(higher + own) - _dense_rank(higher)
+    return dims
+
+
+ORACLE_WEIGHTS = {
+    "sub21": subsingular_weight(2, 1), "sub31": subsingular_weight(3, 1),
+    "sub22": subsingular_weight(2, 2), "irr": w22_weight(1, 3, 5),
+    "vacuum": w22_weight(1, 0, 0),
+}
+ORACLE_SERIES = [(a, b) for a in (Fraction(0), Fraction(1, 2), Fraction(1, 3))
+                 for b in (Fraction(0), Fraction(1, 2), Fraction(1))]
+
+
+@pytest.mark.parametrize("name", ORACLE_WEIGHTS)
+def test_cyclicity_matches_dense_elimination(name):
+    """Every (alpha, beta), n in [-3, 2] and both quotients, at depths 0-4
+    in turn, against the full window eliminated densely."""
+    hw = ORACLE_WEIGHTS[name]
+    answers = set()
+    for i, (a, b) in enumerate(ORACLE_SERIES):
+        s = IntermediateSeries.make(hw.ctx, a, b)
+        for n in range(-3, 3):
+            if n - 1 == s.excluded_index():
+                continue
+            for quotient in ("auto", "verma"):
+                depth = (i + n) % 5
+                want = _dense_cyclic(hw, s, n, depth, quotient)
+                assert cyclicity_check(hw, s, n, depth, quotient) == want, (a, b, n, quotient)
+                answers.add(want)
+    assert answers == {True, False} or name == "irr"
+
+
+@pytest.mark.parametrize("name", ORACLE_WEIGHTS)
+def test_free_dims_match_dense_elimination(name):
+    hw = ORACLE_WEIGHTS[name]
+    for a in (Fraction(0), Fraction(1, 2), Fraction(1, 3)):
+        s = IntermediateSeries.make(hw.ctx, a, 0)
+        for n in (0, 1, 2):
+            if n == s.excluded_index():
+                with pytest.raises(ValueError, match="excluded"):
+                    subquotient_free_dims(hw, s, n, 3)
+                continue
+            assert subquotient_free_dims(hw, s, n, 3) == _dense_free_dims(hw, s, n, 3)
+
+
+def test_cyclicity_stops_at_its_first_proof(monkeypatch):
+    """A chain that answers True builds fewer than all depth + 1 starts."""
+    hw = subsingular_weight(2, 1)
+    s = IntermediateSeries.make(hw.ctx, Fraction(1, 3), 0)
+    starts = []
+
+    def counting(space, degree, start):
+        starts.append(degree)
+        return verma.word_images(space, degree, start)
+
+    monkeypatch.setattr(tensor, "word_images", counting)
+    depth = 8
+    assert cyclicity_check(hw, s, 0, depth)
+    assert len(starts) < depth + 1
 
 
 def test_subquotient_weight_arithmetic():

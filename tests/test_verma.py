@@ -374,9 +374,23 @@ def test_degenerate_level_matches_the_defining_equation():
     for c in (Fraction(-24), Fraction(1), Fraction(-8, 5), Fraction(0)):
         for hW in (Fraction(0), Fraction(1), Fraction(3), Fraction(-1, 8), Fraction(4224)):
             hw = HighestWeight.w22(ctx, c=c, h=0, hW=hW)
+            if c == hW == 0:
+                # every p solves the equation there: refused, not p = 1
+                with pytest.raises(ValueError, match="requires c or h_W nonzero"):
+                    verma.zd_find_p(hw)
+                continue
             scan = next((p for p in range(1, 100)
                          if 2 * hW + Fraction(p * p - 1, 12) * c == 0), None)
             assert verma.zd_find_p(hw) == scan
+
+
+def test_only_exact_zeros_refuse_the_zero_locus():
+    """c = hW = 0 is refused as a weight, not as a specialisation."""
+    hW_ctx, c_ctx, h_ctx = PolyContext(("hW",)), PolyContext(("c",)), PolyContext(("h",))
+    assert verma.zd_find_p(HighestWeight.w22(hW_ctx, c=0, h=0, hW=hW_ctx.var("hW"))) is None
+    assert verma.zd_find_p(HighestWeight.w22(c_ctx, c=c_ctx.var("c"), h=0, hW=0)) == 1
+    with pytest.raises(ValueError, match="requires c or h_W nonzero"):
+        verma.zd_find_p(HighestWeight.w22(h_ctx, c=0, h=h_ctx.var("h"), hW=0))
 
 
 def test_degenerate_levels_beyond_the_old_scan_are_refused():
