@@ -4,9 +4,10 @@ Every invocation builds a Job, runs it to a Report, and emits the report
 in one of three formats.  Reports are deterministic for a given job
 (timing aside), and the json form parses back into an equal Report.
 
-Exit codes: 0 on success, 2 on malformed parameters or a failed
-precondition, 3 when a decision procedure returns an Unknown verdict or a
-computation is refused as beyond its level budget.
+Exit codes: 0 on success, 2 on malformed parameters, a parameter the job
+does not read, or a failed precondition, 3 when a decision procedure
+returns an Unknown verdict or a computation is refused as beyond its
+level budget.
 """
 
 from __future__ import annotations
@@ -153,11 +154,13 @@ def _eval_node(node: ast.AST, ctx: PolyContext) -> Scalar:
 
 
 class _Params:
-    """Collected weight and series parameters for one job."""
+    """Collected weight and series parameters for one job, and the names
+    the job has read."""
 
     def __init__(self, given: dict, symbolic: list, notes: list):
         self.given = given
         self.notes = notes
+        self.read: set = set()
         seen = []
         for name in symbolic:
             if name not in _PARAM_ORDER:
@@ -176,12 +179,18 @@ class _Params:
 
     def value(self, name: str) -> Scalar | None:
         """The declared value of a parameter, or None when absent."""
+        self.read.add(name)
         if name in self.symbolic:
             return self.ctx.var(name)
         raw = self.given.get(name)
         if raw is None:
             return None
         return parse_expression(raw, self.ctx)
+
+    def unread(self) -> list:
+        """The bound or symbolic parameters that value() was never asked for."""
+        return [n for n in _PARAM_ORDER if n not in self.read
+                and (n in self.symbolic or self.given.get(n) is not None)]
 
     def require(self, name: str) -> Scalar:
         val = self.value(name)
@@ -417,7 +426,8 @@ def _run_scan(job: Job, params: _Params) -> Report:
     offsets = []
     raw = job.parameters.get("offsets")
     if raw:
-        offsets = [Fraction(piece.strip()) for piece in raw.split(",") if piece.strip()]
+        offsets = [parse_expression(piece, PolyContext(())).as_fraction()
+                   for piece in raw.split(",") if piece.strip()]
     rows = verma.conjecture_scan(p_max, r_max, offsets)
     results = {"pmax": p_max, "rmax": r_max,
                "offsets": [str(d) for d in offsets], "rows": rows}
@@ -457,6 +467,9 @@ def run(job: Job) -> Report:
     params = _Params(given, list(symbolic), notes)
     started = time.perf_counter()
     report = runner(job, params)
+    unread = params.unread()
+    if unread:
+        raise ValueError(f"parameters not read by {job.command}: {', '.join(unread)}")
     report.notes = notes + list(report.notes)
     report.timing = {"seconds": round(time.perf_counter() - started, 6)}
     return report
@@ -468,86 +481,75 @@ def run(job: Job) -> Report:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="vermatools",
+        prog="vermatools", allow_abbrev=False,
         description="Exact singular vectors, characters, and tensor-product "
                     "decisions for two extended Virasoro algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
+    w22, hv = ("c", "h", "hW"), ("h", "cL", "cLI", "cI", "hI")
+    both = _PARAM_ORDER[:7]  # every weight; --algebra picks the ones read
 
-    def common(p_sub, series=False):
+    def command(name, help_text):
+        return sub.add_parser(name, help=help_text, allow_abbrev=False)
+
+    def common(p_sub, names):
         p_sub.add_argument("--format", choices=("json", "text", "latex"),
                            default="text")
         p_sub.add_argument("--symbolic", action="append", default=[],
                            metavar="NAME",
                            help="treat NAME as a formal parameter (up to 3)")
-        names = list(_PARAM_ORDER)
-        if not series:
-            for skip in ("alpha", "beta", "F"):
-                names.remove(skip)
         for name in names:
             p_sub.add_argument(f"--{name}", type=str, default=None,
                                help=f"exact value for {name}")
-            p_sub.add_argument(f"--{name}-sym", action="store_true",
-                               help=f"shorthand for --symbolic {name}")
 
-    p_sing = sub.add_parser("singular", help="singular vectors at level p")
+    p_sing = command("singular", "singular vectors at level p")
     p_sing.add_argument("--algebra", choices=("w22", "hv"), default="w22")
     p_sing.add_argument("--p", type=int, required=True)
     p_sing.add_argument("--case", choices=("I", "L"), default="I",
                         help="degeneracy case for the twisted algebra")
-    common(p_sing)
+    common(p_sing, both)
 
-    p_sub_ = sub.add_parser("subsingular", help="the level-rp subsingular vector")
+    p_sub_ = command("subsingular", "the level-rp subsingular vector")
     p_sub_.add_argument("--p", type=int, required=True)
     p_sub_.add_argument("--r", type=int, required=True)
-    common(p_sub_)
+    common(p_sub_, w22)
 
-    p_cls = sub.add_parser("classify", help="submodule structure of a Verma module")
+    p_cls = command("classify", "submodule structure of a Verma module")
     p_cls.add_argument("--algebra", choices=("w22", "hv"), default="w22")
-    common(p_cls)
+    common(p_cls, both)
 
-    p_chr = sub.add_parser("character", help="graded dimension series")
+    p_chr = command("character", "graded dimension series")
     p_chr.add_argument("--family", choices=_CHAR_FAMILIES, default="verma")
     p_chr.add_argument("--N", type=int, default=20, help="truncation order")
     p_chr.add_argument("--p", type=int)
     p_chr.add_argument("--r", type=int)
-    common(p_chr)
+    common(p_chr, w22)
 
-    p_ten = sub.add_parser("tensor", help="irreducibility of a tensor product")
+    p_ten = command("tensor", "irreducibility of a tensor product")
     p_ten.add_argument("--n", type=int, default=None,
                        help="also report the layer weight at this index")
-    common(p_ten, series=True)
+    common(p_ten, w22 + ("alpha", "beta"))
 
-    p_hv = sub.add_parser("hv-decide",
-                          help="tensor decision for the twisted algebra")
+    p_hv = command("hv-decide", "tensor decision for the twisted algebra")
     p_hv.add_argument("--p", type=int, default=None,
                       help="bind hI to the degenerate ratio for this p")
     p_hv.add_argument("--case", choices=("I", "L"), default="I")
-    common(p_hv, series=True)
+    common(p_hv, hv + ("alpha", "beta", "F"))
 
-    p_scan = sub.add_parser("scan", help="subsingular existence evidence grid")
+    p_scan = command("scan", "subsingular existence evidence grid")
     p_scan.add_argument("--pmax", type=int, required=True)
     p_scan.add_argument("--rmax", type=int, required=True)
     p_scan.add_argument("--offsets", type=str, default="",
                         help="comma-separated h offsets that must fail")
     p_scan.add_argument("--format", choices=("json", "text", "latex"),
                         default="text")
-    p_scan.add_argument("--symbolic", action="append", default=[])
 
     return parser
 
 
 def _job_from_args(args: argparse.Namespace) -> Job:
-    parameters: dict = {}
-    symbolic = list(args.symbolic)
-    for key, value in sorted(vars(args).items()):
-        if key in ("command", "format", "symbolic"):
-            continue
-        if value is None or value is False:
-            continue
-        if key.endswith("_sym"):
-            symbolic.append(key[:-4])
-            continue
-        parameters[key] = value if isinstance(value, (int, str)) else str(value)
+    parameters = {key: value for key, value in sorted(vars(args).items())
+                  if key not in ("command", "format", "symbolic") and value is not None}
+    symbolic = getattr(args, "symbolic", [])
     if symbolic:
         parameters["symbolic"] = symbolic
     return Job(args.command, parameters)

@@ -199,34 +199,6 @@ def _prem(a: Poly, b: Poly, v: int) -> Poly:
     return rem
 
 
-_GCD_PRIMES = ((1 << 61) - 1, (1 << 31) - 1, 999999937, 998244353)
-
-
-def _gcd_degree_mod(x: list, y: list, q: int) -> int | None:
-    """Degree of gcd(x, y) over GF(q), or None when a leading coeff vanishes.
-
-    For q not dividing either leading coefficient this degree bounds the
-    true gcd degree from above, so a result of 0 proves coprimality.
-    """
-    if x[-1] % q == 0 or y[-1] % q == 0:
-        return None
-    a = [c % q for c in x]
-    b = [c % q for c in y]
-    while b:
-        inv = pow(b[-1], -1, q)
-        while len(a) >= len(b):
-            c = a[-1] * inv % q
-            if c:
-                off = len(a) - len(b)
-                for i in range(len(b) - 1):
-                    a[off + i] = (a[off + i] - c * b[i]) % q
-            a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-        a, b = b, a
-    return len(a) - 1
-
-
 def _strip_content(out: list) -> list:
     g = 0
     for c in out:
@@ -251,12 +223,6 @@ def _pgcd_uni(a: Poly, b: Poly, v: int) -> Poly:
     x, y = todense(a), todense(b)
     if len(x) < len(y):
         x, y = y, x
-    for q in _GCD_PRIMES:
-        d = _gcd_degree_mod(x, y, q)
-        if d is not None:
-            if d == 0:
-                return _pconst(n, 1)
-            break
     x = _strip_content(x)
     y = _strip_content(y)
     while y:

@@ -23,8 +23,8 @@ def test_singular_level_two_row(capsys):
     assert out.strip() == "(W(-2) - 3/(4*hW) W(-1)^2).v"
 
 
-def test_subsingular_example_with_sym_alias(capsys):
-    code, out, _ = run_main(capsys, "subsingular", "--c-sym", "--h", "-1/2",
+def test_subsingular_example_with_symbolic_c(capsys):
+    code, out, _ = run_main(capsys, "subsingular", "--symbolic", "c", "--h", "-1/2",
                             "--hW", "0", "--p", "1", "--r", "2")
     assert code == 0
     assert out.strip() == "(L(-1)^2 + 6/c W(-2)).v"
@@ -61,6 +61,52 @@ def test_scan_rows_all_pass(capsys):
     assert [(row["p"], row["r"]) for row in rows] == [(1, 1), (1, 2), (2, 1), (2, 2)]
     assert all(row["ok"] for row in rows)
     assert all(all(row["offsets"].values()) for row in rows)
+
+
+@pytest.mark.parametrize("offsets", ["0.5", "1e-3", "1/3,0.5"])
+def test_scan_float_offsets_exit_two(capsys, offsets):
+    code, out, err = run_main(capsys, "scan", "--pmax", "1", "--rmax", "1",
+                              "--offsets", offsets)
+    assert code == 2
+    assert out == ""
+    assert "only integer literals are exact" in err
+
+
+_TENSOR = ("tensor", "--c", "-8", "--h", "13/4", "--hW", "1", "--alpha", "1/3",
+           "--beta", "0")
+
+
+@pytest.mark.parametrize("argv,named", [
+    (_TENSOR + ("--F", "5"), "--F"),
+    (_TENSOR + ("--cLI", "7"), "--cLI"),
+    (("classify", "--c", "-8", "--h", "5", "--hW", "1", "--cLI", "3"), "cLI"),
+    (("hv-decide", "--cLI", "1", "--h", "3", "--hI", "3", "--alpha", "1/3",
+      "--beta", "0", "--F", "3", "--c", "99"), "--c"),
+    (("subsingular", "--hW", "1", "--p", "3", "--r", "1", "--hI", "4"), "--hI"),
+    (("character", "--N", "3", "--hI", "2"), "--hI"),
+    (("classify", "--algebra", "hv", "--cLI", "2", "--hI", "6", "--h", "3",
+      "--hW", "1"), "hW"),
+    (("singular", "--p", "2", "--symbolic", "hW", "--symbolic", "cLI"), "cLI"),
+    (("scan", "--pmax", "1", "--rmax", "1", "--symbolic", "hW"), "--symbolic"),
+    (("scan", "--pmax", "1", "--rmax", "1", "--off", "1/3"), "--off"),
+    (("tensor", "--c", "-8", "--h", "13/4", "--hW", "1", "--alph", "1/3",
+      "--beta", "0"), "--alph"),
+])
+def test_parameter_the_command_does_not_read_exits_two(capsys, argv, named):
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:  # argparse refuses a flag the command lacks
+        code = stop.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert named in captured.err
+
+
+def test_library_job_with_an_unread_parameter_raises():
+    job = Job("tensor", {"c": "-8", "h": "13/4", "hW": "1", "alpha": "1/3",
+                         "beta": "0", "F": "5"})
+    with pytest.raises(ValueError, match="parameters not read by tensor: F"):
+        run(job)
 
 
 def test_json_round_trip():

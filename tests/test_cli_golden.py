@@ -29,7 +29,7 @@ JOBS = [
     ("singular", "--p", "2", "--c", "5", "--hW", "1"),
     ("singular", "--algebra", "hv", "--p", "2", "--case", "I", "--cLI", "1", "--symbolic", "h"),
     ("singular", "--algebra", "hv", "--p", "2", "--case", "L", "--cLI", "1", "--h", "3"),
-    ("subsingular", "--c-sym", "--h", "-1/2", "--hW", "0", "--p", "1", "--r", "2"),
+    ("subsingular", "--symbolic", "c", "--h", "-1/2", "--hW", "0", "--p", "1", "--r", "2"),
     ("subsingular", "--symbolic", "hW", "--p", "2", "--r", "2"),
     ("subsingular", "--symbolic", "hW", "--h", "hW+7/3", "--p", "2", "--r", "1"),
     ("subsingular", "--hW", "1", "--p", "3", "--r", "1"),
@@ -67,6 +67,8 @@ JOBS = [
     ("scan", "--pmax", "2", "--rmax", "2", "--offsets", "1/3,-2"),
     ("classify", "--c", "0", "--h", "5", "--hW", "0"),
     ("tensor", "--c", "0", "--h", "5", "--hW", "0", "--alpha", "1/3", "--beta", "0"),
+    ("classify", "--c", "-8", "--h", "5", "--hW", "1", "--cLI", "3"),
+    ("singular", "--p", "2", "--symbolic", "hW", "--symbolic", "cLI"),
 ]
 
 
