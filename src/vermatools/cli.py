@@ -154,15 +154,14 @@ def _eval_node(node: ast.AST, ctx: PolyContext) -> Scalar:
 
 
 class _Params:
-    """Collected weight and series parameters for one job, and the names
-    the job has read."""
+    """Every parameter of one job, and the names the job has read."""
 
-    def __init__(self, given: dict, symbolic: list, notes: list):
-        self.given = given
+    def __init__(self, parameters: dict, notes: list):
+        self.given = {k: v for k, v in parameters.items() if k != "symbolic"}
         self.notes = notes
         self.read: set = set()
         seen = []
-        for name in symbolic:
+        for name in parameters.get("symbolic") or []:
             if name not in _PARAM_ORDER:
                 raise ValueError(f"unknown parameter {name!r}")
             if name in seen:
@@ -171,26 +170,43 @@ class _Params:
         if len(seen) > _MAX_SYMBOLIC:
             raise ValueError(f"at most {_MAX_SYMBOLIC} symbolic parameters "
                              f"per job, got {len(seen)}")
-        if any(self.given.get(name) is not None for name in seen):
-            clash = [n for n in seen if self.given.get(n) is not None]
+        clash = [n for n in seen if self.given.get(n) is not None]
+        if clash:
             raise ValueError(f"parameters both symbolic and bound: {clash}")
         self.symbolic = tuple(n for n in _PARAM_ORDER if n in seen)
         self.ctx = PolyContext(self.symbolic)
 
-    def value(self, name: str) -> Scalar | None:
-        """The declared value of a parameter, or None when absent."""
+    def get(self, name: str, default=None):
+        """The given value of a parameter, or the default when absent."""
         self.read.add(name)
+        value = self.given.get(name)
+        return default if value is None else value
+
+    def declared(self, name: str) -> bool:
+        """Whether the job binds the parameter or declares it symbolic."""
+        return name in self.symbolic or self.given.get(name) is not None
+
+    def levels(self, *names: str) -> list:
+        """The named integer parameters; ValueError unless each is at least 1."""
+        self.read.update(names)
+        values = [int(self.given[name]) for name in names]
+        if min(values) < 1:
+            what = "a positive integer" if len(names) == 1 else "positive integers"
+            raise ValueError(f"{' and '.join(names)} must be {what}")
+        return values
+
+    def value(self, name: str) -> Scalar | None:
+        """The declared value of a weight or series parameter, or None."""
         if name in self.symbolic:
+            self.read.add(name)
             return self.ctx.var(name)
-        raw = self.given.get(name)
-        if raw is None:
-            return None
-        return parse_expression(raw, self.ctx)
+        raw = self.get(name)
+        return None if raw is None else parse_expression(raw, self.ctx)
 
     def unread(self) -> list:
-        """The bound or symbolic parameters that value() was never asked for."""
-        return [n for n in _PARAM_ORDER if n not in self.read
-                and (n in self.symbolic or self.given.get(n) is not None)]
+        """The given or symbolic parameters the job never read."""
+        return sorted(n for n in {*self.symbolic, *self.given}
+                      if n not in self.read and self.declared(n))
 
     def require(self, name: str) -> Scalar:
         val = self.value(name)
@@ -237,10 +253,9 @@ def _w22_weight(params: _Params, p: int | None = None,
     return HighestWeight.w22(ctx, c=c, h=h, hW=hW)
 
 
-def _hv_weight(params: _Params, p: int | None = None,
-               case: str = "I") -> HighestWeight:
-    """Twisted Heisenberg-Virasoro highest weight, with optional binding
-    of hI to the degenerate ratio for a requested p."""
+def _hv_weight(params: _Params, p: int | None = None) -> HighestWeight:
+    """Twisted Heisenberg-Virasoro highest weight; without hI, a requested
+    p binds hI to the degenerate ratio of the case that --case names."""
     cL = params.default("cL", 0, "cL does not affect this computation")
     cLI = params.require("cLI")
     cI = params.default("cI", 0, "the theory requires cI = 0")
@@ -250,6 +265,7 @@ def _hv_weight(params: _Params, p: int | None = None,
         if p is None:
             raise ValueError("parameter 'hI' is required; pass --hI or "
                              "--symbolic hI")
+        case = params.get("case", "I")
         mult = 1 + p if case == "I" else 1 - p
         hI = cLI * mult
         params.notes.append(f"bound hI = {mult} cLI = {hI} "
@@ -268,22 +284,10 @@ def _series(params: _Params, with_f: bool) -> tensor.IntermediateSeries:
 # Command implementations
 
 
-def _positive(job: Job, *names: str) -> list:
-    """The named integer parameters; ValueError unless each is at least 1."""
-    values = [int(job.parameters[name]) for name in names]
-    if min(values) < 1:
-        what = "a positive integer" if len(names) == 1 else "positive integers"
-        raise ValueError(f"{' and '.join(names)} must be {what}")
-    return values
-
-
 def _run_singular(job: Job, params: _Params) -> Report:
-    algebra = job.parameters.get("algebra", "w22")
-    [p] = _positive(job, "p")
-    if algebra == "w22":
-        hw = _w22_weight(params, p=p)
-    else:
-        hw = _hv_weight(params, p=p, case=job.parameters.get("case", "I"))
+    algebra = params.get("algebra", "w22")
+    [p] = params.levels("p")
+    hw = _w22_weight(params, p=p) if algebra == "w22" else _hv_weight(params, p=p)
     M = ModuleContext(hw)
     vectors = verma.singular_space(M, p)
     text = [render.text_vector(v) for v in vectors]
@@ -298,7 +302,7 @@ def _run_singular(job: Job, params: _Params) -> Report:
 
 
 def _run_subsingular(job: Job, params: _Params) -> Report:
-    p, r = _positive(job, "p", "r")
+    p, r = params.levels("p", "r")
     hw = _w22_weight(params, p=p, r=r)
     M = ModuleContext(hw)
     u = verma.subsingular(M, p, r)
@@ -314,7 +318,7 @@ def _run_subsingular(job: Job, params: _Params) -> Report:
 
 
 def _run_classify(job: Job, params: _Params) -> Report:
-    algebra = job.parameters.get("algebra", "w22")
+    algebra = params.get("algebra", "w22")
     hw = _w22_weight(params) if algebra == "w22" else _hv_weight(params)
     rep = verma.classify(ModuleContext(hw))
     results = {"algebra": algebra, "report": rep.to_json()}
@@ -338,39 +342,31 @@ def _run_classify(job: Job, params: _Params) -> Report:
     return Report(job, results, rendered=rendered)
 
 
-_CHAR_FAMILIES = ("verma", "jprime", "lprime", "l", "j")
+_CHAR_FAMILIES = {"verma": verma.char_verma, "jprime": verma.char_j_prime,
+                  "lprime": verma.char_l_prime, "l": verma.char_l, "j": verma.char_j}
 
 
 def _run_character(job: Job, params: _Params) -> Report:
-    family = job.parameters.get("family", "verma")
+    family = params.get("family", "verma")
     if family not in _CHAR_FAMILIES:
-        raise ValueError(f"family must be one of {_CHAR_FAMILIES}")
-    n_order = int(job.parameters.get("N", 20))
+        raise ValueError(f"family must be one of {tuple(_CHAR_FAMILIES)}")
+    n_order = int(params.get("N", 20))
     if n_order < 0:
         raise ValueError("N must be a nonnegative integer")
     if family == "verma":
-        ctx = params.ctx
-        hw = HighestWeight.w22(
-            ctx,
-            c=params.default("c", 0, "c does not change the series"),
-            h=params.default("h", 0, "h defaults to 0 when omitted"),
-            hW=params.default("hW", 0, "hW does not change the series"))
-        series = verma.char_verma(hw, n_order)
+        # the Verma series reads h alone; c and hW are placeholders
+        zero = params.ctx.zero
+        h = params.default("h", 0, "h defaults to 0 when omitted")
+        hw, levels = HighestWeight.w22(params.ctx, c=zero, h=h, hW=zero), ()
     else:
-        if job.parameters.get("p") is None:
-            raise ValueError(f"family {family!r} needs --p")
-        if family in ("l", "j"):
-            if job.parameters.get("r") is None:
-                raise ValueError(f"family {family!r} needs --r")
-            p, r = _positive(job, "p", "r")
-            hw = _w22_weight(params, p=p, r=r)
-            fn = verma.char_l if family == "l" else verma.char_j
-            series = fn(hw, p, r, n_order)
-        else:
-            [p] = _positive(job, "p")
-            hw = _w22_weight(params, p=p)
-            fn = verma.char_l_prime if family == "lprime" else verma.char_j_prime
-            series = fn(hw, p, n_order)
+        names = ("p", "r") if family in ("l", "j") else ("p",)
+        for name in names:
+            if params.get(name) is None:
+                raise ValueError(f"family {family!r} needs --{name}")
+        levels = params.levels(*names)
+        hw = _w22_weight(params, *levels)
+        verma.require_degenerate(hw, *levels)
+    series = _CHAR_FAMILIES[family](hw, *levels, n_order)
     results = {"family": family, "N": n_order, "series": series.to_json()}
     rendered = {"text": series.text(), "latex": render.latex_character(series)}
     return Report(job, results, rendered=rendered)
@@ -402,7 +398,7 @@ def _run_tensor(job: Job, params: _Params) -> Report:
     decision = tensor.decide_tensor(hw, s)
     results = {"decision": decision.to_json(),
                "series": s.to_json()}
-    layer = job.parameters.get("n")
+    layer = params.get("n")
     if layer is not None:
         wq = tensor.subquotient_weight(hw, s, int(layer))
         results["subquotientWeight"] = wq.to_json()
@@ -410,8 +406,11 @@ def _run_tensor(job: Job, params: _Params) -> Report:
 
 
 def _run_hv_decide(job: Job, params: _Params) -> Report:
-    p = _positive(job, "p")[0] if job.parameters.get("p") is not None else None
-    hw = _hv_weight(params, p=p, case=job.parameters.get("case", "I"))
+    # --p binds hI only when hI is not given, so it is read only then
+    p = None
+    if not params.declared("hI") and params.get("p") is not None:
+        [p] = params.levels("p")
+    hw = _hv_weight(params, p=p)
     s = _series(params, with_f=True)
     decision = tensor.decide_tensor_hv(hw, s)
     return _decision_report(job, {"decision": decision.to_json(), "series": s.to_json()},
@@ -419,15 +418,9 @@ def _run_hv_decide(job: Job, params: _Params) -> Report:
 
 
 def _run_scan(job: Job, params: _Params) -> Report:
-    p_max = int(job.parameters["pmax"])
-    r_max = int(job.parameters["rmax"])
-    if p_max < 1 or r_max < 1:
-        raise ValueError("pmax and rmax must be positive")
-    offsets = []
-    raw = job.parameters.get("offsets")
-    if raw:
-        offsets = [parse_expression(piece, PolyContext(())).as_fraction()
-                   for piece in raw.split(",") if piece.strip()]
+    p_max, r_max = params.levels("pmax", "rmax")
+    offsets = [parse_expression(piece, PolyContext(())).as_fraction()
+               for piece in params.get("offsets", "").split(",") if piece.strip()]
     rows = verma.conjecture_scan(p_max, r_max, offsets)
     results = {"pmax": p_max, "rmax": r_max,
                "offsets": [str(d) for d in offsets], "rows": rows}
@@ -462,9 +455,7 @@ def run(job: Job) -> Report:
     if runner is None:
         raise ValueError(f"unknown command {job.command!r}")
     notes: list = []
-    symbolic = job.parameters.get("symbolic", [])
-    given = {name: job.parameters.get(name) for name in _PARAM_ORDER}
-    params = _Params(given, list(symbolic), notes)
+    params = _Params(job.parameters, notes)
     started = time.perf_counter()
     report = runner(job, params)
     unread = params.unread()
@@ -494,18 +485,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p_sub, names):
         p_sub.add_argument("--format", choices=("json", "text", "latex"),
                            default="text")
-        p_sub.add_argument("--symbolic", action="append", default=[],
-                           metavar="NAME",
+        p_sub.add_argument("--symbolic", action="append", metavar="NAME",
                            help="treat NAME as a formal parameter (up to 3)")
         for name in names:
-            p_sub.add_argument(f"--{name}", type=str, default=None,
-                               help=f"exact value for {name}")
+            p_sub.add_argument(f"--{name}", type=str, help=f"exact value for {name}")
 
     p_sing = command("singular", "singular vectors at level p")
-    p_sing.add_argument("--algebra", choices=("w22", "hv"), default="w22")
+    p_sing.add_argument("--algebra", choices=("w22", "hv"))
     p_sing.add_argument("--p", type=int, required=True)
-    p_sing.add_argument("--case", choices=("I", "L"), default="I",
-                        help="degeneracy case for the twisted algebra")
+    p_sing.add_argument("--case", choices=("I", "L"),
+                        help="degeneracy case that binds hI for the twisted algebra")
     common(p_sing, both)
 
     p_sub_ = command("subsingular", "the level-rp subsingular vector")
@@ -514,31 +503,29 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_sub_, w22)
 
     p_cls = command("classify", "submodule structure of a Verma module")
-    p_cls.add_argument("--algebra", choices=("w22", "hv"), default="w22")
+    p_cls.add_argument("--algebra", choices=("w22", "hv"))
     common(p_cls, both)
 
     p_chr = command("character", "graded dimension series")
-    p_chr.add_argument("--family", choices=_CHAR_FAMILIES, default="verma")
-    p_chr.add_argument("--N", type=int, default=20, help="truncation order")
+    p_chr.add_argument("--family", choices=tuple(_CHAR_FAMILIES))
+    p_chr.add_argument("--N", type=int, help="truncation order")
     p_chr.add_argument("--p", type=int)
     p_chr.add_argument("--r", type=int)
     common(p_chr, w22)
 
     p_ten = command("tensor", "irreducibility of a tensor product")
-    p_ten.add_argument("--n", type=int, default=None,
-                       help="also report the layer weight at this index")
+    p_ten.add_argument("--n", type=int, help="also report the layer weight at this index")
     common(p_ten, w22 + ("alpha", "beta"))
 
     p_hv = command("hv-decide", "tensor decision for the twisted algebra")
-    p_hv.add_argument("--p", type=int, default=None,
-                      help="bind hI to the degenerate ratio for this p")
-    p_hv.add_argument("--case", choices=("I", "L"), default="I")
+    p_hv.add_argument("--p", type=int, help="bind hI to the degenerate ratio for this p")
+    p_hv.add_argument("--case", choices=("I", "L"))
     common(p_hv, hv + ("alpha", "beta", "F"))
 
     p_scan = command("scan", "subsingular existence evidence grid")
     p_scan.add_argument("--pmax", type=int, required=True)
     p_scan.add_argument("--rmax", type=int, required=True)
-    p_scan.add_argument("--offsets", type=str, default="",
+    p_scan.add_argument("--offsets", type=str,
                         help="comma-separated h offsets that must fail")
     p_scan.add_argument("--format", choices=("json", "text", "latex"),
                         default="text")
@@ -548,10 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _job_from_args(args: argparse.Namespace) -> Job:
     parameters = {key: value for key, value in sorted(vars(args).items())
-                  if key not in ("command", "format", "symbolic") and value is not None}
-    symbolic = getattr(args, "symbolic", [])
-    if symbolic:
-        parameters["symbolic"] = symbolic
+                  if key not in ("command", "format") and value is not None}
     return Job(args.command, parameters)
 
 

@@ -23,7 +23,7 @@ from . import linalg
 from .liealg import HV, W22, Generator, check_generator
 from .pbw import HighestWeight, ModuleContext, PBWMonomial
 from .scalar import PolyContext, Scalar
-from .verma import classify, hv_find_p, necessary_h, witness_quotient, word_images
+from .verma import classify, hv_find_p, require_degenerate, witness_quotient, word_images
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +351,9 @@ def lambda_product(hw: HighestWeight, s: IntermediateSeries, n: int,
     a nonzero value certifies one cyclicity step.  The highest weight
     must sit at the degenerate point carrying that subsingular vector.
     """
-    ctx = s.ctx
-    hW, h, c = hw["hW"], hw["h"], hw["c"]
-    if not (hW * 2 + c * Fraction(p * p - 1, 12)).is_zero():
-        raise ValueError(f"weight is not degenerate at p={p}")
-    if not (h - ctx.scalar(necessary_h(p, r, hW))).is_zero():
-        raise ValueError(f"h is not at the subsingular point for (p, r)=({p}, {r})")
-    base = ctx.scalar(n) + s.alpha + s.beta * (1 - p)
-    out = ctx.one
+    require_degenerate(hw, p, r)
+    base = s.ctx.scalar(n) + s.alpha + s.beta * (1 - p)
+    out = s.ctx.one
     for j in range(r):
         out = out * (base + (r - j) * p - 1)
     return out

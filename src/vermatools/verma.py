@@ -314,6 +314,16 @@ def necessary_h(p: int, r: int, hW) -> Scalar | Fraction:
     return hW + Fraction((13 * p + 1) * (p - 1), 12) + Fraction((1 - r) * p, 2)
 
 
+def require_degenerate(hw: HighestWeight, p: int, r: int | None = None) -> None:
+    """ValueError unless the W(2,2) weight is degenerate at p and, given r,
+    h is the necessary value for (p, r)."""
+    hW, h, c = hw["hW"], hw["h"], hw["c"]
+    if not (hW * 2 + c * Fraction(p * p - 1, 12)).is_zero():
+        raise ValueError(f"weight is not degenerate at p={p}")
+    if r is not None and not (h - necessary_h(p, r, hW)).is_zero():
+        raise ValueError(f"h is not at the subsingular point for (p, r)=({p}, {r})")
+
+
 def subsingular(M: ModuleContext, p: int, r: int):
     """The level-rp vector singular modulo J', or None.
 

@@ -91,6 +91,21 @@ _TENSOR = ("tensor", "--c", "-8", "--h", "13/4", "--hW", "1", "--alpha", "1/3",
     (("scan", "--pmax", "1", "--rmax", "1", "--off", "1/3"), "--off"),
     (("tensor", "--c", "-8", "--h", "13/4", "--hW", "1", "--alph", "1/3",
       "--beta", "0"), "--alph"),
+    # --case and hv-decide --p bind hI, so a given hI leaves them unread
+    (("hv-decide", "--cLI", "1", "--h", "3", "--hI", "3", "--alpha", "1/3", "--beta", "0",
+      "--F", "0", "--case", "L"), "read by hv-decide: case\n"),
+    (("hv-decide", "--cLI", "1", "--h", "3", "--hI", "5", "--p", "2", "--case", "L",
+      "--alpha", "1/3", "--beta", "0", "--F", "3"), "read by hv-decide: case, p\n"),
+    (("hv-decide", "--cLI", "1", "--h", "3", "--alpha", "1/3", "--beta", "0", "--F", "3",
+      "--p", "0", "--hI", "3"), "read by hv-decide: p\n"),
+    (("singular", "--algebra", "hv", "--p", "2", "--case", "L", "--hI", "3", "--cLI", "1",
+      "--h", "3"), "read by singular: case\n"),
+    (("singular", "--algebra", "w22", "--case", "L", "--p", "2", "--symbolic", "hW"),
+     "read by singular: case\n"),
+    # the Verma series reads only h and N
+    (("character", "--family", "verma", "--p", "3", "--r", "9", "--N", "3"),
+     "read by character: p, r\n"),
+    (("character", "--N", "3", "--c", "1", "--hW", "2"), "read by character: c, hW\n"),
 ])
 def test_parameter_the_command_does_not_read_exits_two(capsys, argv, named):
     try:
@@ -334,10 +349,16 @@ def test_symbolic_classify_verdict_is_marked_generic(capsys):
     (("character", "--N", "-3"), "N must be a nonnegative integer"),
     (("hv-decide", "--cLI", "1", "--h", "3", "--alpha", "1/3", "--beta", "0", "--F", "3",
       "--p", "-3"), "p must be a positive integer"),
-    (("hv-decide", "--cLI", "1", "--h", "3", "--alpha", "1/3", "--beta", "0", "--F", "3",
-      "--p", "0", "--hI", "3"), "p must be a positive integer"),
     (("singular", "--p", "0", "--hW", "1"), "p must be a positive integer"),
     (("subsingular", "--p", "2", "--r", "0", "--hW", "1"), "p and r must be positive integers"),
+    (("scan", "--pmax", "0", "--rmax", "1"), "pmax and rmax must be positive integers"),
+    # a quotient character at a weight without that quotient's structure
+    (("character", "--family", "l", "--p", "2", "--r", "1", "--c", "7", "--hW", "1",
+      "--h", "0"), "weight is not degenerate at p=2"),
+    (("character", "--family", "jprime", "--p", "3", "--c", "1", "--hW", "1"),
+     "weight is not degenerate at p=3"),
+    (("character", "--family", "l", "--c", "1", "--h", "0", "--hW", "0", "--p", "1",
+      "--r", "2"), "h is not at the subsingular point for (p, r)=(1, 2)"),
 ])
 def test_out_of_range_levels_exit_two(capsys, argv, message):
     code, out, err = run_main(capsys, *argv)

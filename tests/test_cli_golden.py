@@ -9,6 +9,7 @@ change meant to alter an output rewrites the file with
 and the diff of the file shows what changed.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from vermatools.cli import main
+from vermatools.cli import _build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
@@ -69,6 +70,24 @@ JOBS = [
     ("tensor", "--c", "0", "--h", "5", "--hW", "0", "--alpha", "1/3", "--beta", "0"),
     ("classify", "--c", "-8", "--h", "5", "--hW", "1", "--cLI", "3"),
     ("singular", "--p", "2", "--symbolic", "hW", "--symbolic", "cLI"),
+    # flags that bind hI are unread once hI is given, and the Verma series
+    # reads neither the levels nor c and hW
+    _HV + ("--hI", "3", "--F", "0", "--case", "L"),
+    _HV + ("--hI", "5", "--p", "2", "--case", "L", "--F", "3"),
+    _HV + ("--F", "3", "--p", "0", "--hI", "3"),
+    ("singular", "--algebra", "hv", "--p", "2", "--case", "L", "--hI", "3", "--cLI", "1",
+     "--h", "3"),
+    ("singular", "--algebra", "w22", "--case", "L", "--p", "2", "--symbolic", "hW"),
+    ("singular", "--algebra", "w22", "--p", "2", "--symbolic", "hW", "--cL", "1", "--cI", "0"),
+    ("character", "--family", "verma", "--p", "3", "--r", "9", "--N", "3"),
+    ("classify", "--c", "1", "--h", "0", "--hW", "1", "--cL", "1"),
+    ("tensor", "--c", "-8", "--h", "13/4", "--hW", "1", "--alpha", "1/3", "--beta", "0",
+     "--symbolic", "F"),
+    # a quotient character or a subsingular vector off its degenerate weight
+    ("character", "--family", "l", "--p", "2", "--r", "1", "--c", "7", "--hW", "1", "--h", "0"),
+    ("character", "--family", "l", "--c", "1", "--h", "0", "--hW", "0", "--p", "1", "--r", "2"),
+    ("subsingular", "--c", "5", "--hW", "1", "--p", "2", "--r", "1"),
+    ("scan", "--pmax", "0", "--rmax", "1"),
 ]
 
 
@@ -81,6 +100,25 @@ def outcome(argv) -> dict:
     if report is not None:
         del report["timing"]
     return {"argv": list(argv), "exit": code, "stderr": err.getvalue(), "report": report}
+
+
+def _flags(argv) -> set:
+    return {token.split("=")[0] for token in argv if token.startswith("--")}
+
+
+def test_parser_keeps_no_defaults_and_golden_jobs_use_every_flag():
+    """A default would make a flag the user gave indistinguishable from one
+    the parser filled in; a flag no golden job passes has no pinned output."""
+    parser = _build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.dest not in ("help", "format"):
+                assert action.default is None, (name, action.option_strings)
+        used = set().union(*(_flags(argv) for argv in JOBS if argv[0] == name))
+        flags = {flag for action in sub._actions for flag in action.option_strings
+                 if flag.startswith("--") and flag not in ("--help", "--format")}
+        assert flags <= used, (name, sorted(flags - used))
 
 
 def _recorded() -> dict:

@@ -10,18 +10,21 @@ degree n (Shapovalov 1972).  Each lowering word reversed, with every mode
 negated, gives those raising words: up to signs they are the images of
 the PBW basis under the anti-involution that the form is built on.
 
-``gram_rank`` uses only the generator action and exact rationals: no
+``gram_matrix`` uses only the generator action and exact rationals: no
 solver, no QuotientModule and no character formula.  The tests compare
-it with the quotient that ``classify`` and ``witness_quotient`` give.
+its rank with the quotient that ``classify`` and ``witness_quotient``
+give, and its determinant with the product formula over the factors that
+``zd_find_p`` and ``hv_find_p`` read.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from vermatools import verma
-from vermatools.liealg import Generator
+from vermatools.liealg import W22, Generator
 from vermatools.pbw import EMPTY, HighestWeight, ModuleContext
 from vermatools.scalar import PolyContext
 
@@ -29,16 +32,19 @@ LEVELS = 6
 Q = PolyContext(())
 
 
-def _rank(rows: list) -> int:
-    """Rank of a matrix of Fractions: each row is scaled to integers, then
-    eliminated fraction-free (Bareiss 1968), where every division is exact."""
+def _rank(rows: list) -> tuple:
+    """Rank and determinant of a square matrix of Fractions: each row is
+    scaled to integers, then eliminated fraction-free (Bareiss 1968), where
+    every division is exact and the last pivot is the scaled determinant."""
     scales = [math.lcm(*(v.denominator for v in r)) for r in rows]
     rows = [[int(v * k) for v in r] for r, k in zip(rows, scales)]
-    rank, prev = 0, 1
+    rank, prev, sign = 0, 1, 1
     for col in range(len(rows[0])):
         piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
+        if piv != rank:
+            sign = -sign
         rows[rank], rows[piv] = rows[piv], rows[rank]
         top = rows[rank]
         for i in range(rank + 1, len(rows)):
@@ -46,11 +52,12 @@ def _rank(rows: list) -> int:
             rows[i] = [(x * top[col] - a * y) // prev for x, y in zip(rows[i], top)]
         prev = top[col]
         rank += 1
-    return rank
+    det = Fraction(sign * prev, math.prod(scales)) if rank == len(rows) else Fraction(0)
+    return rank, det
 
 
-def gram_rank(M: ModuleContext, n: int) -> int:
-    """Rank of the level-n Gram matrix of the contravariant form."""
+def gram_matrix(M: ModuleContext, n: int) -> list:
+    """The level-n Gram matrix of the contravariant form."""
     kind = M.hw.kind
     # form[word] maps each monomial x of the word's level to the
     # coefficient of v in X.x.v, X the raising word of the lowering word.
@@ -70,7 +77,7 @@ def gram_rank(M: ModuleContext, n: int) -> int:
                 form[word][x] = sum(c.as_fraction() * rest.get(y, 0)
                                     for y, c in images[first, x].items())
     basis = verma.weight_space_basis(n)
-    return _rank([[form[m.as_word(kind)][x] for x in basis] for m in basis])
+    return [[form[m.as_word(kind)][x] for x in basis] for m in basis]
 
 
 def _w22(p, r, offset=0, hW=Fraction(1)):
@@ -124,5 +131,53 @@ def test_gram_rank_is_the_witness_quotient_dimension(label):
     for n in range(LEVELS + 1):
         expected = (len(verma.weight_space_basis(n)) if quotient is None
                     else quotient.dim(n))
-        assert gram_rank(M, n) == expected, (label, n)
+        assert _rank(gram_matrix(M, n))[0] == expected, (label, n)
+
+
+# det G_n = KAPPA[n] * prod over r, s >= 1 with rs <= n of a level-r factor
+# to the power P2(n - rs): for W(2,2) the square of 2 hW + (r^2 - 1) c / 12,
+# for the twisted algebra at cI = 0 (hI - (1 + r) cLI)(hI - (1 - r) cLI).
+KAPPA = {1: -1, 2: 16, 3: -20736, 4: -28179280429056}
+
+
+def _factor(hw: HighestWeight, r: int) -> Fraction:
+    w = {name: value.as_fraction() for name, value in hw.weights.items()}
+    if hw.kind == W22:
+        return (2 * w["hW"] + (r * r - 1) * w["c"] / 12) ** 2
+    return (w["hI"] - (1 + r) * w["cLI"]) * (w["hI"] - (1 - r) * w["cLI"])
+
+
+def _product(hw: HighestWeight, n: int) -> Fraction:
+    return math.prod(_factor(hw, r) ** verma.pair_partition_count(n - r * s)
+                     for r in range(1, n + 1) for s in range(1, n // r + 1))
+
+
+def _random_weights(n: int) -> list:
+    rng = random.Random(n)
+
+    def q():
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 20))
+
+    return [w for _ in range(3)
+            for w in (HighestWeight.w22(Q, c=q(), h=q(), hW=q()),
+                      HighestWeight.hv(Q, cL=q(), cLI=q(), h=q(), hI=q(), cI=0))]
+
+
+@pytest.mark.parametrize("n", sorted(KAPPA))
+def test_gram_determinant_is_the_product_formula(n):
+    for hw in _random_weights(n):
+        product = _product(hw, n)
+        assert product != 0
+        assert _rank(gram_matrix(ModuleContext(hw), n))[1] / product == KAPPA[n], hw.weights
+
+
+@pytest.mark.parametrize("r", sorted(KAPPA))
+def test_gram_determinant_vanishes_on_each_factor(r):
+    c, cLI, h = Fraction(7, 3), Fraction(-5, 2), Fraction(2, 7)
+    zeros = [HighestWeight.w22(Q, c=c, h=h, hW=-(r * r - 1) * c / 24),
+             HighestWeight.hv(Q, cL=1, cLI=cLI, h=h, hI=(1 + r) * cLI, cI=0),
+             HighestWeight.hv(Q, cL=1, cLI=cLI, h=h, hI=(1 - r) * cLI, cI=0)]
+    for hw in zeros:
+        assert _factor(hw, r) == 0
+        assert _rank(gram_matrix(ModuleContext(hw), r))[1] == 0, hw.weights
 
