@@ -89,6 +89,11 @@ def check_generator(g: Generator, kind: str) -> None:
         raise ValueError(f"generator {g} does not belong to algebra {kind}")
 
 
+def second_family(kind: str) -> str:
+    """The family paired with L: "W" for W(2,2), "I" for the twisted algebra."""
+    return _FAMILIES[kind][1]
+
+
 def grade(g: Generator) -> int:
     """L_0-grading: grade(L(-3)) = 3, grade(W(2)) = -2, centrals are 0."""
     return -g.mode

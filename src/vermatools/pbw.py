@@ -16,7 +16,7 @@ monomial).  Everything is exact: coefficients are :class:`Scalar`.
 
 from __future__ import annotations
 
-from .liealg import HV, W22, Generator, bracket, check_generator
+from .liealg import HV, W22, Generator, bracket, check_generator, second_family
 from .scalar import PolyContext, Scalar
 
 
@@ -67,7 +67,7 @@ class PBWMonomial:
 
     def as_word(self, kind: str) -> tuple[Generator, ...]:
         """The monomial as a product of lowering generators, left to right."""
-        fam = "W" if kind == W22 else "I"
+        fam = second_family(kind)
         return tuple(Generator(fam, -m) for m in self.w) + tuple(
             Generator("L", -n) for n in self.l
         )
@@ -75,7 +75,7 @@ class PBWMonomial:
     def text(self, kind: str = W22) -> str:
         if self.is_empty():
             return "v"
-        fam = "W" if kind == W22 else "I"
+        fam = second_family(kind)
         parts = []
         for mode, mult in _run_lengths(self.w):
             parts.append(_pow_text(f"{fam}(-{mode})", mult))
@@ -160,14 +160,48 @@ class HighestWeight:
         return f"HighestWeight({self.kind}: {inner})"
 
 
-class ModuleVector:
-    """An exact, level-homogeneous element of the Verma module."""
+class Vector:
+    """A finite exact combination of basis keys with coefficients in
+    ``ctx.scalar_ctx``; zero coefficients are dropped."""
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: "ModuleContext", terms: dict):
+    def __init__(self, ctx, terms: dict):
         self.ctx = ctx
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
+        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _accumulate(out, k, c)
+        return type(self)(self.ctx, out)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def scaled(self, s):
+        s = self.ctx.scalar_ctx.scalar(s)
+        return type(self)(self.ctx, {k: c * s for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class ModuleVector(Vector):
+    """An exact, level-homogeneous element of the Verma module."""
+
+    __slots__ = ()
+
+    def __init__(self, ctx: "ModuleContext", terms: dict):
+        super().__init__(ctx, terms)
         levels = {m.level for m in self.terms}
         if len(levels) > 1:
             raise ValueError(f"vector mixes levels {sorted(levels)}")
@@ -178,35 +212,8 @@ class ModuleVector:
             return m.level
         return None
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, mono: PBWMonomial) -> Scalar:
         return self.terms.get(mono, self.ctx.scalar_ctx.zero)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            out[m] = c if s is None else s + c
-        return ModuleVector(self.ctx, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            out[m] = -c if s is None else s - c
-        return ModuleVector(self.ctx, out)
-
-    def scaled(self, s) -> "ModuleVector":
-        s = self.ctx.scalar_ctx.scalar(s)
-        return ModuleVector(self.ctx, {m: c * s for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, ModuleVector) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key(), reverse=True)
@@ -243,7 +250,7 @@ class ModuleContext:
         self.hw = hw
         self.kind = hw.kind
         self.scalar_ctx = hw.ctx
-        self.current = "W" if hw.kind == W22 else "I"
+        self.current = second_family(hw.kind)
         self._memo: dict = {}
 
     def vector(self, terms: dict) -> ModuleVector:
@@ -267,9 +274,7 @@ class ModuleContext:
         out: dict = {}
         for mono, coeff in x.terms.items():
             for m2, c2 in self._act_mono(g, mono):
-                s = out.get(m2)
-                prod = coeff * c2
-                out[m2] = prod if s is None else s + prod
+                _accumulate(out, m2, coeff * c2)
         return ModuleVector(self, out)
 
     def _act_mono(self, g: Generator, mono: PBWMonomial):

@@ -7,7 +7,7 @@ print in descending monomial order, pure L-monomials first.
 
 from __future__ import annotations
 
-from .liealg import W22
+from .liealg import W22, second_family
 from .pbw import ModuleVector, PBWMonomial, _run_lengths
 from .scalar import Scalar
 from .verma import CharacterSeries
@@ -20,10 +20,6 @@ _PARAM_LATEX = {
     "cI": "c_{I}",
     "alpha": "\\alpha",
     "beta": "\\beta",
-    "gamma": "\\gamma",
-    "lambda": "\\lambda",
-    "mu": "\\mu",
-    "epsilon": "\\epsilon",
 }
 
 
@@ -99,7 +95,7 @@ def _is_atom(tex: str) -> bool:
 def latex_monomial(mono: PBWMonomial, kind: str = W22) -> str:
     if mono.is_empty():
         return ""
-    fam = "W" if kind == W22 else "I"
+    fam = second_family(kind)
     parts = []
     for mode, mult in _run_lengths(mono.w):
         parts.append(f"{fam}_{{-{mode}}}" + (f"^{{{mult}}}" if mult > 1 else ""))

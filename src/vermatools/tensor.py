@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import linalg
 from .liealg import HV, W22, Generator, check_generator
-from .pbw import HighestWeight, ModuleContext, PBWMonomial
+from .pbw import HighestWeight, ModuleContext, PBWMonomial, Vector, _accumulate
 from .scalar import PolyContext, Scalar
 from .verma import classify, hv_find_p, require_degenerate, witness_quotient, word_images
 
@@ -112,51 +112,14 @@ def _column_key(col):
     return (-m, mono.sort_key())
 
 
-class TensorVector:
-    """Finite combination of v_m (x) (monomial . v), inside a window."""
+class TensorVector(Vector):
+    """Finite combination of v_m (x) (monomial . v), inside a window;
+    ``ctx`` is its TensorSpace."""
 
-    __slots__ = ("space", "terms")
-
-    def __init__(self, space: "TensorSpace", terms: dict):
-        self.space = space
-        self.terms = {key: cf for key, cf in terms.items() if not cf.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TensorVector") -> "TensorVector":
-        out = dict(self.terms)
-        for key, cf in other.terms.items():
-            _acc(out, key, cf)
-        return TensorVector(self.space, out)
-
-    def __sub__(self, other: "TensorVector") -> "TensorVector":
-        return self + other.scaled(-1)
-
-    def scaled(self, factor) -> "TensorVector":
-        f = self.space.M.scalar_ctx.scalar(factor)
-        return TensorVector(self.space,
-                            {key: cf * f for key, cf in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorVector):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    __slots__ = ()
 
     def __repr__(self):
-        return f"TensorVector({len(self.terms)} terms, window={self.space.window})"
-
-
-def _acc(store: dict, key, coeff: Scalar) -> None:
-    cur = store.get(key)
-    val = coeff if cur is None else cur + coeff
-    if val.is_zero():
-        store.pop(key, None)
-    else:
-        store[key] = val
+        return f"TensorVector({len(self.terms)} terms, window={self.ctx.window})"
 
 
 class TensorSpace:
@@ -175,6 +138,7 @@ class TensorSpace:
             raise ValueError("series parameters use a different context")
         self.M = M
         self.kind = M.kind
+        self.scalar_ctx = M.scalar_ctx
         self.series = series
         self.window = (int(window[0]), int(window[1]))
         if self.window[0] > self.window[1]:
@@ -183,9 +147,6 @@ class TensorSpace:
                              else index_origin)
         self.excluded = series.excluded_index()
         self._series_coeffs: dict = {}
-
-    def vector(self, terms: dict) -> TensorVector:
-        return TensorVector(self, dict(terms))
 
     def zero(self) -> TensorVector:
         return TensorVector(self, {})
@@ -197,8 +158,7 @@ class TensorSpace:
             raise ValueError(f"index {m} outside window [{lo}, {hi}]")
         if m == self.excluded:
             raise ValueError(f"index {m} is excluded from the primed series")
-        one = self.M.scalar_ctx.one
-        return TensorVector(self, {(m, PBWMonomial.make()): one})
+        return TensorVector(self, {(m, PBWMonomial.make()): self.scalar_ctx.one})
 
     def act(self, g: Generator, x: TensorVector) -> TensorVector:
         """Leibniz action of a generator on a tensor vector."""
@@ -216,9 +176,9 @@ class TensorSpace:
                     if m2 < lo or m2 > hi:
                         raise ValueError(
                             f"window overflow: index {m2} outside [{lo}, {hi}]")
-                    _acc(out, (m2, mono), cf * coeff)
+                    _accumulate(out, (m2, mono), cf * coeff)
             for mono2, c2 in self.M._act_mono(g, mono):
-                _acc(out, (m, mono2), cf * c2)
+                _accumulate(out, (m, mono2), cf * c2)
         return TensorVector(self, out)
 
     def multiply(self, word, x: TensorVector) -> TensorVector:
@@ -481,7 +441,7 @@ def _eliminate_to_target(space: TensorSpace, T: TensorVector,
                          "reduced to the bare target vector")
     rem = ech.reduce(dict(T.terms))
     if not rem:
-        return space.M.scalar_ctx.zero
+        return space.scalar_ctx.zero
     if set(rem) != {tgt}:
         raise ValueError("degenerate elimination: the reduction left "
                          "components away from the target index")

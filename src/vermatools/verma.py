@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalar import Scalar
-from .liealg import W22, HV, L, W, I, Generator
+from .liealg import W22, HV, L, W, Generator, second_family
 from .pbw import EMPTY, PBWMonomial, HighestWeight, ModuleVector, ModuleContext
 from . import linalg
 
@@ -119,7 +119,7 @@ def word_images(space, degree: int, start) -> list:
     """
     if degree < 0 or start.is_zero():
         return []
-    fam = "W" if space.kind == W22 else "I"
+    fam = second_family(space.kind)
     images = {}
     stack = [(0, EMPTY, None, start)]
     while stack:
@@ -206,8 +206,8 @@ def hv_find_p(hw: HighestWeight):
 
 
 def _raising_generators(kind: str) -> list:
-    second = W if kind == W22 else I
-    return [L(1), L(2), second(1), second(2)]
+    second = second_family(kind)
+    return [L(1), L(2), Generator(second, 1), Generator(second, 2)]
 
 
 def _raising_system(M: ModuleContext, unknowns, known=None) -> tuple:
@@ -478,27 +478,27 @@ class CharacterSeries:
         return {"offset": self.offset.to_json(), "coeffs": list(self.coeffs)}
 
 
+def _character(offset, mask, N: int) -> CharacterSeries:
+    """q^offset (sum of sign q^shift over the (shift, sign) pairs of mask)
+    sum_n P2(n) q^n to order N; pairs with equal shifts add."""
+    return CharacterSeries(offset, tuple(
+        sum(sign * pair_partition_count(n - shift) for shift, sign in mask)
+        for n in range(N + 1)))
+
+
 def char_verma(hw: HighestWeight, N: int) -> CharacterSeries:
     """Character of V: q^h sum_n P2(n) q^n to order N."""
-    return CharacterSeries(hw["h"], tuple(pair_partition_count(n) for n in range(N + 1)))
+    return _character(hw["h"], ((0, 1),), N)
 
 
 def char_j_prime(hw: HighestWeight, p: int, N: int) -> CharacterSeries:
     """Character of J' = U(g) u': q^{h+p} sum_n P2(n) q^n."""
-    return CharacterSeries(hw["h"] + p, tuple(pair_partition_count(n) for n in range(N + 1)))
-
-
-def _convolve_with(mask: dict, N: int) -> tuple:
-    """Coefficients of (sum_k mask[k] q^k) * sum_n P2(n) q^n to order N."""
-    out = []
-    for n in range(N + 1):
-        out.append(sum(c * pair_partition_count(n - k) for k, c in mask.items() if k <= n))
-    return tuple(out)
+    return _character(hw["h"] + p, ((0, 1),), N)
 
 
 def char_l_prime(hw: HighestWeight, p: int, N: int) -> CharacterSeries:
     """Character of V / J': q^h (1 - q^p) sum_n P2(n) q^n."""
-    return CharacterSeries(hw["h"], _convolve_with({0: 1, p: -1}, N))
+    return _character(hw["h"], ((0, 1), (p, -1)), N)
 
 
 def char_l(hw: HighestWeight, p: int, r: int, N: int) -> CharacterSeries:
@@ -506,18 +506,12 @@ def char_l(hw: HighestWeight, p: int, r: int, N: int) -> CharacterSeries:
 
     q^h (1 - q^p)(1 - q^{rp}) sum_n P2(n) q^n.
     """
-    mask = {0: 1}
-    for k, s in ((p, -1), (r * p, -1), (p + r * p, 1)):
-        mask[k] = mask.get(k, 0) + s
-    return CharacterSeries(hw["h"], _convolve_with(mask, N))
+    return _character(hw["h"], ((0, 1), (p, -1), (r * p, -1), (p + r * p, 1)), N)
 
 
 def char_j(hw: HighestWeight, p: int, r: int, N: int) -> CharacterSeries:
     """Character of J = U(g){u', u}: q^{h+p} (1 + q^{(r-1)p} - q^{rp}) sum_n P2(n) q^n."""
-    mask = {0: 1}
-    for k, s in (((r - 1) * p, 1), (r * p, -1)):
-        mask[k] = mask.get(k, 0) + s
-    return CharacterSeries(hw["h"] + p, _convolve_with(mask, N))
+    return _character(hw["h"] + p, ((0, 1), ((r - 1) * p, 1), (r * p, -1)), N)
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +662,7 @@ class StructureReport:
 
 def recover_r(p: int, hw: HighestWeight) -> Scalar:
     """Value of r implied by h = necessary_h(p, r, hW), as an exact scalar."""
-    hW, h = hw["hW"], hw["h"]
-    return (hW - h) * Fraction(2, p) + 1 + Fraction((13 * p + 1) * (p - 1), 6 * p)
+    return (necessary_h(p, 1, hw["hW"]) - hw["h"]) * Fraction(2, p) + 1
 
 
 # Highest level at which classify builds a witness vector; beyond it,

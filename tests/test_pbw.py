@@ -3,9 +3,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from vermatools.liealg import HV, W22, I, L, W, bracket
 from vermatools.pbw import HighestWeight, ModuleContext, ModuleVector, PBWMonomial
 from vermatools.scalar import PolyContext
+from vermatools.tensor import IntermediateSeries, TensorSpace
 
 
 def w22_module():
@@ -146,6 +149,35 @@ def test_vector_json_round_trip():
     vec = (M.monomial_vector(w=(2,)).scaled(ctx.var("c") / ctx.var("hW"))
            + M.monomial_vector(l=(1, 1)))
     assert ModuleVector.from_json(M, vec.to_json()) == vec
+
+
+def test_vector_mixing_levels_is_refused():
+    M = w22_module()
+    one = M.scalar_ctx.one
+    with pytest.raises(ValueError, match="vector mixes levels"):
+        M.vector({PBWMonomial.make(l=(1,)): one, PBWMonomial.make(l=(2,)): one})
+    with pytest.raises(ValueError, match="vector mixes levels"):
+        M.monomial_vector(l=(1,)) + M.monomial_vector(l=(2,))
+
+
+@pytest.mark.parametrize("where", ["module", "tensor"])
+def test_vector_arithmetic_contract(where):
+    # ModuleVector and TensorVector share one arithmetic: check it on both.
+    M = w22_module()
+    if where == "module":
+        ctx, start = M, M.monomial_vector(w=(1,))
+    else:
+        series = IntermediateSeries.make(M.scalar_ctx, M.scalar_ctx.var("h"), Fraction(1, 3))
+        ctx = TensorSpace(M, series, (-4, 4))
+        start = ctx.vacuum_at(1)
+    x = ctx.act(L(-2), start)
+    y = ctx.act(L(-1), ctx.act(L(-1), start))
+    assert not x.is_zero() and x != y
+    assert (x - x).is_zero() and x - x == ctx.zero()
+    assert (x - y) + y == x
+    assert x + y == y + x and hash(x + y) == hash(y + x)
+    assert x + x == x.scaled(2) and hash(x + x) == hash(x.scaled(2))
+    assert x.scaled(0).is_zero() and (x + y).ctx is ctx
 
 
 def test_level_grading_under_action():

@@ -137,7 +137,7 @@ def test_gram_rank_is_the_witness_quotient_dimension(label):
 # det G_n = KAPPA[n] * prod over r, s >= 1 with rs <= n of a level-r factor
 # to the power P2(n - rs): for W(2,2) the square of 2 hW + (r^2 - 1) c / 12,
 # for the twisted algebra at cI = 0 (hI - (1 + r) cLI)(hI - (1 - r) cLI).
-KAPPA = {1: -1, 2: 16, 3: -20736, 4: -28179280429056}
+KAPPA = {1: -1, 2: 16, 3: -20736, 4: -28179280429056, 5: 40199887178406036737108213760000}
 
 
 def _factor(hw: HighestWeight, r: int) -> Fraction:
