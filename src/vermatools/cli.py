@@ -3,6 +3,9 @@
 Every invocation builds a Job, runs it to a Report, and emits the report
 in one of three formats.  Reports are deterministic for a given job
 (timing aside), and the json form parses back into an equal Report.
+`main` builds only the parser of the command it runs (all seven for the
+top-level help or a missing or unknown command), and no parser or other
+cache outlives one call.
 
 Exit codes: 0 on success, 2 on malformed parameters, a parameter the job
 does not read, or a failed precondition, 3 when a decision procedure
@@ -398,11 +401,17 @@ def _run_tensor(job: Job, params: _Params) -> Report:
     decision = tensor.decide_tensor(hw, s)
     results = {"decision": decision.to_json(),
                "series": s.to_json()}
+    report = _decision_report(job, results, decision)
     layer = params.get("n")
     if layer is not None:
         wq = tensor.subquotient_weight(hw, s, int(layer))
         results["subquotientWeight"] = wq.to_json()
-    return _decision_report(job, results, decision)
+        weights = sorted(wq.weights.items())
+        report.rendered["text"] += f"\nlayer {layer} weight: " + ", ".join(
+            f"{k} = {v}" for k, v in weights)
+        report.rendered["latex"] += f"\n\\text{{layer {layer} weight}}: " + ",\\ ".join(
+            f"{render.latex_param(k)} = {render.latex_scalar(v)}" for k, v in weights)
+    return report
 
 
 def _run_hv_decide(job: Job, params: _Params) -> Report:
@@ -419,8 +428,12 @@ def _run_hv_decide(job: Job, params: _Params) -> Report:
 
 def _run_scan(job: Job, params: _Params) -> Report:
     p_max, r_max = params.levels("pmax", "rmax")
-    offsets = [parse_expression(piece, PolyContext(())).as_fraction()
-               for piece in params.get("offsets", "").split(",") if piece.strip()]
+    text = params.get("offsets")
+    pieces = [] if text is None else text.split(",")
+    for i, piece in enumerate(pieces, 1):
+        if not piece.strip():
+            raise ValueError(f"offset {i} of {text!r} is empty")
+    offsets = [parse_expression(piece, PolyContext(())).as_fraction() for piece in pieces]
     rows = verma.conjecture_scan(p_max, r_max, offsets)
     results = {"pmax": p_max, "rmax": r_max,
                "offsets": [str(d) for d in offsets], "rows": rows}
@@ -438,22 +451,11 @@ def _run_scan(job: Job, params: _Params) -> Report:
     return Report(job, results, rendered=rendered)
 
 
-_RUNNERS = {
-    "singular": _run_singular,
-    "subsingular": _run_subsingular,
-    "classify": _run_classify,
-    "character": _run_character,
-    "tensor": _run_tensor,
-    "hv-decide": _run_hv_decide,
-    "scan": _run_scan,
-}
-
-
 def run(job: Job) -> Report:
     """Dispatch a job and attach bindings and timing to the report."""
-    runner = _RUNNERS.get(job.command)
-    if runner is None:
+    if job.command not in _COMMANDS:
         raise ValueError(f"unknown command {job.command!r}")
+    runner = _COMMANDS[job.command][2]
     notes: list = []
     params = _Params(job.parameters, notes)
     started = time.perf_counter()
@@ -470,66 +472,96 @@ def run(job: Job) -> Report:
 # Argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_FORMATS = ("json", "text", "latex")
+_W22, _HV = ("c", "h", "hW"), ("h", "cL", "cLI", "cI", "hI")
+_BOTH = _PARAM_ORDER[:7]  # every weight; --algebra picks the ones read
+
+
+def _add_common(p: argparse.ArgumentParser, names: tuple) -> None:
+    p.add_argument("--format", choices=_FORMATS, default="text")
+    p.add_argument("--symbolic", action="append", metavar="NAME",
+                   help="treat NAME as a formal parameter (up to 3)")
+    for name in names:
+        p.add_argument(f"--{name}", type=str, help=f"exact value for {name}")
+
+
+def _add_singular(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--algebra", choices=("w22", "hv"))
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--case", choices=("I", "L"),
+                   help="degeneracy case that binds hI for the twisted algebra")
+    _add_common(p, _BOTH)
+
+
+def _add_subsingular(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--r", type=int, required=True)
+    _add_common(p, _W22)
+
+
+def _add_classify(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--algebra", choices=("w22", "hv"))
+    _add_common(p, _BOTH)
+
+
+def _add_character(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", choices=tuple(_CHAR_FAMILIES))
+    p.add_argument("--N", type=int, help="truncation order")
+    p.add_argument("--p", type=int)
+    p.add_argument("--r", type=int)
+    _add_common(p, _W22)
+
+
+def _add_tensor(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, help="also report the layer weight at this index")
+    _add_common(p, _W22 + ("alpha", "beta"))
+
+
+def _add_hv_decide(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--p", type=int, help="bind hI to the degenerate ratio for this p")
+    p.add_argument("--case", choices=("I", "L"))
+    _add_common(p, _HV + ("alpha", "beta", "F"))
+
+
+def _add_scan(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pmax", type=int, required=True)
+    p.add_argument("--rmax", type=int, required=True)
+    p.add_argument("--offsets", type=str,
+                   help="comma-separated h offsets that must fail")
+    p.add_argument("--format", choices=_FORMATS, default="text")
+
+
+# name: (help text, function that adds its arguments, runner)
+_COMMANDS = {
+    "singular": ("singular vectors at level p", _add_singular, _run_singular),
+    "subsingular": ("the level-rp subsingular vector", _add_subsingular,
+                    _run_subsingular),
+    "classify": ("submodule structure of a Verma module", _add_classify, _run_classify),
+    "character": ("graded dimension series", _add_character, _run_character),
+    "tensor": ("irreducibility of a tensor product", _add_tensor, _run_tensor),
+    "hv-decide": ("tensor decision for the twisted algebra", _add_hv_decide,
+                  _run_hv_decide),
+    "scan": ("subsingular existence evidence grid", _add_scan, _run_scan),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, or of all seven when command is None.
+
+    A one-command parser names every command in its usage line, so its
+    errors print the same usage as the full parser's; the full parser
+    serves the top-level help and a missing or unknown command.
+    """
     parser = argparse.ArgumentParser(
         prog="vermatools", allow_abbrev=False,
         description="Exact singular vectors, characters, and tensor-product "
                     "decisions for two extended Virasoro algebras.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    w22, hv = ("c", "h", "hW"), ("h", "cL", "cLI", "cI", "hI")
-    both = _PARAM_ORDER[:7]  # every weight; --algebra picks the ones read
-
-    def command(name, help_text):
-        return sub.add_parser(name, help=help_text, allow_abbrev=False)
-
-    def common(p_sub, names):
-        p_sub.add_argument("--format", choices=("json", "text", "latex"),
-                           default="text")
-        p_sub.add_argument("--symbolic", action="append", metavar="NAME",
-                           help="treat NAME as a formal parameter (up to 3)")
-        for name in names:
-            p_sub.add_argument(f"--{name}", type=str, help=f"exact value for {name}")
-
-    p_sing = command("singular", "singular vectors at level p")
-    p_sing.add_argument("--algebra", choices=("w22", "hv"))
-    p_sing.add_argument("--p", type=int, required=True)
-    p_sing.add_argument("--case", choices=("I", "L"),
-                        help="degeneracy case that binds hI for the twisted algebra")
-    common(p_sing, both)
-
-    p_sub_ = command("subsingular", "the level-rp subsingular vector")
-    p_sub_.add_argument("--p", type=int, required=True)
-    p_sub_.add_argument("--r", type=int, required=True)
-    common(p_sub_, w22)
-
-    p_cls = command("classify", "submodule structure of a Verma module")
-    p_cls.add_argument("--algebra", choices=("w22", "hv"))
-    common(p_cls, both)
-
-    p_chr = command("character", "graded dimension series")
-    p_chr.add_argument("--family", choices=tuple(_CHAR_FAMILIES))
-    p_chr.add_argument("--N", type=int, help="truncation order")
-    p_chr.add_argument("--p", type=int)
-    p_chr.add_argument("--r", type=int)
-    common(p_chr, w22)
-
-    p_ten = command("tensor", "irreducibility of a tensor product")
-    p_ten.add_argument("--n", type=int, help="also report the layer weight at this index")
-    common(p_ten, w22 + ("alpha", "beta"))
-
-    p_hv = command("hv-decide", "tensor decision for the twisted algebra")
-    p_hv.add_argument("--p", type=int, help="bind hI to the degenerate ratio for this p")
-    p_hv.add_argument("--case", choices=("I", "L"))
-    common(p_hv, hv + ("alpha", "beta", "F"))
-
-    p_scan = command("scan", "subsingular existence evidence grid")
-    p_scan.add_argument("--pmax", type=int, required=True)
-    p_scan.add_argument("--rmax", type=int, required=True)
-    p_scan.add_argument("--offsets", type=str,
-                        help="comma-separated h offsets that must fail")
-    p_scan.add_argument("--format", choices=("json", "text", "latex"),
-                        default="text")
-
+    names = tuple(_COMMANDS) if command is None else (command,)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text, allow_abbrev=False))
     return parser
 
 
@@ -565,10 +597,9 @@ def _merge_value_flags(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_merge_value_flags(list(argv)))
+    argv = list(sys.argv[1:] if argv is None else argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(_merge_value_flags(argv))
     job = _job_from_args(args)
     try:
         report = run(job)

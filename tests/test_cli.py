@@ -1,11 +1,12 @@
 """Command-line jobs: dispatch, rendering, determinism, exit codes."""
 
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 
-from vermatools import scalar
+from vermatools import cli, scalar
 from vermatools.cli import Job, Report, emit, main, parse_expression, run
 from vermatools.scalar import PolyContext
 
@@ -352,6 +353,9 @@ def test_symbolic_classify_verdict_is_marked_generic(capsys):
     (("singular", "--p", "0", "--hW", "1"), "p must be a positive integer"),
     (("subsingular", "--p", "2", "--r", "0", "--hW", "1"), "p and r must be positive integers"),
     (("scan", "--pmax", "0", "--rmax", "1"), "pmax and rmax must be positive integers"),
+    (("scan", "--pmax", "1", "--rmax", "1", "--offsets", ",,"), "offset 1 of ',,' is empty"),
+    (("scan", "--pmax", "1", "--rmax", "1", "--offsets", "1/3,,2"),
+     "offset 2 of '1/3,,2' is empty"),
     # a quotient character at a weight without that quotient's structure
     (("character", "--family", "l", "--p", "2", "--r", "1", "--c", "7", "--hW", "1",
       "--h", "0"), "weight is not degenerate at p=2"),
@@ -375,3 +379,70 @@ def test_character_smallest_levels_are_accepted(capsys):
     assert code == 0
     # (1 - q)^2 (1 + 2q + 5q^2 + 10q^3), with h = 0 at (p, r) = (1, 1)
     assert out.strip() == "1 + 2q^2 + 2q^3"
+
+
+@pytest.mark.parametrize("fmt,line", [
+    ("text", "layer 2 weight: c = -8, h = 5/4, hW = 1"),
+    ("latex", "\\text{layer 2 weight}: c = -8,\\ h = \\frac{5}{4},\\ h_{W} = 1"),
+])
+def test_tensor_layer_weight_is_rendered(capsys, fmt, line):
+    # the layer U_2 / U_3 has L_0 weight h - n - alpha - beta = 13/4 - 2
+    code, out, _ = run_main(capsys, "tensor", "--c", "-8", "--h", "13/4", "--hW", "1",
+                            "--alpha", "0", "--beta", "0", "--n", "2", "--format", fmt)
+    assert code == 0
+    assert out.splitlines()[-1] == line
+
+
+def _subparsers(parser) -> dict:
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+_ACTION_FIELDS = ("option_strings", "dest", "default", "type", "choices", "required",
+                  "help", "metavar")
+
+
+@pytest.mark.parametrize("name", list(_subparsers(cli._build_parser())))
+def test_one_command_parser_matches_the_full_parser(monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    one = _subparsers(cli._build_parser(name))
+    assert list(one) == [name]
+    full = _subparsers(cli._build_parser())[name]
+    assert ([[getattr(a, f) for f in _ACTION_FIELDS] for a in one[name]._actions]
+            == [[getattr(a, f) for f in _ACTION_FIELDS] for a in full._actions])
+    assert one[name].format_help() == full.format_help()
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("--help",), ("bogus",), ("classify", "--help"), ("classify", "--c", "1", "extra"),
+    ("subsingular", "--p", "2"), ("tensor", "--format", "xml"),
+], ids=" ".join)
+def test_main_answers_as_with_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    own = _outcome(capsys, argv)
+    full_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_parser())
+    assert own == _outcome(capsys, argv)
+
+
+def test_every_call_builds_its_own_parser(monkeypatch):
+    built = []
+    build = cli._build_parser
+
+    def counted(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    for _ in range(2):
+        assert main(["character", "--N", "1"]) == 0
+    assert built == ["character", "character"]
