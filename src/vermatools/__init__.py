@@ -1,7 +1,7 @@
 """Exact computations in Verma modules over two extended Virasoro algebras.
 
 The package computes singular and subsingular vectors, characters, and
-quotient bases for highest-weight modules, and decides irreducibility of
+quotients of highest-weight modules, and decides irreducibility of
 tensor products with the intermediate series, all over exact rational
 function fields.
 """
@@ -35,7 +35,6 @@ from .verma import (
     classify,
     conjecture_scan,
     conjecture_scan_point,
-    j_prime_span,
     necessary_h,
     quotient_l,
     quotient_l_prime,
@@ -82,7 +81,6 @@ __all__ = [
     "classify",
     "conjecture_scan",
     "conjecture_scan_point",
-    "j_prime_span",
     "necessary_h",
     "quotient_l",
     "quotient_l_prime",

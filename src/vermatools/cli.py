@@ -103,14 +103,20 @@ def emit(report: Report, fmt: str) -> bytes:
 
 _BIN_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
+# Largest |k| of a power x**k.  A power inside the base of another counts
+# with the product of the exponents, so (x**8)**8 is at the bound, and an
+# expression stays within MAX_EXPONENT times the size of its text:
+# 2**100000 or (hW+1)**k with a large k could exhaust memory or time.
+MAX_EXPONENT = 64
+
 
 def parse_expression(text: str, ctx: PolyContext) -> Scalar:
     """Evaluate an exact rational expression over the job's parameters.
 
     Accepts integer literals, the declared symbolic names, +, -, *, /,
-    and ** with integer exponents, a negative one written -k; floats are
-    rejected to keep every value exact, and True and False are not
-    integers here.
+    and ** with integer exponents up to MAX_EXPONENT in absolute value, a
+    negative one written -k; floats are rejected to keep every value
+    exact, and True and False are not integers here.
     """
     try:
         node = ast.parse(str(text).strip(), mode="eval").body
@@ -119,7 +125,8 @@ def parse_expression(text: str, ctx: PolyContext) -> Scalar:
     return _eval_node(node, ctx)
 
 
-def _eval_node(node: ast.AST, ctx: PolyContext) -> Scalar:
+def _eval_node(node: ast.AST, ctx: PolyContext, budget: int = MAX_EXPONENT) -> Scalar:
+    """The value of node; ``budget`` bounds |k| in every power below it."""
     if isinstance(node, ast.Constant):
         if type(node.value) is int:
             return ctx.scalar(node.value)
@@ -130,18 +137,21 @@ def _eval_node(node: ast.AST, ctx: PolyContext) -> Scalar:
         raise ValueError(f"unknown symbol {node.id!r}; declare it with "
                          "--symbolic")
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        inner = _eval_node(node.operand, ctx)
+        inner = _eval_node(node.operand, ctx, budget)
         return -inner if isinstance(node.op, ast.USub) else inner
     if isinstance(node, ast.BinOp) and isinstance(node.op, _BIN_OPS):
-        left = _eval_node(node.left, ctx)
         if isinstance(node.op, ast.Pow):
             exp, sign = node.right, 1
             if isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub):
                 exp, sign = exp.operand, -1
             if not (isinstance(exp, ast.Constant) and type(exp.value) is int):
                 raise ValueError("exponents must be integer literals")
-            return left ** (sign * exp.value)
-        right = _eval_node(node.right, ctx)
+            if exp.value > budget:
+                raise ValueError(f"exponent {sign * exp.value} is out of range: |k| is at "
+                                 f"most {MAX_EXPONENT}, multiplied through nested powers")
+            return _eval_node(node.left, ctx, budget // max(exp.value, 1)) ** (sign * exp.value)
+        left = _eval_node(node.left, ctx, budget)
+        right = _eval_node(node.right, ctx, budget)
         if isinstance(node.op, ast.Add):
             return left + right
         if isinstance(node.op, ast.Sub):

@@ -94,11 +94,6 @@ def second_family(kind: str) -> str:
     return _FAMILIES[kind][1]
 
 
-def grade(g: Generator) -> int:
-    """L_0-grading: grade(L(-3)) = 3, grade(W(2)) = -2, centrals are 0."""
-    return -g.mode
-
-
 # A LieCombo, the result of a bracket, is a list of (Generator, Fraction)
 # pairs with nonzero rational coefficients.
 LieCombo = list

@@ -50,15 +50,6 @@ class PBWMonomial:
     def level(self) -> int:
         return sum(self.w) + sum(self.l)
 
-    def wdegree(self) -> int:
-        return len(self.w)
-
-    def ldegree(self) -> int:
-        return len(self.l)
-
-    def lp_degree(self, p: int) -> int:
-        return self.l.count(p)
-
     def sort_key(self):
         return (self.l, self.w)
 

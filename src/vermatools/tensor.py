@@ -93,14 +93,6 @@ def _series_coefficient(g: Generator, m, s: IntermediateSeries) -> Scalar:
     return s.ctx.zero
 
 
-def series_action(g: Generator, m: int, s: IntermediateSeries):
-    """Action of a generator on a series basis vector.
-
-    Returns (coefficient, target index) with g v_m = coefficient * v_target.
-    """
-    return _series_coefficient(g, s.ctx.scalar(m), s), m + g.mode
-
-
 # ---------------------------------------------------------------------------
 # Truncated tensor vectors
 

@@ -285,27 +285,6 @@ def u_prime(M: ModuleContext, p: int) -> ModuleVector:
                      f"pure singular vector at level {p}")
 
 
-def j_prime_span(M: ModuleContext, p: int, level: int, uprime: ModuleVector | None = None) -> list:
-    """Echelonized basis of the level component of J' = U(g) u'.
-
-    The component at the given level is spanned by y u' over PBW words y
-    of degree level - p; empty when level < p.
-    """
-    if level < p:
-        return []
-    if uprime is None:
-        uprime = u_prime(M, p)
-    return [M.vector(row) for row in _j_prime_echelon(M, p, level, uprime).rows()]
-
-
-def _j_prime_echelon(M: ModuleContext, p: int, level: int, uprime: ModuleVector) -> linalg.Echelon:
-    """Echelonized level component of J', pivoting in basis order."""
-    order = {m: i for i, m in enumerate(weight_space_basis(level))}
-    ech = linalg.Echelon(key=order.__getitem__)
-    ech.extend(word_images(M, level - p, uprime))
-    return ech
-
-
 def necessary_h(p: int, r: int, hW) -> Scalar | Fraction:
     """The only h at which a level-rp subsingular vector can exist.
 
@@ -367,10 +346,10 @@ def _subsingular_direct(M: ModuleContext, p: int, r: int, uprime: ModuleVector):
 
 
 def _certify_subsingular(M: ModuleContext, p: int, r: int, u: ModuleVector) -> bool:
-    """Exact check that g.u lies in J' for every raising generator."""
-    uprime = u_prime(M, p)
-    return not any(_j_prime_echelon(M, p, r * p - g.mode, uprime).reduce(dict(M.act(g, u).terms))
-                   for g in _raising_generators(M.hw.kind))
+    """Exact check that g.u lies in J' for every raising generator: each
+    image reduces to zero in V / J'."""
+    Q = quotient_l_prime(M, p)
+    return all(Q.reduce(M.act(g, u)).is_zero() for g in _raising_generators(M.kind))
 
 
 # bench/tracing.py wraps the sampled solver of earlier versions under
@@ -438,26 +417,6 @@ class CharacterSeries:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def shift_down(self, k: int) -> "CharacterSeries":
-        """Rewrite with offset lowered by k, padding k exact zero coefficients."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        return CharacterSeries(self.offset - k, (0,) * k + self.coeffs)
-
-    def truncated(self, order: int) -> "CharacterSeries":
-        return CharacterSeries(self.offset, self.coeffs[:order + 1])
-
-    def __add__(self, other: "CharacterSeries") -> "CharacterSeries":
-        if self.offset != other.offset:
-            raise ValueError("offsets differ; align with shift_down first")
-        n = min(len(self.coeffs), len(other.coeffs))
-        return CharacterSeries(self.offset,
-                               tuple(a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])))
-
     def text(self) -> str:
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -515,19 +474,7 @@ def char_j(hw: HighestWeight, p: int, r: int, N: int) -> CharacterSeries:
 
 
 # ---------------------------------------------------------------------------
-# Quotient bases
-
-
-def basis_l_prime(p: int, level: int) -> list:
-    """Monomials of the level spanning V/J': those without a W_{-p} factor."""
-    return [m for m in weight_space_basis(level) if p not in m.w]
-
-
-def basis_l(p: int, r: int, level: int) -> list:
-    """Monomials spanning the irreducible quotient: no W_{-p} factor and
-    fewer than r factors L_{-p}."""
-    return [m for m in weight_space_basis(level)
-            if p not in m.w and m.l.count(p) < r]
+# Quotients
 
 
 class QuotientModule(ModuleContext):
@@ -596,12 +543,6 @@ def quotient_l_prime(M: ModuleContext, p: int, uprime: ModuleVector | None = Non
     return QuotientModule(M, [uprime], lambda m: p not in m.w)
 
 
-def quotient_case_l(M: ModuleContext, p: int, u: ModuleVector) -> QuotientModule:
-    """Twisted Heisenberg-Virasoro case L: the quotient by the singular
-    vector u of level p, whose basis monomials avoid L_{-p}."""
-    return QuotientModule(M, [u], lambda m: p not in m.l)
-
-
 def quotient_l(M: ModuleContext, p: int, r: int,
                uprime: ModuleVector | None = None,
                u: ModuleVector | None = None) -> QuotientModule:
@@ -621,13 +562,15 @@ def witness_quotient(M: ModuleContext, rep: StructureReport) -> QuotientModule |
     exists, the quotient by u' (by the case-L singular vector for the
     twisted algebra) when only u' does, and None for an irreducible
     Verma module."""
+    p = rep.p
     if rep.verdict == "VermaIrreducible":
         return None
     if rep.verdict == "UprimeAndSubsingular":
-        return quotient_l(M, rep.p, rep.r, rep.u_prime, rep.u)
+        return quotient_l(M, p, rep.r, rep.u_prime, rep.u)
     if rep.case == "L":
-        return quotient_case_l(M, rep.p, rep.u_prime)
-    return quotient_l_prime(M, rep.p, rep.u_prime)
+        # twisted case L: the basis monomials avoid L_{-p}
+        return QuotientModule(M, [rep.u_prime], lambda m: p not in m.l)
+    return quotient_l_prime(M, p, rep.u_prime)
 
 
 # ---------------------------------------------------------------------------

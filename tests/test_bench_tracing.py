@@ -8,7 +8,8 @@ from vermatools import tensor, verma
 
 
 def _wrapped_names():
-    return (verma.subsingular, verma._subsingular_direct, verma.QuotientModule.reduce,
+    return (verma.subsingular, verma._subsingular_direct, verma._certify_subsingular,
+            verma.QuotientModule._echelon, verma.QuotientModule.reduce,
             tensor.cyclicity_check, tensor.decide_tensor_hv)
 
 

@@ -220,6 +220,12 @@ def test_inexact_division_exits_two(capsys, monkeypatch):
      "only integer literals are exact: False"),
     (("classify", "--c", "2**True", "--h", "0", "--hW", "1"),
      "exponents must be integer literals"),
+    (("classify", "--c", "2**100000", "--h", "0", "--hW", "1"),
+     "exponent 100000 is out of range: |k| is at most 64, multiplied through nested powers"),
+    (("classify", "--c", "(2**8)**-9", "--h", "0", "--hW", "1"),
+     "exponent 8 is out of range: |k| is at most 64, multiplied through nested powers"),
+    (("classify", "--c", "2**-65", "--h", "0", "--hW", "1"),
+     "exponent -65 is out of range: |k| is at most 64, multiplied through nested powers"),
 ])
 def test_boolean_literals_exit_two(capsys, argv, message):
     code, out, err = run_main(capsys, *argv)
@@ -280,6 +286,8 @@ def test_negative_integer_exponents_parse():
     assert parse_expression("(hW + 1)**-2", ctx) == 1 / (hW + 1) ** 2
     with pytest.raises(ValueError, match="exponents must be integer literals"):
         parse_expression("2**-True", ctx)
+    # at the bound: |k| = 64, also as the product of nested exponents
+    assert parse_expression("(2**8)**-8 * (hW**0)**64", ctx).as_fraction() == Fraction(1, 2**64)
 
 
 def test_negative_exponent_of_zero_exits_two(capsys):

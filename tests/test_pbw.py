@@ -119,10 +119,10 @@ def test_monomial_text_and_grading():
     mono = PBWMonomial.make(w=(2, 1, 1), l=(3, 1))
     assert mono.text(W22) == "W(-2)W(-1)^2L(-3)L(-1).v"
     assert mono.level == 8
-    assert mono.wdegree() == 3
-    assert mono.ldegree() == 2
-    assert mono.lp_degree(3) == 1
-    assert mono.lp_degree(2) == 0
+    assert len(mono.w) == 3
+    assert len(mono.l) == 2
+    assert mono.l.count(3) == 1
+    assert mono.l.count(2) == 0
     assert PBWMonomial.make(w=(1,), l=(1,)).text(HV) == "I(-1)L(-1).v"
 
 

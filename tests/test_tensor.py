@@ -17,7 +17,6 @@ from vermatools.tensor import (
     decide_tensor_hv,
     hv_decision_polynomials,
     lambda_product,
-    series_action,
     subquotient_free_dims,
     subquotient_weight,
 )
@@ -45,20 +44,26 @@ def subsingular_weight(p, r, hW=Fraction(1)):
 
 
 def test_series_coefficients():
+    """g v_m = coefficient * v_{m+n}: in the tensor action on v_m (x) v the
+    coefficient lands on v_{m+n} (x) v, where the module factor adds nothing
+    (L_0 v = 0 at h = 0)."""
     ctx = PolyContext(())
     s = IntermediateSeries.make(ctx, Fraction(1, 3), Fraction(1, 2))
+    T = TensorSpace(ModuleContext(w22_weight(1, 0, 1)), s, (-10, 10))
+    vac = PBWMonomial.make()
     for n in (-2, 0, 3):
         for m in (-1, 0, 4):
-            coeff, target = series_action(L(n), m, s)
-            assert target == m + n
+            coeff = tensor._series_coefficient(L(n), ctx.scalar(m), s)
             assert coeff.as_fraction() == -(
                 Fraction(m) + Fraction(1, 3) + Fraction(1, 2) + n * Fraction(1, 2))
-            wc, _ = series_action(W(n), m, s)
-            assert wc.is_zero()
+            assert T.act(L(n), T.vacuum_at(m)).terms[(m + n, vac)] == coeff
+            assert tensor._series_coefficient(W(n), ctx.scalar(m), s).is_zero()
     sf = IntermediateSeries.make(ctx, 0, 0, F=Fraction(5, 7))
+    Tf = TensorSpace(ModuleContext(hv_weight(1, 1, 0, 0)), sf, (-10, 10))
     for n in (-1, 2):
-        coeff, target = series_action(I(n), 3, sf)
-        assert coeff.as_fraction() == Fraction(5, 7) and target == 3 + n
+        coeff = tensor._series_coefficient(I(n), ctx.scalar(3), sf)
+        assert coeff.as_fraction() == Fraction(5, 7)
+        assert Tf.act(I(n), Tf.vacuum_at(3)).terms[(3 + n, vac)] == coeff
 
 
 def test_reducible_series_detection():

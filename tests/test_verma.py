@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from vermatools import linalg, verma
 from vermatools.liealg import I, L, W, bracket
 from vermatools.pbw import HighestWeight, ModuleContext, PBWMonomial
@@ -38,13 +39,6 @@ def subsingular_module(p, r):
     return ModuleContext(hw)
 
 
-def membership_echelon(vectors):
-    ech = linalg.Echelon(key=lambda m: m.sort_key())
-    for vec in vectors:
-        ech.add(dict(vec.terms))
-    return ech
-
-
 RAISERS_W22 = [L(1), L(2), W(1), W(2)]
 
 
@@ -74,7 +68,7 @@ def test_u_prime_has_no_l_factors():
     for p in (2, 3, 4):
         M = degenerate_module(p)
         u = verma.u_prime(M, p)
-        assert all(m.ldegree() == 0 for m in u.terms)
+        assert all(len(m.l) == 0 for m in u.terms)
         assert u.coeff(PBWMonomial.make(w=(p,))) == M.scalar_ctx.one
 
 
@@ -100,7 +94,7 @@ def test_singular_space_dimensions(algebra, p):
 def test_u_prime_at_high_levels(p):
     M = degenerate_module(p)
     u = verma.u_prime(M, p)
-    assert all(m.ldegree() == 0 for m in u.terms)
+    assert all(len(m.l) == 0 for m in u.terms)
     assert u.coeff(PBWMonomial.make(w=(p,))) == M.scalar_ctx.one
     for g in RAISERS_W22:
         assert M.act(g, u).is_zero()
@@ -141,16 +135,11 @@ def test_subsingular_defining_property(p, r):
     M = subsingular_module(p, r)
     u = verma.subsingular(M, p, r)
     assert u is not None
-    hW = M.hw["hW"]
+    uprime = verma.u_prime(M, p)
     for g in RAISERS_W22:
-        img = M.act(g, u)
-        if img.is_zero():
-            continue
-        ech = membership_echelon(verma.j_prime_span(M, p, img.level))
-        assert not ech.reduce(dict(img.terms))
-    w0 = M.act(W(0), u) - u.scaled(hW)
-    ech = membership_echelon(verma.j_prime_span(M, p, u.level))
-    assert not ech.reduce(dict(w0.terms))
+        assert oracles.in_j_prime(M, p, uprime, M.act(g, u))
+    w0 = M.act(W(0), u) - u.scaled(M.hw["hW"])
+    assert oracles.in_j_prime(M, p, uprime, w0)
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (1, 2), (2, 2), (3, 1)])
@@ -158,7 +147,7 @@ def test_l_degree_profile(p, r):
     M = subsingular_module(p, r)
     u = verma.subsingular(M, p, r)
     assert u is not None
-    assert max(m.ldegree() for m in u.terms) == r
+    assert max(len(m.l) for m in u.terms) == r
     assert u.coeff(PBWMonomial.make(l=(p,) * r)) == M.scalar_ctx.one
 
 
@@ -195,12 +184,41 @@ def test_subsingular_solve_ignores_row_order():
 
 
 def test_solved_vector_passes_the_certificate():
-    for p, r in ((2, 1), (2, 2)):
+    for p, r in ((2, 1), (2, 2), (3, 1)):
         M = subsingular_module(p, r)
         u = verma.subsingular(M, p, r)
-        assert verma._certify_subsingular(M, p, r, u)
+        uprime = verma.u_prime(M, p)
         off = M.vector({PBWMonomial.make(l=(1,) * (r * p)): 1})
-        assert not verma._certify_subsingular(M, p, r, u + off)
+        in_jp = M.act(L(-(r - 1) * p), uprime) if r > 1 else uprime
+        for vec, expected in ((u, True), (u + off, False), (u + in_jp, True)):
+            assert verma._certify_subsingular(M, p, r, vec) is expected
+            assert all(oracles.in_j_prime(M, p, uprime, M.act(g, vec))
+                       for g in RAISERS_W22) is expected
+
+
+@pytest.mark.parametrize("checked", [RAISERS_W22[1:], RAISERS_W22[:1] + RAISERS_W22[2:],
+                                     RAISERS_W22[:2]], ids=["no L1", "no L2", "no W"])
+def test_certificate_refuses_a_vector_only_some_raisers_send_into_j_prime(checked):
+    """At (2, 2), level-4 vectors whose images under the checked generators
+    lie in J' (by the oracle) but that are not subsingular exist, so a
+    certificate that skipped L_1, L_2 or the W modes would accept them."""
+    p, r = 2, 2
+    M = subsingular_module(p, r)
+    uprime = verma.u_prime(M, p)
+    basis = verma.weight_space_basis(r * p)
+    echs = {n: oracles.j_prime_echelon(M, p, n, uprime) for n in (r * p - 2, r * p - 1)}
+    rows: dict = {}
+    for m in basis:
+        for gi, g in enumerate(checked):
+            img = M.act(g, M.vector({m: 1}))
+            rem = echs[img.level].reduce(dict(img.terms)) if img.terms else {}
+            for t, c in rem.items():
+                rows.setdefault((gi, t), {})[m] = c
+    passing = [M.vector(x) for x in linalg.nullspace(list(rows.values()), basis, M.scalar_ctx)]
+    refused = [x for x in passing
+               if not all(oracles.in_j_prime(M, p, uprime, M.act(g, x)) for g in RAISERS_W22)]
+    assert refused
+    assert not any(verma._certify_subsingular(M, p, r, x) for x in refused)
 
 
 def test_off_weight_solve_is_logged(caplog):
@@ -256,18 +274,22 @@ def test_recursive_construction_matches_solver():
 
 def test_j_prime_component_dimensions():
     M = degenerate_module(2)
+    uprime = verma.u_prime(M, 2)
     for level in range(0, 9):
-        span = verma.j_prime_span(M, 2, level)
+        ech = oracles.j_prime_echelon(M, 2, level, uprime)
         expected = verma.pair_partition_count(level - 2) if level >= 2 else 0
-        assert len(span) == expected
+        assert len(ech.pivots) == expected
 
 
 def test_character_sum_identity():
     ctx = PolyContext(("h",))
     hw = HighestWeight.w22(ctx, c=1, h=ctx.var("h"), hW=2)
     for p in (1, 2, 3):
-        total = verma.char_j_prime(hw, p, 20).shift_down(p) + verma.char_l_prime(hw, p, 20)
-        assert total.truncated(20) == verma.char_verma(hw, 20)
+        jp, lp, v = (verma.char_j_prime(hw, p, 20), verma.char_l_prime(hw, p, 20),
+                     verma.char_verma(hw, 20))
+        assert jp.offset - p == lp.offset == v.offset
+        total = [a + b for a, b in zip((0,) * p + jp.coeffs, lp.coeffs)]
+        assert total == list(v.coeffs)
 
 
 def test_character_product_identity():
@@ -289,8 +311,9 @@ def test_quotient_basis_counts_match_characters():
         lchar = verma.char_l(hw, p, r, 12)
         pchar = verma.char_l_prime(hw, p, 12)
         for k in range(13):
-            assert len(verma.basis_l(p, r, k)) == lchar.coeffs[k]
-            assert len(verma.basis_l_prime(p, k)) == pchar.coeffs[k]
+            basis = verma.weight_space_basis(k)
+            assert sum(p not in m.w and m.l.count(p) < r for m in basis) == lchar.coeffs[k]
+            assert sum(p not in m.w for m in basis) == pchar.coeffs[k]
 
 
 def test_character_text_rendering():
@@ -316,7 +339,8 @@ def test_quotient_dimensions():
 
 def test_quotient_reduce_is_projection():
     M = degenerate_module(2, extra=())
-    Q = verma.quotient_l_prime(M, 2)
+    uprime = verma.u_prime(M, 2)
+    Q = verma.quotient_l_prime(M, 2, uprime)
     rng = random.Random(5151)
     basis = verma.weight_space_basis(4)
     for _ in range(10):
@@ -326,9 +350,7 @@ def test_quotient_reduce_is_projection():
                 Fraction(rng.randint(-4, 4)))
         red = Q.reduce(vec)
         assert Q.reduce(red) == red
-        diff = vec - red
-        ech = membership_echelon(verma.j_prime_span(M, 2, 4))
-        assert not ech.reduce(dict(diff.terms))
+        assert oracles.in_j_prime(M, 2, uprime, vec - red)
 
 
 def _quotients_for_representation_check():
