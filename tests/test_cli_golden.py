@@ -1,5 +1,6 @@
-"""CLI outputs pinned to a recorded file: every job's exit code, stderr and
-``--format json`` report (timing removed) must match tests/data/cli_golden.json.
+"""CLI outputs pinned to a recorded file: every job's exit code, stderr,
+``--format json`` report (timing removed) and ``--format text`` and
+``--format latex`` output must match tests/data/cli_golden.json.
 
 A change meant to keep outputs unchanged keeps this test passing as is.  A
 change meant to alter an output rewrites the file with
@@ -30,6 +31,7 @@ JOBS = [
     ("singular", "--p", "2", "--c", "5", "--hW", "1"),
     ("singular", "--algebra", "hv", "--p", "2", "--case", "I", "--cLI", "1", "--symbolic", "h"),
     ("singular", "--algebra", "hv", "--p", "2", "--case", "L", "--cLI", "1", "--h", "3"),
+    ("singular", "--algebra", "hv", "--p", "2", "--case", "L", "--cLI", "1/8", "--symbolic", "h"),
     ("subsingular", "--symbolic", "c", "--h", "-1/2", "--hW", "0", "--p", "1", "--r", "2"),
     ("subsingular", "--symbolic", "hW", "--p", "2", "--r", "2"),
     ("subsingular", "--symbolic", "hW", "--h", "hW+7/3", "--p", "2", "--r", "1"),
@@ -91,15 +93,23 @@ JOBS = [
 ]
 
 
-def outcome(argv) -> dict:
-    """Exit code, stderr and json report (timing removed) of one CLI job."""
+def _run(argv, fmt: str) -> tuple:
+    """Exit code, stdout and stderr of one CLI job in one format."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv) + ["--format", "json"])
-    report = json.loads(out.getvalue()) if out.getvalue() else None
+        code = main(list(argv) + ["--format", fmt])
+    return code, out.getvalue(), err.getvalue()
+
+
+def outcome(argv) -> dict:
+    """Exit code, stderr, json report (timing removed) and the text and
+    latex stdout of one CLI job."""
+    code, out, err = _run(argv, "json")
+    report = json.loads(out) if out else None
     if report is not None:
         del report["timing"]
-    return {"argv": list(argv), "exit": code, "stderr": err.getvalue(), "report": report}
+    return {"argv": list(argv), "exit": code, "stderr": err, "report": report,
+            "text": _run(argv, "text")[1], "latex": _run(argv, "latex")[1]}
 
 
 def _flags(argv) -> set:
