@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import re
 import sys
 import time
@@ -109,14 +110,21 @@ _BIN_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 # 2**100000 or (hW+1)**k with a large k could exhaust memory or time.
 MAX_EXPONENT = 64
 
+# Most terms a power may expand to: a base whose numerator or denominator
+# has t terms raised to k can have C(|k| + t - 1, t - 1) terms, the count
+# of monomials of degree |k| in t unknowns.  (hW+1)**64 has 65 terms;
+# (hW+h+c+1)**20 could have 1,771, and **64 over those names took minutes.
+MAX_POWER_TERMS = 1000
+
 
 def parse_expression(text: str, ctx: PolyContext) -> Scalar:
     """Evaluate an exact rational expression over the job's parameters.
 
     Accepts integer literals, the declared symbolic names, +, -, *, /,
     and ** with integer exponents up to MAX_EXPONENT in absolute value, a
-    negative one written -k; floats are rejected to keep every value
-    exact, and True and False are not integers here.
+    negative one written -k, as long as the power's expansion is bounded
+    by MAX_POWER_TERMS; floats are rejected to keep every value exact, and
+    True and False are not integers here.
     """
     try:
         node = ast.parse(str(text).strip(), mode="eval").body
@@ -149,7 +157,13 @@ def _eval_node(node: ast.AST, ctx: PolyContext, budget: int = MAX_EXPONENT) -> S
             if exp.value > budget:
                 raise ValueError(f"exponent {sign * exp.value} is out of range: |k| is at "
                                  f"most {MAX_EXPONENT}, multiplied through nested powers")
-            return _eval_node(node.left, ctx, budget // max(exp.value, 1)) ** (sign * exp.value)
+            base = _eval_node(node.left, ctx, budget // max(exp.value, 1))
+            t = max(len(base.num), len(base.den))
+            bound = math.comb(exp.value + t - 1, t - 1)
+            if bound > MAX_POWER_TERMS:
+                raise ValueError(f"power {sign * exp.value} of a {t}-term polynomial can "
+                                 f"expand to {bound} terms, more than {MAX_POWER_TERMS}")
+            return base ** (sign * exp.value)
         left = _eval_node(node.left, ctx, budget)
         right = _eval_node(node.right, ctx, budget)
         if isinstance(node.op, ast.Add):
@@ -381,7 +395,7 @@ def _run_character(job: Job, params: _Params) -> Report:
         verma.require_degenerate(hw, *levels)
     series = _CHAR_FAMILIES[family](hw, *levels, n_order)
     results = {"family": family, "N": n_order, "series": series.to_json()}
-    rendered = {"text": series.text(), "latex": render.latex_character(series)}
+    rendered = {"text": render.text_character(series), "latex": render.latex_character(series)}
     return Report(job, results, rendered=rendered)
 
 

@@ -87,10 +87,6 @@ class Echelon:
     def contains(self, row: dict) -> bool:
         return not self.reduce(row)
 
-    def rows(self) -> list:
-        """The stored pivot rows, ordered by their pivot's priority key."""
-        return [self.pivots[c] for c in sorted(self.pivots, key=self._key)]
-
 
 def nullspace(rows, columns, ctx) -> list:
     """Basis of solutions of the homogeneous system given by ``rows``.

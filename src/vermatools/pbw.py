@@ -63,17 +63,6 @@ class PBWMonomial:
             Generator("L", -n) for n in self.l
         )
 
-    def text(self, kind: str = W22) -> str:
-        if self.is_empty():
-            return "v"
-        fam = second_family(kind)
-        parts = []
-        for mode, mult in _run_lengths(self.w):
-            parts.append(_pow_text(f"{fam}(-{mode})", mult))
-        for mode, mult in _run_lengths(self.l):
-            parts.append(_pow_text(f"L(-{mode})", mult))
-        return "".join(parts) + ".v"
-
     def to_json(self) -> dict:
         return {"w": list(self.w), "l": list(self.l)}
 
@@ -82,24 +71,12 @@ class PBWMonomial:
         return PBWMonomial.make(obj["w"], obj["l"])
 
     def __repr__(self):
-        return self.text()
+        from . import render
+
+        return render.monomial(self)
 
 
 EMPTY = PBWMonomial((), ())
-
-
-def _run_lengths(modes):
-    out = []
-    for m in modes:
-        if out and out[-1][0] == m:
-            out[-1][1] += 1
-        else:
-            out.append([m, 1])
-    return out
-
-
-def _pow_text(base: str, k: int) -> str:
-    return base if k == 1 else f"{base}^{k}"
 
 
 class HighestWeight:
@@ -226,12 +203,9 @@ class ModuleVector(Vector):
         return ModuleVector(M, terms)
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            parts.append(f"({c}) {m.text(self.ctx.hw.kind)}")
-        return " + ".join(parts)
+        from . import render
+
+        return render.text_vector(self)
 
 
 class ModuleContext:

@@ -1,182 +1,174 @@
-"""Plain-text and LaTeX rendering of vectors, scalars, and tables.
+"""Plain-text and LaTeX rendering of scalars, vectors, characters and tables.
 
-Monomials print with the second family first and modes descending,
-matching the normal ordering used everywhere else; terms of a vector
-print in descending monomial order, pure L-monomials first.
+The one module that turns an exact object into a string.  Each object has
+one printer, which takes a notation: the tokens in which text and LaTeX
+differ.  They lay out only a quotient differently: LaTeX pulls the sign out
+and writes \\frac, text writes n/d.  Monomials print the second family
+first, modes descending, and a vector's terms in descending monomial order,
+pure L-monomials first.  A coefficient that is a polynomial of several
+terms is bracketed, its leading sign outside.  Objects are read through
+their attributes, so only liealg is imported and the modules that define
+them can print through this one.
 """
 
 from __future__ import annotations
 
-from .liealg import W22, second_family
-from .pbw import ModuleVector, PBWMonomial, _run_lengths
-from .scalar import Scalar
-from .verma import CharacterSeries
+from dataclasses import dataclass
+from itertools import groupby
+from typing import Callable
 
-_PARAM_LATEX = {
-    "hW": "h_{W}",
-    "hI": "h_{I}",
-    "cL": "c_{L}",
-    "cLI": "c_{LI}",
-    "cI": "c_{I}",
-    "alpha": "\\alpha",
-    "beta": "\\beta",
-}
+from .liealg import W22, second_family
+
+_PARAM_LATEX = {"hW": "h_{W}", "hI": "h_{I}", "cL": "c_{L}", "cLI": "c_{LI}",
+                "cI": "c_{I}", "alpha": "\\alpha", "beta": "\\beta"}
 
 
 def latex_param(name: str) -> str:
-    mapped = _PARAM_LATEX.get(name)
-    if mapped is not None:
-        return mapped
-    if len(name) == 1:
-        return name
-    return "\\mathrm{" + name + "}"
+    return _PARAM_LATEX.get(name, name if len(name) == 1 else "\\mathrm{" + name + "}")
 
 
-def _latex_poly(names: tuple, poly: dict) -> str:
-    """Integer-coefficient polynomial, terms in descending order."""
-    if not poly:
+@dataclass(frozen=True)
+class _Notation:
+    """The tokens in which text and LaTeX differ; a format string takes
+    its pieces in reading order."""
+
+    param: Callable[[str], str]   # a parameter name
+    power: str                    # base, exponent
+    times: str                    # between the factors of a polynomial term
+    plus: str
+    minus: str
+    generator: str                # family, mode
+    open: str
+    close: str
+    vector: str                   # after a monomial: applied to v
+    space: str                    # between a coefficient and its monomial
+    offset: str                   # q-offset, series
+    frac: str | None              # numerator, denominator; None: text's n/d
+
+
+_TEXT = _Notation(param=str, power="{}^{}", times="*", plus=" + ", minus=" - ",
+                  generator="{}(-{})", open="(", close=")", vector=".v", space=" ",
+                  offset="q^({}) * ({})", frac=None)
+_LATEX = _Notation(param=latex_param, power="{}^{{{}}}", times="", plus="+", minus="-",
+                   generator="{}_{{-{}}}", open="\\left(", close="\\right)", vector="v",
+                   space="", offset="q^{{{}}}\\left({}\\right)",
+                   frac="\\frac{{{}}}{{{}}}")
+
+
+def _power(base: str, k: int, nt: _Notation) -> str:
+    return base if k == 1 else nt.power.format(base, k)
+
+
+def _signed_sum(terms: list, nt: _Notation) -> str:
+    """Join terms, a negative one written with a leading '-'."""
+    if not terms:
         return "0"
-    parts = []
-    for exps in sorted(poly, reverse=True):
-        coeff = poly[exps]
-        mono = "".join(
-            latex_param(names[i]) + (f"^{{{e}}}" if e > 1 else "")
-            for i, e in enumerate(exps) if e > 0)
-        if not mono:
-            body = str(abs(coeff))
-        elif abs(coeff) == 1:
-            body = mono
-        else:
-            body = f"{abs(coeff)}{mono}"
-        sign = "-" if coeff < 0 else "+"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = (first_sign if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += sign + body
+    out = terms[0]
+    for t in terms[1:]:
+        out += nt.minus + t[1:] if t.startswith("-") else nt.plus + t
     return out
 
 
-def latex_scalar(x: Scalar) -> str:
-    """A rational function as LaTeX, sign leading, \\frac for quotients."""
-    if x.is_zero():
-        return "0"
-    num, den = x._int_pair()
-    sign = ""
-    lead = max(num)
-    if num[lead] < 0:
-        sign = "-"
-        num = {e: -c for e, c in num.items()}
+def _term(mag, body: str, negative: bool, times: str = "") -> str:
+    """A positive magnitude times a body, 1 omitted, with its sign."""
+    if not body:
+        body = str(mag)
+    elif mag != 1:
+        body = f"{mag}{times}{body}"
+    return "-" + body if negative else body
+
+
+def polynomial(names: tuple, poly: dict, nt: _Notation = _TEXT) -> str:
+    """An integer-coefficient polynomial, terms in descending order."""
+    return _signed_sum([
+        _term(abs(c), nt.times.join(_power(nt.param(names[i]), k, nt)
+                                    for i, k in enumerate(exps) if k), c < 0, nt.times)
+        for exps, c in sorted(poly.items(), reverse=True)], nt)
+
+
+def scalar(x, nt: _Notation = _TEXT, factor: bool = False) -> str:
+    """A Scalar; as a factor before a monomial, a polynomial of several
+    terms is bracketed."""
     names = x.ctx.names
-    num_tex = _latex_poly(names, num)
-    if len(den) == 1 and max(den) == (0,) * len(names):
-        k = den[max(den)]
-        if k == 1:
-            return sign + num_tex
-        return sign + f"\\frac{{{num_tex}}}{{{k}}}"
-    return sign + f"\\frac{{{num_tex}}}{{{_latex_poly(names, den)}}}"
+    num, den = x._int_pair()
+    unit = den == {(0,) * len(names): 1}
+    if unit and not (factor and len(num) > 1):
+        return polynomial(names, num, nt)
+    if not unit and nt.frac is None:
+        ntext, dtext = polynomial(names, num, nt), polynomial(names, den, nt)
+        if len(num) > 1:
+            ntext = nt.open + ntext + nt.close
+        if any(ch in dtext for ch in "*+- "):
+            dtext = nt.open + dtext + nt.close
+        return f"{ntext}/{dtext}"
+    # a bracket or \frac, with the leading sign outside
+    sign = "-" if num[max(num)] < 0 else ""
+    ntext = polynomial(names, {e: -c for e, c in num.items()} if sign else num, nt)
+    if unit:
+        return sign + nt.open + ntext + nt.close
+    return sign + nt.frac.format(ntext, polynomial(names, den, nt))
 
 
-def _latex_coeff_factor(x: Scalar) -> str:
-    """A coefficient positioned before a monomial."""
-    tex = latex_scalar(x)
-    stripped = tex[1:] if tex.startswith("-") else tex
-    if stripped.startswith("\\frac") or _is_atom(stripped):
-        return tex
-    sign = "-" if tex.startswith("-") else ""
-    return sign + "\\left(" + stripped + "\\right)"
+def _word(mono, kind: str, nt: _Notation) -> str:
+    """The lowering operators of a PBWMonomial, repeated modes as powers."""
+    return "".join(_power(nt.generator.format(fam, mode), len(list(run)), nt)
+                   for fam, modes in ((second_family(kind), mono.w), ("L", mono.l))
+                   for mode, run in groupby(modes))
 
 
-def _is_atom(tex: str) -> bool:
-    """Whether a signless rendering needs no grouping before a monomial."""
-    return "+" not in tex and "-" not in tex
+def monomial(mono, kind: str = W22, nt: _Notation = _TEXT) -> str:
+    """A PBWMonomial applied to the highest weight vector v."""
+    word = _word(mono, kind, nt)
+    return word + nt.vector if word else "v"
 
 
-def latex_monomial(mono: PBWMonomial, kind: str = W22) -> str:
-    if mono.is_empty():
-        return ""
-    fam = second_family(kind)
-    parts = []
-    for mode, mult in _run_lengths(mono.w):
-        parts.append(f"{fam}_{{-{mode}}}" + (f"^{{{mult}}}" if mult > 1 else ""))
-    for mode, mult in _run_lengths(mono.l):
-        parts.append(f"L_{{-{mode}}}" + (f"^{{{mult}}}" if mult > 1 else ""))
-    return "".join(parts)
-
-
-def latex_vector(vec: ModuleVector) -> str:
-    """A module vector in the table style: \\left(...\\right)v."""
+def _vector(vec, nt: _Notation) -> str:
+    """A ModuleVector, bracketed when it has more than one term."""
     if vec.is_zero():
         return "0"
-    kind = vec.ctx.hw.kind
     terms = []
     for mono, coeff in vec.sorted_terms():
-        mtex = latex_monomial(mono, kind)
-        if not mtex:
-            terms.append(latex_scalar(coeff))
-        elif coeff == 1:
-            terms.append(mtex)
-        elif coeff == -1:
-            terms.append("-" + mtex)
+        word = _word(mono, vec.ctx.hw.kind, nt)
+        c = scalar(coeff, nt, factor=True)
+        if not word:
+            terms.append(c)
+        elif c in ("1", "-1"):  # a unit coefficient leaves only its sign
+            terms.append(c[:-1] + word)
         else:
-            terms.append(_latex_coeff_factor(coeff) + mtex)
-    out = terms[0]
-    for t in terms[1:]:
-        out += t if t.startswith("-") else "+" + t
-    if len(terms) == 1:
-        return out + "v"
-    return "\\left(" + out + "\\right)v"
+            terms.append(c + nt.space + word)
+    body = _signed_sum(terms, nt)
+    return (nt.open + body + nt.close if len(terms) > 1 else body) + nt.vector
 
 
-def latex_character(series: CharacterSeries) -> str:
-    parts = []
-    for i, c in enumerate(series.coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append((1, str(c)))
-        else:
-            q = "q" if i == 1 else f"q^{{{i}}}"
-            parts.append((1 if c > 0 else -1,
-                          q if abs(c) == 1 else f"{abs(c)}{q}"))
-    if not parts:
-        body = "0"
-    else:
-        body = ("-" if parts[0][0] < 0 else "") + parts[0][1]
-        for sign, text in parts[1:]:
-            body += ("-" if sign < 0 else "+") + text
+def _character(series, nt: _Notation) -> str:
+    """A CharacterSeries: q^offset times its integer coefficients."""
+    body = _signed_sum([_term(abs(c), _power("q", i, nt) if i else "", c < 0)
+                        for i, c in enumerate(series.coeffs) if c], nt)
     if series.offset.is_zero():
         return body
-    off = latex_scalar(series.offset)
-    return f"q^{{{off}}}\\left({body}\\right)"
+    return nt.offset.format(scalar(series.offset, nt), body)
 
 
-def text_vector(vec: ModuleVector) -> str:
+def text_vector(vec) -> str:
     """A module vector in compact text: (W(-2) - 3/(4*hW) W(-1)^2).v"""
-    if vec.is_zero():
-        return "0"
-    kind = vec.ctx.hw.kind
-    terms = []
-    for mono, coeff in vec.sorted_terms():
-        body = mono.text(kind)
-        body = body[:-2] if body.endswith(".v") else ""
-        if not body:
-            terms.append(str(coeff))
-        elif coeff == 1:
-            terms.append(body)
-        elif coeff == -1:
-            terms.append("-" + body)
-        else:
-            terms.append(f"{coeff} {body}")
-    out = terms[0]
-    for t in terms[1:]:
-        if t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    if len(terms) == 1 and not out.startswith("-") and " " not in out:
-        return out + ".v"
-    return "(" + out + ").v"
+    return _vector(vec, _TEXT)
+
+
+def latex_vector(vec) -> str:
+    """A module vector in the table style: \\left(...\\right)v."""
+    return _vector(vec, _LATEX)
+
+
+def latex_scalar(x) -> str:
+    return scalar(x, _LATEX)
+
+
+def text_character(series) -> str:
+    return _character(series, _TEXT)
+
+
+def latex_character(series) -> str:
+    return _character(series, _LATEX)
 
 
 def latex_table(headers: list, rows: list) -> str:

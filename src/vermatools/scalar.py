@@ -346,31 +346,6 @@ def _pjson(a: Poly, cont: Fraction) -> list:
     return [{"coeff": str(cont * c), "exponents": list(e)} for e, c in items]
 
 
-def _ppow_text(name: str, k: int) -> str:
-    return name if k == 1 else f"{name}^{k}"
-
-
-def _pterm_text(names: tuple, e: tuple, c, lead: bool) -> str:
-    mono = "*".join(_ppow_text(names[i], k) for i, k in enumerate(e) if k)
-    mag = abs(c)
-    if mono:
-        body = mono if mag == 1 else f"{mag}*{mono}"
-    else:
-        body = str(mag)
-    if lead:
-        return body if c > 0 else "-" + body
-    return (" + " if c > 0 else " - ") + body
-
-
-def poly_text(names: tuple, a: Poly) -> str:
-    if not a:
-        return "0"
-    parts = []
-    for i, (e, c) in enumerate(sorted(a.items(), reverse=True)):
-        parts.append(_pterm_text(names, e, c, i == 0))
-    return "".join(parts)
-
-
 class PolyContext:
     """An ordered tuple of parameter names fixing the coefficient field."""
 
@@ -684,17 +659,8 @@ class Scalar:
                 _pscale(self.den, self.cont.denominator))
 
     def __str__(self):
-        if not self.num:
-            return "0"
-        num, den = self._int_pair()
-        ntext = poly_text(self.ctx.names, num)
-        if _pis_const(den) and next(iter(den.values())) == 1:
-            return ntext
-        dtext = poly_text(self.ctx.names, den)
-        if len(num) > 1:
-            ntext = f"({ntext})"
-        if any(ch in dtext for ch in "*+- "):
-            dtext = f"({dtext})"
-        return f"{ntext}/{dtext}"
+        from . import render
+
+        return render.scalar(self)
 
     __repr__ = __str__

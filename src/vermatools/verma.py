@@ -417,22 +417,6 @@ class CharacterSeries:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
-    def text(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                q = "q" if i == 1 else f"q^{i}"
-                parts.append(q if c == 1 else f"{c}{q}")
-        body = " + ".join(parts) if parts else "0"
-        off = str(self.offset)
-        if off == "0":
-            return body
-        return f"q^({off}) * ({body})"
-
     def to_json(self) -> dict:
         return {"offset": self.offset.to_json(), "coeffs": list(self.coeffs)}
 

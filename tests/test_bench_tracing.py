@@ -4,13 +4,15 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from vermatools import tensor, verma
+from vermatools import render, tensor, verma
 
 
 def _wrapped_names():
     return (verma.subsingular, verma._subsingular_direct, verma._certify_subsingular,
             verma.QuotientModule._echelon, verma.QuotientModule.reduce,
-            tensor.cyclicity_check, tensor.decide_tensor_hv)
+            tensor.cyclicity_check, tensor.decide_tensor_hv,
+            render.text_vector, render.latex_vector, render.latex_scalar,
+            render.latex_character, render.latex_table)
 
 
 def test_tracing_installs_and_uninstalls(monkeypatch):

@@ -2,12 +2,14 @@
 
 import argparse
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from vermatools import cli, scalar
+from vermatools import cli, render, scalar
 from vermatools.cli import Job, Report, emit, main, parse_expression, run
+from vermatools.pbw import HighestWeight, ModuleContext, PBWMonomial
 from vermatools.scalar import PolyContext
 
 
@@ -29,6 +31,71 @@ def test_subsingular_example_with_symbolic_c(capsys):
                             "--hW", "0", "--p", "1", "--r", "2")
     assert code == 0
     assert out.strip() == "(L(-1)^2 + 6/c W(-2)).v"
+
+
+_GENERATOR = re.compile(r"([LWI])\(-(\d+)\)(?:\^(\d+))?")
+_WORD = re.compile(r"(?:[LWI]\(-\d+\)(?:\^\d+)?)+")
+
+
+def read_text_vector(text: str, names) -> "sympy.Expr":
+    """A text-form vector as a sympy expression in commuting symbols X_m for
+    the generators X(-m); normally ordered monomials stay distinct."""
+    sympy = pytest.importorskip("sympy")
+    body = text.strip().removesuffix(".v")
+    body = body.replace(" + ", "+").replace(" - ", "-").replace(" ", "*")
+    body = _WORD.sub(lambda m: "(" + "*".join(
+        f"{fam}_{mode}**{mult or 1}" for fam, mode, mult in _GENERATOR.findall(m.group())
+    ) + ")", body)
+    return sympy.sympify(body.replace("^", "**"),
+                         locals={name: sympy.Symbol(name) for name in names})
+
+
+def json_vector(obj: dict, names, family: str) -> "sympy.Expr":
+    """The same expression built from a vector's json form."""
+    sympy = pytest.importorskip("sympy")
+    params = [sympy.Symbol(name) for name in names]
+
+    def poly(items):
+        return sum(sympy.Rational(t["coeff"])
+                   * sympy.prod([x ** e for x, e in zip(params, t["exponents"])])
+                   for t in items)
+
+    total = sympy.Integer(0)
+    for term in obj["terms"]:
+        mono = term["monomial"]
+        word = sympy.prod([sympy.Symbol(f"{family}_{m}") for m in mono["w"]]
+                          + [sympy.Symbol(f"L_{n}") for n in mono["l"]])
+        total += poly(term["coeff"]["numer"]) / poly(term["coeff"]["denom"]) * word
+    return total
+
+
+@pytest.mark.parametrize("argv,names,family", [
+    (("singular", "--algebra", "hv", "--p", "2", "--case", "L", "--cLI", "1/8",
+      "--symbolic", "h"), ("h",), "I"),
+    (("singular", "--algebra", "hv", "--p", "3", "--case", "L", "--symbolic", "cLI",
+      "--symbolic", "h"), ("h", "cLI"), "I"),
+    (("subsingular", "--symbolic", "hW", "--p", "2", "--r", "2"), ("hW",), "W"),
+])
+def test_text_vector_reads_back_as_its_json_form(capsys, argv, names, family):
+    _, text, _ = run_main(capsys, *argv)
+    _, out, _ = run_main(capsys, *argv, "--format", "json")
+    results = json.loads(out)["results"]
+    [vec] = results["vectors"] if "vectors" in results else [results["vector"]]
+    sympy = pytest.importorskip("sympy")
+    assert sympy.cancel(read_text_vector(text, names) - json_vector(vec, names, family)) == 0
+
+
+def test_polynomial_coefficients_are_bracketed_sign_outside():
+    ctx = PolyContext(("hW",))
+    hW = ctx.var("hW")
+    M = ModuleContext(HighestWeight.w22(ctx, c=hW * -8, h=0, hW=hW))
+    vec = M.vector({PBWMonomial.make(l=(2,)): ctx.one,
+                    PBWMonomial.make(w=(1,), l=(1,)): 1 - hW})
+    assert render.text_vector(vec) == "(L(-2) - (hW - 1) W(-1)L(-1)).v"
+    assert render.latex_vector(vec) == "\\left(L_{-2}-\\left(h_{W}-1\\right)W_{-1}L_{-1}\\right)v"
+    # alone, a polynomial keeps the sign of each term
+    assert str(1 - hW) == "-hW + 1"
+    assert render.latex_scalar(1 - hW) == "-h_{W}+1"
 
 
 def test_singular_level_three_latex(capsys):
@@ -226,6 +293,9 @@ def test_inexact_division_exits_two(capsys, monkeypatch):
      "exponent 8 is out of range: |k| is at most 64, multiplied through nested powers"),
     (("classify", "--c", "2**-65", "--h", "0", "--hW", "1"),
      "exponent -65 is out of range: |k| is at most 64, multiplied through nested powers"),
+    (("tensor", "--symbolic", "c", "--symbolic", "h", "--symbolic", "hW",
+      "--alpha", "(hW+h+c+1)**20", "--beta", "0"),
+     "power 20 of a 4-term polynomial can expand to 1771 terms, more than 1000"),
 ])
 def test_boolean_literals_exit_two(capsys, argv, message):
     code, out, err = run_main(capsys, *argv)
@@ -288,6 +358,8 @@ def test_negative_integer_exponents_parse():
         parse_expression("2**-True", ctx)
     # at the bound: |k| = 64, also as the product of nested exponents
     assert parse_expression("(2**8)**-8 * (hW**0)**64", ctx).as_fraction() == Fraction(1, 2**64)
+    # a two-term base at |k| = 64 expands to 65 terms, within MAX_POWER_TERMS
+    assert len(parse_expression("(hW + 1)**64", ctx).num) == 65
 
 
 def test_negative_exponent_of_zero_exits_two(capsys):

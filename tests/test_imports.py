@@ -30,3 +30,12 @@ def test_no_unused_imports(path):
 
 def test_unused_import_is_found():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == [(1, "os"), (2, "b")]
+
+
+def test_render_imports_only_liealg():
+    """scalar, pbw and verma print through render, so render reads them
+    through their attributes and imports none of them."""
+    tree = ast.parse((SRC / "render.py").read_text())
+    package = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert package == {"liealg"}

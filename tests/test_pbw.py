@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from vermatools import render
 from vermatools.liealg import HV, W22, I, L, W, bracket
 from vermatools.pbw import HighestWeight, ModuleContext, ModuleVector, PBWMonomial
 from vermatools.scalar import PolyContext
@@ -117,13 +118,13 @@ def test_action_respects_brackets():
 
 def test_monomial_text_and_grading():
     mono = PBWMonomial.make(w=(2, 1, 1), l=(3, 1))
-    assert mono.text(W22) == "W(-2)W(-1)^2L(-3)L(-1).v"
+    assert render.monomial(mono, W22) == "W(-2)W(-1)^2L(-3)L(-1).v"
     assert mono.level == 8
     assert len(mono.w) == 3
     assert len(mono.l) == 2
     assert mono.l.count(3) == 1
     assert mono.l.count(2) == 0
-    assert PBWMonomial.make(w=(1,), l=(1,)).text(HV) == "I(-1)L(-1).v"
+    assert render.monomial(PBWMonomial.make(w=(1,), l=(1,)), HV) == "I(-1)L(-1).v"
 
 
 def test_sorted_terms_order_is_stable():

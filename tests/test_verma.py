@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from vermatools import linalg, verma
+from vermatools import linalg, render, verma
 from vermatools.liealg import I, L, W, bracket
 from vermatools.pbw import HighestWeight, ModuleContext, PBWMonomial
 from vermatools.scalar import PolyContext
@@ -319,9 +319,9 @@ def test_quotient_basis_counts_match_characters():
 def test_character_text_rendering():
     ctx = PolyContext(())
     hw0 = HighestWeight.w22(ctx, c=3, h=0, hW=0)
-    assert verma.char_verma(hw0, 5).text() == "1 + 2q + 5q^2 + 10q^3 + 20q^4 + 36q^5"
+    assert render.text_character(verma.char_verma(hw0, 5)) == "1 + 2q + 5q^2 + 10q^3 + 20q^4 + 36q^5"
     hw_half = HighestWeight.w22(ctx, c=3, h=Fraction(-1, 2), hW=0)
-    assert verma.char_verma(hw_half, 2).text() == "q^(-1/2) * (1 + 2q + 5q^2)"
+    assert render.text_character(verma.char_verma(hw_half, 2)) == "q^(-1/2) * (1 + 2q + 5q^2)"
 
 
 def test_quotient_dimensions():
