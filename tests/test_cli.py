@@ -92,6 +92,7 @@ def test_polynomial_coefficients_are_bracketed_sign_outside():
     vec = M.vector({PBWMonomial.make(l=(2,)): ctx.one,
                     PBWMonomial.make(w=(1,), l=(1,)): 1 - hW})
     assert render.text_vector(vec) == "(L(-2) - (hW - 1) W(-1)L(-1)).v"
+    assert repr(vec) == render.text_vector(vec)
     assert render.latex_vector(vec) == "\\left(L_{-2}-\\left(h_{W}-1\\right)W_{-1}L_{-1}\\right)v"
     # alone, a polynomial keeps the sign of each term
     assert str(1 - hW) == "-hW + 1"
