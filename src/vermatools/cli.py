@@ -110,11 +110,13 @@ _BIN_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 # 2**100000 or (hW+1)**k with a large k could exhaust memory or time.
 MAX_EXPONENT = 64
 
-# Most terms a power may expand to: a base whose numerator or denominator
-# has t terms raised to k can have C(|k| + t - 1, t - 1) terms, the count
-# of monomials of degree |k| in t unknowns.  (hW+1)**64 has 65 terms;
-# (hW+h+c+1)**20 could have 1,771, and **64 over those names took minutes.
-MAX_POWER_TERMS = 1000
+# Most terms a product may expand to, checked before it is formed.  A base
+# whose numerator or denominator has t terms raised to k can have
+# C(|k| + t - 1, t - 1) terms, the count of monomials of degree |k| in t
+# unknowns; polynomials with a and b terms multiply to at most a*b.
+# (hW+1)**64 has 65 terms; (hW+h+c+1)**20 could have 1,771, and **64 over
+# those names, as a power or as 64 factors, took minutes.
+MAX_TERMS = 1000
 
 
 def parse_expression(text: str, ctx: PolyContext) -> Scalar:
@@ -122,9 +124,9 @@ def parse_expression(text: str, ctx: PolyContext) -> Scalar:
 
     Accepts integer literals, the declared symbolic names, +, -, *, /,
     and ** with integer exponents up to MAX_EXPONENT in absolute value, a
-    negative one written -k, as long as the power's expansion is bounded
-    by MAX_POWER_TERMS; floats are rejected to keep every value exact, and
-    True and False are not integers here.
+    negative one written -k, as long as no power or product can expand to
+    more than MAX_TERMS terms; floats are rejected to keep every value
+    exact, and True and False are not integers here.
     """
     try:
         node = ast.parse(str(text).strip(), mode="eval").body
@@ -160,12 +162,16 @@ def _eval_node(node: ast.AST, ctx: PolyContext, budget: int = MAX_EXPONENT) -> S
             base = _eval_node(node.left, ctx, budget // max(exp.value, 1))
             t = max(len(base.num), len(base.den))
             bound = math.comb(exp.value + t - 1, t - 1)
-            if bound > MAX_POWER_TERMS:
+            if bound > MAX_TERMS:
                 raise ValueError(f"power {sign * exp.value} of a {t}-term polynomial can "
-                                 f"expand to {bound} terms, more than {MAX_POWER_TERMS}")
+                                 f"expand to {bound} terms, more than {MAX_TERMS}")
             return base ** (sign * exp.value)
         left = _eval_node(node.left, ctx, budget)
         right = _eval_node(node.right, ctx, budget)
+        bound = _product_terms(node.op, left, right)
+        if bound > MAX_TERMS:
+            raise ValueError(f"a product of its operands can expand to {bound} terms, "
+                             f"more than {MAX_TERMS}")
         if isinstance(node.op, ast.Add):
             return left + right
         if isinstance(node.op, ast.Sub):
@@ -174,6 +180,19 @@ def _eval_node(node: ast.AST, ctx: PolyContext, budget: int = MAX_EXPONENT) -> S
             return left * right
         return left / right
     raise ValueError(f"unsupported expression element {type(node).__name__}")
+
+
+def _product_terms(op: ast.operator, left: Scalar, right: Scalar) -> int:
+    """Most terms of a polynomial product that ``left op right`` forms."""
+    if isinstance(op, ast.Mult):
+        pairs = [(left.num, right.num), (left.den, right.den)]
+    elif isinstance(op, ast.Div):
+        pairs = [(left.num, right.den), (left.den, right.num)]
+    elif left.den == right.den:  # a sum over one denominator multiplies nothing
+        return 0
+    else:
+        pairs = [(left.num, right.den), (right.num, left.den), (left.den, right.den)]
+    return max(len(a) * len(b) for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------

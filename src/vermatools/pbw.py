@@ -16,6 +16,7 @@ monomial).  Everything is exact: coefficients are :class:`Scalar`.
 
 from __future__ import annotations
 
+from . import render
 from .liealg import HV, W22, Generator, bracket, check_generator, second_family
 from .scalar import PolyContext, Scalar
 
@@ -71,8 +72,6 @@ class PBWMonomial:
         return PBWMonomial.make(obj["w"], obj["l"])
 
     def __repr__(self):
-        from . import render
-
         return render.monomial(self)
 
 
@@ -203,8 +202,6 @@ class ModuleVector(Vector):
         return ModuleVector(M, terms)
 
     def __repr__(self):
-        from . import render
-
         return render.text_vector(self)
 
 

@@ -19,12 +19,24 @@ from typing import Callable
 
 from .liealg import W22, second_family
 
-_PARAM_LATEX = {"hW": "h_{W}", "hI": "h_{I}", "cL": "c_{L}", "cLI": "c_{LI}",
-                "cI": "c_{I}", "alpha": "\\alpha", "beta": "\\beta"}
+_PARAM_LATEX = {
+    "hW": "h_{W}",
+    "hI": "h_{I}",
+    "cL": "c_{L}",
+    "cLI": "c_{LI}",
+    "cI": "c_{I}",
+    "alpha": "\\alpha",
+    "beta": "\\beta",
+}
 
 
 def latex_param(name: str) -> str:
-    return _PARAM_LATEX.get(name, name if len(name) == 1 else "\\mathrm{" + name + "}")
+    mapped = _PARAM_LATEX.get(name)
+    if mapped is not None:
+        return mapped
+    if len(name) == 1:
+        return name
+    return "\\mathrm{" + name + "}"
 
 
 @dataclass(frozen=True)
@@ -78,7 +90,7 @@ def _term(mag, body: str, negative: bool, times: str = "") -> str:
     return "-" + body if negative else body
 
 
-def polynomial(names: tuple, poly: dict, nt: _Notation = _TEXT) -> str:
+def _polynomial(names: tuple, poly: dict, nt: _Notation) -> str:
     """An integer-coefficient polynomial, terms in descending order."""
     return _signed_sum([
         _term(abs(c), nt.times.join(_power(nt.param(names[i]), k, nt)
@@ -86,16 +98,16 @@ def polynomial(names: tuple, poly: dict, nt: _Notation = _TEXT) -> str:
         for exps, c in sorted(poly.items(), reverse=True)], nt)
 
 
-def scalar(x, nt: _Notation = _TEXT, factor: bool = False) -> str:
+def _scalar(x, nt: _Notation, factor: bool = False) -> str:
     """A Scalar; as a factor before a monomial, a polynomial of several
     terms is bracketed."""
     names = x.ctx.names
     num, den = x._int_pair()
     unit = den == {(0,) * len(names): 1}
     if unit and not (factor and len(num) > 1):
-        return polynomial(names, num, nt)
+        return _polynomial(names, num, nt)
     if not unit and nt.frac is None:
-        ntext, dtext = polynomial(names, num, nt), polynomial(names, den, nt)
+        ntext, dtext = _polynomial(names, num, nt), _polynomial(names, den, nt)
         if len(num) > 1:
             ntext = nt.open + ntext + nt.close
         if any(ch in dtext for ch in "*+- "):
@@ -103,10 +115,10 @@ def scalar(x, nt: _Notation = _TEXT, factor: bool = False) -> str:
         return f"{ntext}/{dtext}"
     # a bracket or \frac, with the leading sign outside
     sign = "-" if num[max(num)] < 0 else ""
-    ntext = polynomial(names, {e: -c for e, c in num.items()} if sign else num, nt)
+    ntext = _polynomial(names, {e: -c for e, c in num.items()} if sign else num, nt)
     if unit:
         return sign + nt.open + ntext + nt.close
-    return sign + nt.frac.format(ntext, polynomial(names, den, nt))
+    return sign + nt.frac.format(ntext, _polynomial(names, den, nt))
 
 
 def _word(mono, kind: str, nt: _Notation) -> str:
@@ -116,10 +128,10 @@ def _word(mono, kind: str, nt: _Notation) -> str:
                    for mode, run in groupby(modes))
 
 
-def monomial(mono, kind: str = W22, nt: _Notation = _TEXT) -> str:
-    """A PBWMonomial applied to the highest weight vector v."""
-    word = _word(mono, kind, nt)
-    return word + nt.vector if word else "v"
+def monomial(mono, kind: str = W22) -> str:
+    """A PBWMonomial applied to the highest weight vector v, in text."""
+    word = _word(mono, kind, _TEXT)
+    return word + _TEXT.vector if word else "v"
 
 
 def _vector(vec, nt: _Notation) -> str:
@@ -129,7 +141,7 @@ def _vector(vec, nt: _Notation) -> str:
     terms = []
     for mono, coeff in vec.sorted_terms():
         word = _word(mono, vec.ctx.hw.kind, nt)
-        c = scalar(coeff, nt, factor=True)
+        c = _scalar(coeff, nt, factor=True)
         if not word:
             terms.append(c)
         elif c in ("1", "-1"):  # a unit coefficient leaves only its sign
@@ -146,7 +158,7 @@ def _character(series, nt: _Notation) -> str:
                         for i, c in enumerate(series.coeffs) if c], nt)
     if series.offset.is_zero():
         return body
-    return nt.offset.format(scalar(series.offset, nt), body)
+    return nt.offset.format(_scalar(series.offset, nt), body)
 
 
 def text_vector(vec) -> str:
@@ -159,8 +171,12 @@ def latex_vector(vec) -> str:
     return _vector(vec, _LATEX)
 
 
+def text_scalar(x) -> str:
+    return _scalar(x, _TEXT)
+
+
 def latex_scalar(x) -> str:
-    return scalar(x, _LATEX)
+    return _scalar(x, _LATEX)
 
 
 def text_character(series) -> str:

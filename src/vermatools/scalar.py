@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import render
+
 Poly = dict  # exponent tuple -> int, zero coefficients never stored
 
 
@@ -659,8 +661,6 @@ class Scalar:
                 _pscale(self.den, self.cont.denominator))
 
     def __str__(self):
-        from . import render
-
-        return render.scalar(self)
+        return render.text_scalar(self)
 
     __repr__ = __str__

@@ -297,6 +297,15 @@ def test_inexact_division_exits_two(capsys, monkeypatch):
     (("tensor", "--symbolic", "c", "--symbolic", "h", "--symbolic", "hW",
       "--alpha", "(hW+h+c+1)**20", "--beta", "0"),
      "power 20 of a 4-term polynomial can expand to 1771 terms, more than 1000"),
+    (("tensor", "--symbolic", "c", "--symbolic", "h", "--symbolic", "hW",
+      "--alpha", "*".join(["(hW+h+c+1)**16"] * 4), "--beta", "0"),
+     "a product of its operands can expand to 938961 terms, more than 1000"),
+    (("tensor", "--symbolic", "c", "--symbolic", "h", "--symbolic", "hW",
+      "--alpha", "*".join(["(hW+h+c+1)"] * 64), "--beta", "0"),
+     "a product of its operands can expand to 1144 terms, more than 1000"),
+    (("tensor", "--symbolic", "c", "--symbolic", "h", "--symbolic", "hW",
+      "--alpha", "1/(hW+h+c+1)**16 + 1/(hW+h+c+2)**16", "--beta", "0"),
+     "a product of its operands can expand to 938961 terms, more than 1000"),
 ])
 def test_boolean_literals_exit_two(capsys, argv, message):
     code, out, err = run_main(capsys, *argv)
@@ -359,8 +368,11 @@ def test_negative_integer_exponents_parse():
         parse_expression("2**-True", ctx)
     # at the bound: |k| = 64, also as the product of nested exponents
     assert parse_expression("(2**8)**-8 * (hW**0)**64", ctx).as_fraction() == Fraction(1, 2**64)
-    # a two-term base at |k| = 64 expands to 65 terms, within MAX_POWER_TERMS
+    # a two-term base at |k| = 64 expands to 65 terms, within MAX_TERMS
     assert len(parse_expression("(hW + 1)**64", ctx).num) == 65
+    # products within MAX_TERMS: 21 * 21 terms, and a sum over one denominator
+    assert len(parse_expression("(hW + 1)**20 * (hW + 1)**20", ctx).num) == 41
+    assert len(parse_expression("hW**40/(hW + 1)**40 + 1/(hW + 1)**40", ctx).den) == 41
 
 
 def test_negative_exponent_of_zero_exits_two(capsys):
