@@ -449,11 +449,9 @@ def _run_tensor(job: Job, params: _Params) -> Report:
     if layer is not None:
         wq = tensor.subquotient_weight(hw, s, int(layer))
         results["subquotientWeight"] = wq.to_json()
-        weights = sorted(wq.weights.items())
-        report.rendered["text"] += f"\nlayer {layer} weight: " + ", ".join(
-            f"{k} = {v}" for k, v in weights)
-        report.rendered["latex"] += f"\n\\text{{layer {layer} weight}}: " + ",\\ ".join(
-            f"{render.latex_param(k)} = {render.latex_scalar(v)}" for k, v in weights)
+        report.rendered["text"] += f"\nlayer {layer} weight: " + render.text_weights(wq.weights)
+        report.rendered["latex"] += (f"\n\\text{{layer {layer} weight}}: "
+                                     + render.latex_weights(wq.weights))
     return report
 
 
@@ -487,9 +485,7 @@ def _run_scan(job: Job, params: _Params) -> Report:
                       all(row["offsets"].values()) if row["offsets"] else "-",
                       "-" if row["shape_ok"] is None else row["shape_ok"],
                       "pass" if row["ok"] else "FAIL"])
-    text_lines = ["  ".join(f"{str(cell):>8}" for cell in line)
-                  for line in [headers] + table]
-    rendered = {"text": "\n".join(text_lines),
+    rendered = {"text": render.text_table(headers, table),
                 "latex": render.latex_table(headers, table)}
     return Report(job, results, rendered=rendered)
 

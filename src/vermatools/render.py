@@ -1,4 +1,5 @@
-"""Plain-text and LaTeX rendering of scalars, vectors, characters and tables.
+"""Plain-text and LaTeX rendering of scalars, vectors, characters, weight
+maps and tables.
 
 The one module that turns an exact object into a string.  Each object has
 one printer, which takes a notation: the tokens in which text and LaTeX
@@ -56,15 +57,16 @@ class _Notation:
     space: str                    # between a coefficient and its monomial
     offset: str                   # q-offset, series
     frac: str | None              # numerator, denominator; None: text's n/d
+    comma: str                    # between the entries of a weight map
 
 
 _TEXT = _Notation(param=str, power="{}^{}", times="*", plus=" + ", minus=" - ",
                   generator="{}(-{})", open="(", close=")", vector=".v", space=" ",
-                  offset="q^({}) * ({})", frac=None)
+                  offset="q^({}) * ({})", frac=None, comma=", ")
 _LATEX = _Notation(param=latex_param, power="{}^{{{}}}", times="", plus="+", minus="-",
                    generator="{}_{{-{}}}", open="\\left(", close="\\right)", vector="v",
                    space="", offset="q^{{{}}}\\left({}\\right)",
-                   frac="\\frac{{{}}}{{{}}}")
+                   frac="\\frac{{{}}}{{{}}}", comma=",\\ ")
 
 
 def _power(base: str, k: int, nt: _Notation) -> str:
@@ -161,6 +163,11 @@ def _character(series, nt: _Notation) -> str:
     return nt.offset.format(_scalar(series.offset, nt), body)
 
 
+def _weights(weights: dict, nt: _Notation) -> str:
+    """A map from parameter names to Scalars, names in sorted order."""
+    return nt.comma.join(f"{nt.param(k)} = {_scalar(v, nt)}" for k, v in sorted(weights.items()))
+
+
 def text_vector(vec) -> str:
     """A module vector in compact text: (W(-2) - 3/(4*hW) W(-1)^2).v"""
     return _vector(vec, _TEXT)
@@ -185,6 +192,21 @@ def text_character(series) -> str:
 
 def latex_character(series) -> str:
     return _character(series, _LATEX)
+
+
+def text_weights(weights: dict) -> str:
+    """A weight map in text: c = -8, h = 5/4, hW = 1"""
+    return _weights(weights, _TEXT)
+
+
+def latex_weights(weights: dict) -> str:
+    return _weights(weights, _LATEX)
+
+
+def text_table(headers: list, rows: list) -> str:
+    """Right-aligned columns at least eight wide, two spaces apart."""
+    return "\n".join("  ".join(f"{str(cell):>8}" for cell in line)
+                     for line in [headers] + rows)
 
 
 def latex_table(headers: list, rows: list) -> str:

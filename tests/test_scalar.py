@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from vermatools.scalar import PolyContext, Scalar, _pis_const
+from vermatools.cli import parse_expression
+from vermatools.scalar import PolyContext, Scalar, _coprime_certified, _pgcd, _pis_const
 
 CTX = PolyContext(("x", "y"))
 X = CTX.var("x")
@@ -293,3 +294,150 @@ def test_lift_into_a_context_extending_the_names():
                           (PolyContext(("hW", "F")), big.var("F"))):
         with pytest.raises(ValueError, match="parameter context mismatch"):
             target.scalar(value)
+
+
+# ---------------------------------------------------------------------------
+# Units: a product with the context's one is the other factor itself
+
+QH = PolyContext(("hW",))
+
+
+@pytest.mark.parametrize("ctx", [Q, QH], ids=["Q", "Q(hW)"])
+def test_product_with_one_is_the_other_factor(ctx):
+    values = [ctx.zero, ctx.one, -ctx.one, ctx.scalar(Fraction(-3, 7))]
+    if ctx.names:
+        hW = ctx.var("hW")
+        values += [hW, (hW * hW - 2) / (hW * 3 + 1)]
+    for x in values:
+        assert x * ctx.one is x
+        assert ctx.one * x is x
+    assert ctx.one * 5 == ctx.scalar(5) and 5 * ctx.one == ctx.scalar(5)
+    assert ctx.one * Fraction(2, 3) == ctx.scalar(Fraction(2, 3))
+
+
+# A unit recipe is one of the special scalars, a lifted int or a plain
+# int or Fraction; the operator is applied with Fraction as the oracle.
+unit_operands = st.one_of(st.sampled_from(["one", "-one", "zero"]),
+                          st.tuples(st.just("lift"), small_ints),
+                          small_ints, small_fractions)
+
+
+def unit_value(ctx, operand):
+    """(operand as passed to the operator, its Fraction value)."""
+    if operand == "one":
+        return ctx.one, Fraction(1)
+    if operand == "-one":
+        return -ctx.one, Fraction(-1)
+    if operand == "zero":
+        return ctx.zero, Fraction(0)
+    if isinstance(operand, tuple):
+        return ctx.scalar(operand[1]), Fraction(operand[1])
+    return operand, Fraction(operand)
+
+
+@given(st.sampled_from([Q, QH]), unit_operands, unit_operands, st.integers(-3, 3))
+@settings(max_examples=300, deadline=None)
+def test_units_and_lifted_ints_match_fractions(ctx, left, right, k):
+    (a, fa), (b, fb) = unit_value(ctx, left), unit_value(ctx, right)
+    if not isinstance(a, Scalar):
+        a, b, fa, fb = b, a, fb, fa
+    if not isinstance(a, Scalar):
+        a = ctx.scalar(a)
+    for x, y in ((a, b), (b, a)):
+        fx, fy = (fa, fb) if x is a else (fb, fa)
+        for op in "+-*":
+            assert OPS[op](x, y).as_fraction() == OPS[op](fx, fy)
+        if fy:
+            assert OPS["/"](x, y).as_fraction() == fx / fy
+        assert (x == y) == (fx == fy) and (x != y) == (fx != fy)
+    assert (-a).as_fraction() == -fa
+    assert (a == fb) == (fa == fb) and (a != fb) == (fa != fb)
+    if fa or k >= 0:
+        assert (a ** k).as_fraction() == fa ** k
+    assert hash(a) == hash(ctx.scalar(fa))
+
+
+# ---------------------------------------------------------------------------
+# The multivariate gcd against sympy, which shares no code with it
+
+XYZ = ("x", "y", "z")
+
+
+@st.composite
+def int_polys(draw, nvars):
+    """A nonzero integer polynomial dict in nvars variables."""
+    terms = draw(st.lists(st.tuples(st.integers(-5, 5).filter(bool),
+                                    st.tuples(*[st.integers(0, 2)] * nvars)),
+                          min_size=1, max_size=4))
+    poly: dict = {}
+    for c, e in terms:
+        poly[e] = poly.get(e, 0) + c
+    poly = {e: c for e, c in poly.items() if c}
+    assume(poly)
+    return poly
+
+
+def mul(a, b):
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+@given(st.data(), st.integers(2, 3), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_gcd_matches_sympy(data, nvars, planted):
+    """With a planted nonconstant common factor the coprimality certificate
+    must fail and the pseudo-remainder sequence decide."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(XYZ[:nvars])
+    a, b = data.draw(int_polys(nvars)), data.draw(int_polys(nvars))
+    if planted:
+        f = data.draw(int_polys(nvars).filter(lambda p: not _pis_const(p)))
+        a, b = mul(a, f), mul(b, f)
+
+    def expr(p):
+        return sum((c * sympy.prod([g ** k for g, k in zip(gens, e)]) for e, c in p.items()),
+                   sympy.Integer(0))
+
+    ea, eb = expr(a), expr(b)
+    ours = expr(_pgcd(a, b))
+    theirs = sympy.gcd(ea, eb)
+    assert sympy.cancel(ours / theirs).is_number
+    va = {i for e in a for i, k in enumerate(e) if k}
+    vb = {i for e in b for i, k in enumerate(e) if k}
+    if _coprime_certified(a, b, va & vb):
+        assert theirs.is_number
+    if planted:
+        assert not theirs.is_number
+
+
+def test_coprime_sum_over_a_shared_denominator_is_fast():
+    """A sum over one denominator in three symbols cancels through the gcd;
+    the pseudo-remainder sequence alone took seconds here."""
+    sympy = pytest.importorskip("sympy")
+    text = ("(hW+h+2*c+1)**6/(hW+h+c+2)**6"
+            " + (hW+h+c+1)**6/(hW+h+c+2)**6")
+    value = parse_expression(text, PolyContext(("c", "h", "hW")))
+    expected = sympy.cancel(sympy.sympify(text))
+    assert sympy.cancel(sympy.sympify(str(value).replace("^", "**")) - expected) == 0
+    num, den = sympy.fraction(expected)
+    assert sympy.Poly(den).total_degree() == 6
+
+
+def test_gcd_whose_leading_coefficients_vanish_at_the_trial_points():
+    """g's leading coefficient in x vanishes at y = 5, -9, 22 and in y at
+    x = 3, -5, 14, the values _coprime_certified tries, so every image of
+    g there is 1 and only the degree test keeps the certificate sound."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    g = (y - 5) * (y + 9) * (y - 22) * x * (x - 3) * (x + 5) * (x - 14) + 1
+
+    def poly(e):
+        return {m: int(c) for m, c in sympy.Poly(sympy.expand(e), x, y).terms()}
+
+    a, b = poly(g * (x + y + 1)), poly(g * (x - y + 2))
+    assert not _coprime_certified(a, b, {0, 1})
+    assert _pgcd(a, b) == poly(g)
