@@ -1,5 +1,6 @@
 """Field axioms and canonical form for exact rational functions."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -315,6 +316,14 @@ def test_product_with_one_is_the_other_factor(ctx):
     assert ctx.one * Fraction(2, 3) == ctx.scalar(Fraction(2, 3))
 
 
+@pytest.mark.parametrize("ctx", [Q, QH], ids=["Q", "Q(hW)"])
+def test_lifting_a_value_equal_to_one_gives_the_unit(ctx):
+    for value in (1, Fraction(1), Fraction(3, 3), True, PolyContext(("z",)).one):
+        assert ctx.scalar(value) is ctx.one
+    assert ctx.scalar(0) is ctx.zero and ctx.scalar(Fraction(0, 5)) is ctx.zero
+    assert ctx.scalar(-1) is not ctx.one
+
+
 # A unit recipe is one of the special scalars, a lifted int or a plain
 # int or Fraction; the operator is applied with Fraction as the oracle.
 unit_operands = st.one_of(st.sampled_from(["one", "-one", "zero"]),
@@ -441,3 +450,51 @@ def test_gcd_whose_leading_coefficients_vanish_at_the_trial_points():
     a, b = poly(g * (x + y + 1)), poly(g * (x - y + 2))
     assert not _coprime_certified(a, b, {0, 1})
     assert _pgcd(a, b) == poly(g)
+
+
+# ---------------------------------------------------------------------------
+# Canonical content: every Scalar carries a reduced pair of ints cn / cd
+
+BIG = 2 ** 200
+big_ints = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+big_fractions = st.builds(Fraction, big_ints, st.one_of(st.integers(1, 6), st.integers(1, BIG)))
+
+
+def canonical(s):
+    assert s.cd > 0 and math.gcd(s.cn, s.cd) == 1
+    assert s.is_zero() == (s.cn == 0)
+    assert s.cont == Fraction(s.cn, s.cd)
+    return s
+
+
+@st.composite
+def operands(draw, ctx):
+    """A constant, or over Q(x, y) often a quotient of small polynomials
+    with a large content, built by ``Scalar.make``."""
+    f = draw(big_fractions)
+    if not ctx.names or draw(st.booleans()):
+        return canonical(ctx.scalar(f))
+    num, den = draw(int_polys(2)), draw(int_polys(2))
+    return canonical(Scalar.make(ctx, num, den, f))
+
+
+@given(st.sampled_from([Q, CTX]), st.data(), big_fractions, st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_content_is_a_reduced_int_pair(ctx, data, f, k):
+    """Every result is canonical, and equal values reached by different
+    routes are equal and hash equal; operands reach 2**200."""
+    a, b = data.draw(operands(ctx)), data.draw(operands(ctx))
+    same = [(a + b, b + a), (a - b, -(b - a)), (a * b, b * a), (a + a, a * 2),
+            (a + f, ctx.scalar(f) + a), (a - f, -(f - a)), (a * f, f * a),
+            (Scalar.from_json(ctx, a.to_json()), a), (-(-a), a), (a ** 2, a * a)]
+    if not a.is_zero():
+        same += [(a ** k, a ** (k + 1) / a), (a ** -1, 1 / a), (a / a, ctx.one)]
+    if not b.is_zero():
+        same += [((a * b) / b, a), (a / b, a * b ** -1)]
+    if f:
+        same += [(a / f, a * (1 / ctx.scalar(f))), (f / ctx.scalar(f), ctx.one)]
+    if a.is_constant():
+        same.append((ctx.scalar(a.as_fraction()), a))
+    for x, y in same:
+        canonical(x), canonical(y)
+        assert x == y and hash(x) == hash(y)
