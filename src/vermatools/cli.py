@@ -126,13 +126,16 @@ def parse_expression(text: str, ctx: PolyContext) -> Scalar:
     and ** with integer exponents up to MAX_EXPONENT in absolute value, a
     negative one written -k, as long as no power or product can expand to
     more than MAX_TERMS terms; floats are rejected to keep every value
-    exact, and True and False are not integers here.
+    exact, and True and False are not integers here.  An expression nested
+    past Python's recursion limit is refused like a malformed one.
     """
     try:
-        node = ast.parse(str(text).strip(), mode="eval").body
+        return _eval_node(ast.parse(str(text).strip(), mode="eval").body, ctx)
     except SyntaxError as exc:
         raise ValueError(f"cannot parse expression {text!r}: {exc}") from exc
-    return _eval_node(node, ctx)
+    except RecursionError as exc:
+        raise ValueError("expression is nested too deeply to evaluate: "
+                         "Python's recursion limit was reached") from exc
 
 
 def _eval_node(node: ast.AST, ctx: PolyContext, budget: int = MAX_EXPONENT) -> Scalar:

@@ -22,6 +22,7 @@ until a highest weight evaluates them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 W22 = "w22"
@@ -35,27 +36,15 @@ _FAMILIES = {
 _TEXT = {"C": "C", "CL": "C_L", "CI": "C_I", "CLI": "C_LI"}
 
 
-class Generator:
-    """A basis element: a moded L/W/I generator or a central element."""
+class Generator(namedtuple("Generator", "family mode")):
+    """A basis element, moded L/W/I or central; equal to (family, mode)."""
 
-    __slots__ = ("family", "mode", "_hash")
+    __slots__ = ()
 
-    def __init__(self, family: str, mode: int = 0):
+    def __new__(cls, family: str, mode: int = 0):
         if family in _CENTRAL and mode != 0:
             raise ValueError(f"central generator {family} carries no mode")
-        self.family = family
-        self.mode = mode
-        self._hash = hash((family, mode))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Generator)
-            and self.family == other.family
-            and self.mode == other.mode
-        )
-
-    def __hash__(self):
-        return self._hash
+        return super().__new__(cls, family, mode)
 
     def is_central(self) -> bool:
         return self.family in _CENTRAL
@@ -94,8 +83,9 @@ def second_family(kind: str) -> str:
     return _FAMILIES[kind][1]
 
 
-# A LieCombo, the result of a bracket, is a list of (Generator, Fraction)
-# pairs with nonzero rational coefficients.
+# A LieCombo, the result of a bracket, is a list of (Generator, coefficient)
+# pairs with nonzero coefficients: ints, except the central term
+# (n^3 - n)/12 of an [L, L] or [L, W] bracket, which is a Fraction.
 LieCombo = list
 
 
@@ -109,7 +99,7 @@ def bracket(a: Generator, b: Generator, kind: str) -> LieCombo:
     if fa == "L" and fb == "L":
         out = []
         if n != m:
-            out.append((Generator("L", n + m), Fraction(n - m)))
+            out.append((Generator("L", n + m), n - m))
         if n == -m and n != 0:
             cc = Generator("C") if kind == W22 else Generator("CL")
             out.append((cc, Fraction(n**3 - n, 12)))
@@ -121,22 +111,22 @@ def bracket(a: Generator, b: Generator, kind: str) -> LieCombo:
             return _negate(bracket(b, a, kind))
         out = []
         if n != m:
-            out.append((Generator("W", n + m), Fraction(n - m)))
+            out.append((Generator("W", n + m), n - m))
         if n == -m and n != 0:
             out.append((Generator("C"), Fraction(n**3 - n, 12)))
         return out
     # HV
     if fa == "I" and fb == "I":
         if n == -m and n != 0:
-            return [(Generator("CI"), Fraction(n))]
+            return [(Generator("CI"), n)]
         return []
     if fa == "I":  # [I_n, L_m] = -[L_m, I_n]
         return _negate(bracket(b, a, kind))
     out = []
     if m != 0:
-        out.append((Generator("I", n + m), Fraction(-m)))
+        out.append((Generator("I", n + m), -m))
     if n == -m and n * n + n != 0:
-        out.append((Generator("CLI"), Fraction(-(n * n + n))))
+        out.append((Generator("CLI"), -(n * n + n)))
     return out
 
 

@@ -16,20 +16,20 @@ monomial).  Everything is exact: coefficients are :class:`Scalar`.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from . import render
-from .liealg import HV, W22, Generator, bracket, check_generator, second_family
+from .liealg import (C, C_I, C_L, C_LI, HV, W22, Generator, I, L, W, bracket,
+                     check_generator, second_family)
 from .scalar import PolyContext, Scalar
 
 
-class PBWMonomial:
-    """A normally ordered monomial: W/I part then L part, modes descending."""
+class PBWMonomial(NamedTuple):
+    """A normally ordered monomial: W/I part then L part, modes descending.
+    Equal to the tuple (w, l); ``sort_key``, not ``<``, is the PBW order."""
 
-    __slots__ = ("w", "l", "_hash")
-
-    def __init__(self, w: tuple[int, ...], l: tuple[int, ...]):
-        self.w = w
-        self.l = l
-        self._hash = hash((w, l))
+    w: tuple[int, ...]
+    l: tuple[int, ...]
 
     @classmethod
     def make(cls, w=(), l=()) -> "PBWMonomial":
@@ -39,23 +39,12 @@ class PBWMonomial:
             raise ValueError("modes in a PBW monomial must be positive")
         return cls(w, l)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PBWMonomial) and self.w == other.w and self.l == other.l
-        )
-
-    def __hash__(self):
-        return self._hash
-
     @property
     def level(self) -> int:
         return sum(self.w) + sum(self.l)
 
     def sort_key(self):
         return (self.l, self.w)
-
-    def is_empty(self) -> bool:
-        return not self.w and not self.l
 
     def as_word(self, kind: str) -> tuple[Generator, ...]:
         """The monomial as a product of lowering generators, left to right."""
@@ -76,6 +65,13 @@ class PBWMonomial:
 
 
 EMPTY = PBWMonomial((), ())
+
+
+# The weight that each central or zero-mode generator takes on v, per algebra.
+_EIGENVALUE_NAMES = {
+    W22: {C: "c", L(0): "h", W(0): "hW"},
+    HV: {C_L: "cL", C_I: "cI", C_LI: "cLI", L(0): "h", I(0): "hI"},
+}
 
 
 class HighestWeight:
@@ -101,20 +97,10 @@ class HighestWeight:
 
     def eigenvalue(self, g: Generator) -> Scalar:
         """Action of a central or zero-mode generator on the highest weight vector."""
-        if self.kind == W22:
-            table = {("C", 0): "c", ("L", 0): "h", ("W", 0): "hW"}
-        else:
-            table = {
-                ("CL", 0): "cL",
-                ("CI", 0): "cI",
-                ("CLI", 0): "cLI",
-                ("L", 0): "h",
-                ("I", 0): "hI",
-            }
-        key = (g.family, g.mode)
-        if key not in table:
+        name = _EIGENVALUE_NAMES[self.kind].get(g)
+        if name is None:
             raise ValueError(f"{g} has no eigenvalue on the highest weight vector")
-        return self.weights[table[key]]
+        return self.weights[name]
 
     def to_json(self) -> dict:
         return {
@@ -258,7 +244,7 @@ class ModuleContext:
         if g.family == "I" and g.mode == 0:
             ev = self.hw["hI"]
             return ((mono, ev),) if not ev.is_zero() else ()
-        if mono.is_empty():
+        if mono == EMPTY:
             if g.mode > 0:
                 return ()
             if g.mode == 0:  # only W(0) reaches here

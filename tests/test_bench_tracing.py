@@ -4,15 +4,19 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from vermatools import render, tensor, verma
+from vermatools import liealg, linalg, pbw, render, scalar, tensor, verma
 
 
 def _wrapped_names():
     return (verma.subsingular, verma._subsingular_direct, verma._certify_subsingular,
             verma.QuotientModule._echelon, verma.QuotientModule.reduce,
-            tensor.cyclicity_check, tensor.decide_tensor_hv,
+            tensor.cyclicity_check, tensor.decide_tensor_hv, tensor.TensorSpace.act,
             render.text_vector, render.latex_vector, render.latex_scalar,
-            render.latex_character, render.latex_table)
+            render.latex_character, render.latex_table,
+            liealg.bracket, pbw.ModuleContext.__init__, pbw.ModuleContext.act,
+            pbw.ModuleContext._act_mono, pbw.ModuleContext._act_mono_compute,
+            linalg.Echelon.add, linalg.Echelon.reduce, linalg.solve, linalg.nullspace,
+            scalar._pgcd)
 
 
 def test_tracing_installs_and_uninstalls(monkeypatch):

@@ -383,6 +383,23 @@ def test_negative_exponent_of_zero_exits_two(capsys):
     assert err == "error: division by zero scalar\n"
 
 
+@pytest.mark.parametrize("h_arg", ["--h=" + "+".join(["1"] * 1500), "--h=" + "-" * 5000 + "1"],
+                         ids=["sum-of-1500", "5000-minus-signs"])
+def test_deeply_nested_expression_exits_two(capsys, h_arg):
+    # both pass Python's recursion limit, in _eval_node and in ast.parse
+    code, out, err = run_main(capsys, "classify", "--symbolic", "hW", "--c", "1", h_arg)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: expression is nested too deeply")
+
+
+def test_shallower_sum_still_evaluates(capsys):
+    code, out, _ = run_main(capsys, "classify", "--symbolic", "hW", "--c", "1",
+                            "--h", "+".join(["1"] * 900))
+    assert code == 0
+    assert out.startswith("verdict: ")
+
+
 def test_negative_exponents_reach_the_verdict(capsys):
     # c = -4 and hW = 1/2 satisfy 2 hW + (p^2 - 1) c / 12 = 0 at p = 2
     code, out, _ = run_main(capsys, "classify", "--c", "-8*2**-1", "--h", "0",

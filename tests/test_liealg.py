@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from vermatools.liealg import HV, W22, I, L, W, bracket
+from vermatools.liealg import C_LI, HV, W22, Generator, I, L, W, bracket
 
 BASIS = {
     W22: lambda n: [L(n), W(n)],
@@ -67,8 +67,6 @@ def test_bracket_is_graded(kind):
 @pytest.mark.parametrize("kind", [W22, HV])
 def test_central_elements_commute(kind):
     centrals = {W22: ["C"], HV: ["CL", "CLI", "CI"]}[kind]
-    from vermatools.liealg import Generator
-
     for name in centrals:
         z = Generator(name, 0)
         for n in range(-5, 6):
@@ -117,3 +115,16 @@ def test_mixed_bracket_matches_virasoro_shape():
                 assert noncentral == {}
             else:
                 assert noncentral == {W(n + m): Fraction(n - m)}
+
+
+@pytest.mark.parametrize("name,mode", [("C", 1), ("CL", -2)])
+def test_central_generator_carries_no_mode(name, mode):
+    with pytest.raises(ValueError, match=f"central generator {name} carries no mode"):
+        Generator(name, mode)
+
+
+def test_generator_is_its_family_and_mode():
+    assert L(-3) == Generator("L", -3) == ("L", -3)
+    assert hash(L(-3)) == hash(("L", -3))
+    assert C_LI == Generator("CLI") == ("CLI", 0)
+    assert repr(L(-3)) == "L(-3)" and repr(C_LI) == "C_LI"

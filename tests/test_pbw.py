@@ -191,3 +191,28 @@ def test_level_grading_under_action():
         y = M.act(g, x)
         if not y.is_zero():
             assert y.level == x.level - n
+
+
+@pytest.mark.parametrize("parts", [{"w": (0,)}, {"l": (2, -1)}])
+def test_monomial_modes_must_be_positive(parts):
+    with pytest.raises(ValueError, match="modes in a PBW monomial must be positive"):
+        PBWMonomial.make(**parts)
+
+
+def test_monomial_is_a_sorted_value():
+    mono = PBWMonomial.make(w=(1, 2), l=(1, 3))
+    direct = PBWMonomial((2, 1), (3, 1))
+    round_trip = PBWMonomial.from_json(mono.to_json())
+    assert mono == direct == round_trip == ((2, 1), (3, 1))
+    assert hash(mono) == hash(direct) == hash(round_trip) == hash(((2, 1), (3, 1)))
+
+
+def test_equal_keys_share_one_memo_entry():
+    M = w22_module()
+    first = PBWMonomial.make(w=(1, 2), l=(1, 3))
+    second = PBWMonomial.from_json(first.to_json())
+    assert first is not second
+    M._act_mono(L(1), first)
+    size = len(M._memo)
+    assert M._act_mono(L(1), second) is M._act_mono(L(1), first)
+    assert len(M._memo) == size
