@@ -236,23 +236,16 @@ class ModuleContext:
 
     def _act_mono_compute(self, g: Generator, mono: PBWMonomial):
         one = self.scalar_ctx.one
-        if g.is_central():
-            return ((mono, self.hw.eigenvalue(g)),)
         if g.family == "L" and g.mode == 0:
             ev = self.hw["h"] + self.scalar_ctx.scalar(mono.level)
             return ((mono, ev),) if not ev.is_zero() else ()
-        if g.family == "I" and g.mode == 0:
-            ev = self.hw["hI"]
+        # Central elements and I_0 act by their eigenvalue on every
+        # monomial, W_0 only on v itself.
+        if g.is_central() or (g.mode == 0 and (g.family == "I" or mono == EMPTY)):
+            ev = self.hw.eigenvalue(g)
             return ((mono, ev),) if not ev.is_zero() else ()
-        if mono == EMPTY:
-            if g.mode > 0:
-                return ()
-            if g.mode == 0:  # only W(0) reaches here
-                ev = self.hw.eigenvalue(g)
-                return ((mono, ev),) if not ev.is_zero() else ()
-            if g.family == "L":
-                return ((PBWMonomial.make((), (-g.mode,)), one),)
-            return ((PBWMonomial.make((-g.mode,), ()), one),)
+        if mono == EMPTY and g.mode > 0:
+            return ()
         if g.family == self.current and g.mode < 0:
             merged = PBWMonomial.make(mono.w + (-g.mode,), mono.l)
             return ((merged, one),)

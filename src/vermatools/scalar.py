@@ -28,13 +28,14 @@ integer images (``_coprime_certified``), which is exact and turns sums
 over a shared denominator in three symbols from minutes into
 milliseconds.
 
-A context's ``one`` is a unit by identity: multiplying by that object
-returns the other factor itself.  Scalars are immutable and never
-mutate their shared polynomial dicts, so nothing can tell the
-difference, and the PBW action, whose normally ordered images all carry
-``one``, builds no Scalar for them.  ``PolyContext.scalar`` lifts any
-value equal to 1 to ``one`` itself, and comparing with an int or
-Fraction builds no Scalar.
+``PolyContext.__init__`` builds the context's ``zero`` and ``one``, and
+``one`` is a unit by identity: multiplying by that object returns the
+other factor itself.  Scalars are immutable and never mutate their
+shared polynomial dicts, so nothing can tell the difference, and the
+PBW action, whose normally ordered images all carry ``one``, builds no
+Scalar for them.  ``PolyContext.scalar`` lifts any value equal to 1
+to ``one`` itself, and comparing with an int or Fraction builds no
+Scalar.
 """
 
 from __future__ import annotations
@@ -47,10 +48,8 @@ from . import render
 Poly = dict  # exponent tuple -> int, zero coefficients never stored
 
 
-def _pconst(ctx_len: int, value: int) -> Poly:
-    if value == 0:
-        return {}
-    return {(0,) * ctx_len: value}
+def _pone(ctx_len: int) -> Poly:
+    return {(0,) * ctx_len: 1}
 
 
 def _pis_const(p: Poly) -> bool:
@@ -74,10 +73,6 @@ def _padd(a: Poly, b: Poly) -> Poly:
             else:
                 del out[e]
     return out
-
-
-def _pneg(a: Poly) -> Poly:
-    return {e: -c for e, c in a.items()}
 
 
 def _pscale(a: Poly, k: int) -> Poly:
@@ -136,21 +131,11 @@ def _pvars(a: Poly) -> set:
     return used
 
 
-def _picontent(a: Poly) -> int:
-    """Positive integer content (gcd of the coefficients)."""
-    g = 0
-    for c in a.values():
-        g = math.gcd(g, c)
-        if g == 1:
-            return 1
-    return g
-
-
 def _pprimitive_int(a: Poly) -> tuple[int, Poly]:
     """(content, primitive part) with the primitive part's lc positive."""
     if not a:
         return 1, {}
-    g = _picontent(a)
+    g = math.gcd(*a.values())
     if _plead(a)[1] < 0:
         g = -g
     if g == 1:
@@ -216,19 +201,13 @@ def _prem(a: Poly, b: Poly, v: int) -> Poly:
             break
         la = _coeff_wrt(rem, v, da)
         shift = (0,) * v + (da - db,) + (0,) * (width - v - 1)
-        rem = _padd(_pmul(lb, rem), _pneg(_pmul({shift: 1}, _pmul(la, b))))
+        rem = _padd(_pmul(lb, rem), _pscale(_pmul({shift: 1}, _pmul(la, b)), -1))
     return rem
 
 
 def _strip_content(out: list) -> list:
-    g = 0
-    for c in out:
-        g = math.gcd(g, c)
-        if g == 1:
-            return out
-    if g > 1:
-        out = [c // g for c in out]
-    return out
+    g = math.gcd(*out)
+    return [c // g for c in out] if g > 1 else out
 
 
 def _dense_at(a: Poly, v: int, point) -> list:
@@ -268,12 +247,7 @@ def _dense_gcd(x: list, y: list) -> list:
                 for i in range(len(y)):
                     x[off + i] -= my * y[i]
             x.pop()
-        g0 = 0
-        for c in x:
-            g0 = math.gcd(g0, c)
-        if g0 > 1:
-            x = [c // g0 for c in x]
-        x, y = y, x
+        x, y = y, _strip_content(x)
     if x and x[-1] < 0:
         x = [-c for c in x]
     return x
@@ -318,7 +292,7 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     if not b:
         return _pprimitive_int(a)[1]
     if _pis_const(a) or _pis_const(b):
-        return _pconst(len(next(iter(a))), 1)
+        return _pone(len(next(iter(a))))
     if len(a) == 1 or len(b) == 1:
         # gcd with a monomial is the largest common monomial factor
         it = iter(list(a) + list(b))
@@ -328,7 +302,7 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
                 if x < e[i]:
                     e[i] = x
         if not any(e):
-            return _pconst(len(e), 1)
+            return _pone(len(e))
         return {tuple(e): 1}
     va, vb = _pvars(a), _pvars(b)
     both = va | vb
@@ -336,7 +310,7 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     if len(va) == 1 and va == vb:
         return _pgcd_uni(a, b, v)
     if _coprime_certified(a, b, va & vb):
-        return _pconst(len(next(iter(a))), 1)
+        return _pone(len(next(iter(a))))
     if v not in va:
         return _pgcd(a, _content_wrt(b, v))
     if v not in vb:
@@ -352,7 +326,7 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
             ppg = _primitive_wrt(pb, v)
             break
         if _deg_in(r, v) == 0:
-            ppg = _pconst(len(next(iter(a))), 1)
+            ppg = _pone(len(next(iter(a))))
             break
         pa, pb = pb, _primitive_wrt(r, v)
     return _pprimitive_int(_pmul(cg, ppg))[1]
@@ -380,17 +354,11 @@ def _primitive_wrt(a: Poly, v: int) -> Poly:
 def _psub_vals(a: Poly, values: list, ctx: "PolyContext") -> "Scalar":
     """Evaluate integer polynomial a at Scalar values (one per slot)."""
     acc = ctx.zero
-    powcache: dict = {}
     for e, c in a.items():
         term = ctx.scalar(c)
         for i, k in enumerate(e):
             if k:
-                key = (i, k)
-                p = powcache.get(key)
-                if p is None:
-                    p = values[i] ** k
-                    powcache[key] = p
-                term = term * p
+                term = term * values[i] ** k
         acc = acc + term
     return acc
 
@@ -403,7 +371,7 @@ def _pjson(a: Poly, cont: Fraction) -> list:
 class PolyContext:
     """An ordered tuple of parameter names fixing the coefficient field."""
 
-    __slots__ = ("names", "_zero", "_one", "_nil")
+    __slots__ = ("names", "_nil", "zero", "one")
 
     def __init__(self, names: tuple[str, ...] = ()):
         names = tuple(names)
@@ -411,8 +379,9 @@ class PolyContext:
             raise ValueError(f"duplicate parameter names: {names}")
         self.names = names
         self._nil = (0,) * len(names)
-        self._zero = None
-        self._one = None
+        unit = {self._nil: 1}
+        self.zero = Scalar(self, 0, 1, {}, unit, True)
+        self.one = Scalar(self, 1, 1, unit, unit, True)
 
     def __eq__(self, other):
         return isinstance(other, PolyContext) and self.names == other.names
@@ -422,19 +391,6 @@ class PolyContext:
 
     def __repr__(self):
         return f"PolyContext({self.names!r})"
-
-    @property
-    def zero(self) -> "Scalar":
-        if self._zero is None:
-            self._zero = Scalar(self, 0, 1, {}, {self._nil: 1}, True)
-        return self._zero
-
-    @property
-    def one(self) -> "Scalar":
-        if self._one is None:
-            unit = {self._nil: 1}
-            self._one = Scalar(self, 1, 1, unit, unit, True)
-        return self._one
 
     def _rational(self, cn: int, cd: int) -> "Scalar":
         """The constant cn/cd, given reduced with cd > 0; zero and one are
@@ -482,7 +438,7 @@ class Scalar:
     Fraction for callers at the boundary.
     """
 
-    __slots__ = ("ctx", "cn", "cd", "num", "den", "_hash", "_const")
+    __slots__ = ("ctx", "cn", "cd", "num", "den", "_const")
 
     def __init__(self, ctx: PolyContext, cn: int, cd: int, num: Poly, den: Poly,
                  const: bool | None = None):
@@ -494,7 +450,6 @@ class Scalar:
         self.cd = cd
         self.num = num
         self.den = den
-        self._hash = None
         self._const = const
 
     @staticmethod
@@ -633,7 +588,7 @@ class Scalar:
             other = self._coerce(other)
         # Scalars are immutable, so a product with the context's own one
         # object is the other factor itself.
-        one = self.ctx._one
+        one = self.ctx.one
         if self is one:
             return other
         if other is one:
@@ -695,12 +650,11 @@ class Scalar:
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(
-                (self.ctx.names, self.cn, self.cd,
-                 frozenset(self.num.items()), frozenset(self.den.items()))
-            )
-        return self._hash
+        # A constant equals its int or Fraction, so it hashes like one.
+        if self.is_constant():
+            return hash(Fraction(self.cn, self.cd))
+        return hash((self.ctx.names, self.cn, self.cd,
+                     frozenset(self.num.items()), frozenset(self.den.items())))
 
     # -- structure -------------------------------------------------------
 

@@ -83,8 +83,8 @@ class IntermediateSeries:
                 "F": self.F.to_json()}
 
 
-def _series_coefficient(g: Generator, m, s: IntermediateSeries) -> Scalar:
-    """Coefficient of v_{m+n} in g v_m; m may be a symbolic scalar."""
+def _series_coefficient(g: Generator, m: Scalar, s: IntermediateSeries) -> Scalar:
+    """Coefficient of v_{m+n} in g v_m, the index m given as a Scalar."""
     if g.family == "L":
         return -(m + s.alpha + s.beta + s.beta * g.mode)
     if g.family == "I":
@@ -119,13 +119,10 @@ class TensorSpace:
 
     The second factor M is a Verma module or a quotient of one
     (a ModuleContext or a QuotientModule), over the parameter context of
-    the series.  `index_origin` is added to every series index inside
-    coefficients, so indices may be kept symbolic (origin n plus an
-    integer offset) while the stored labels stay integers.
+    the series.
     """
 
-    def __init__(self, M: ModuleContext, series: IntermediateSeries,
-                 window: tuple, index_origin: Scalar | None = None):
+    def __init__(self, M: ModuleContext, series: IntermediateSeries, window: tuple):
         if series.ctx != M.scalar_ctx:
             raise ValueError("series parameters use a different context")
         self.M = M
@@ -135,8 +132,6 @@ class TensorSpace:
         self.window = (int(window[0]), int(window[1]))
         if self.window[0] > self.window[1]:
             raise ValueError("empty window")
-        self.index_origin = (M.scalar_ctx.zero if index_origin is None
-                             else index_origin)
         self.excluded = series.excluded_index()
         self._series_coeffs: dict = {}
 
@@ -160,7 +155,7 @@ class TensorSpace:
         for (m, mono), cf in x.terms.items():
             coeff = self._series_coeffs.get((g, m))
             if coeff is None:
-                coeff = _series_coefficient(g, self.index_origin + m, self.series)
+                coeff = _series_coefficient(g, self.scalar_ctx.scalar(m), self.series)
                 self._series_coeffs[(g, m)] = coeff
             if not coeff.is_zero():
                 m2 = m + g.mode
@@ -173,12 +168,6 @@ class TensorSpace:
                 _accumulate(out, (m, mono2), cf * c2)
         return TensorVector(self, out)
 
-    def multiply(self, word, x: TensorVector) -> TensorVector:
-        """Apply a product of generators, rightmost factor first."""
-        for g in reversed(tuple(word)):
-            x = self.act(g, x)
-        return x
-
     def apply_module_vector(self, u, m: int) -> TensorVector:
         """Apply an element of the lowering algebra, given as a module
         vector (sum of monomials acting on the highest weight vector),
@@ -186,8 +175,10 @@ class TensorSpace:
         out = self.zero()
         start = self.vacuum_at(m)
         for mono, cf in u.terms.items():
-            out = out + self.multiply(mono.as_word(self.M.hw.kind),
-                                      start).scaled(cf)
+            x = start
+            for g in reversed(mono.as_word(self.kind)):
+                x = self.act(g, x)
+            out = out + x.scaled(cf)
         return out
 
 
@@ -464,11 +455,12 @@ def hv_decision_polynomials(hw: HighestWeight, s: IntermediateSeries,
     ectx = PolyContext(hw.ctx.names + tuple(x for x in ("n", "F") if x not in hw.ctx.names))
     n_sym, f_sym = ectx.var("n"), ectx.var("F")
     hw2 = HighestWeight(HV, ectx, hw.weights)
-    s2 = IntermediateSeries.make(ectx, s.alpha, s.beta, f_sym)
+    # The symbolic index n is carried as a shift of alpha.
+    s2 = IntermediateSeries.make(ectx, ectx.scalar(s.alpha) + n_sym, s.beta, f_sym)
     M = ModuleContext(hw2)
     rep = classify(M)
     target, top = (-1, p - 1) if rep.case == "I" else (0, p)
-    space = TensorSpace(witness_quotient(M, rep), s2, (target, top), index_origin=n_sym)
+    space = TensorSpace(witness_quotient(M, rep), s2, (target, top))
     T = space.apply_module_vector(rep.u_prime, top)
     lam = _eliminate_to_target(space, T, target, top)
     if rep.case == "I":

@@ -6,6 +6,9 @@ from pathlib import Path
 
 from vermatools import liealg, linalg, pbw, render, scalar, tensor, verma
 
+SCALAR_DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                  "__truediv__", "__rtruediv__", "__neg__", "__pow__")
+
 
 def _wrapped_names():
     return (verma.subsingular, verma._subsingular_direct, verma._certify_subsingular,
@@ -16,7 +19,7 @@ def _wrapped_names():
             liealg.bracket, pbw.ModuleContext.__init__, pbw.ModuleContext.act,
             pbw.ModuleContext._act_mono, pbw.ModuleContext._act_mono_compute,
             linalg.Echelon.add, linalg.Echelon.reduce, linalg.solve, linalg.nullspace,
-            scalar._pgcd)
+            scalar._pgcd, *(scalar.Scalar.__dict__[a] for a in SCALAR_DUNDERS))
 
 
 def test_tracing_installs_and_uninstalls(monkeypatch):

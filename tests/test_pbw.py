@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from vermatools import render
-from vermatools.liealg import HV, W22, I, L, W, bracket
+from vermatools.liealg import C, C_I, C_L, C_LI, HV, W22, I, L, W, bracket
 from vermatools.pbw import HighestWeight, ModuleContext, ModuleVector, PBWMonomial
 from vermatools.scalar import PolyContext
 from vermatools.tensor import IntermediateSeries, TensorSpace
+from vermatools.verma import weight_space_basis
 
 
 def w22_module():
@@ -216,3 +217,21 @@ def test_equal_keys_share_one_memo_entry():
     size = len(M._memo)
     assert M._act_mono(L(1), second) is M._act_mono(L(1), first)
     assert len(M._memo) == size
+
+
+@pytest.mark.parametrize("kind", [W22, HV])
+def test_action_stores_no_zero_coefficient(kind):
+    """At zero central charge no memoized image holds a zero coefficient,
+    for central generators as for moded ones."""
+    Q = PolyContext(())
+    if kind == W22:
+        hw = HighestWeight.w22(Q, c=0, h=1, hW=2)
+        gens = [C] + [g(n) for g in (L, W) for n in range(-3, 4)]
+    else:
+        hw = HighestWeight.hv(Q, cL=0, cLI=1, h=2, hI=3, cI=0)
+        gens = [C_L, C_I, C_LI] + [g(n) for g in (L, I) for n in range(-3, 4)]
+    M = ModuleContext(hw)
+    for level in range(4):
+        for mono in weight_space_basis(level):
+            for g in gens:
+                assert all(not c.is_zero() for _, c in M._act_mono(g, mono)), (g, mono)

@@ -498,3 +498,14 @@ def test_content_is_a_reduced_int_pair(ctx, data, f, k):
     for x, y in same:
         canonical(x), canonical(y)
         assert x == y and hash(x) == hash(y)
+
+
+@given(st.sampled_from([Q, QH]),
+       st.one_of(st.sampled_from([0, 1, 2 ** 100, -2 ** 100]), st.integers(), big_fractions))
+@settings(max_examples=150, deadline=None)
+def test_constant_hashes_like_its_value(ctx, v):
+    """A constant Scalar equals its int or Fraction, so it hashes the same
+    and is found in a set by that value."""
+    s = ctx.scalar(v)
+    assert s == v and hash(s) == hash(v)
+    assert v in {s} and s in {v}

@@ -147,7 +147,9 @@ def test_component_weights_are_homogeneous():
     space = TensorSpace(ModuleContext(hw), s, (-8, 8))
     x = space.vacuum_at(2)
     for word in ([L(-1)], [L(-2), W(-1)], [W(-1), L(1), L(-3)]):
-        y = space.multiply(word, x)
+        y = x
+        for g in reversed(word):
+            y = space.act(g, y)
         offsets = {mono.level - m for (m, mono) in y.terms}
         assert len(offsets) == 1
         assert offsets == {sum(-g.mode for g in word) - 2}
