@@ -404,15 +404,18 @@ class PolyContext:
 
     def scalar(self, value) -> "Scalar":
         """Lift an int, Fraction, or Scalar into this context; a Scalar
-        must be constant or come from a context whose names begin these."""
+        must be constant or come from a context whose names begin these.
+        The result is on this very object, for Scalar's identity paths."""
         if isinstance(value, Scalar):
-            if value.ctx == self:
+            if value.ctx is self:
                 return value
             if value.is_constant():
                 return self._rational(value.cn, value.cd)
             k = len(value.ctx.names)
             if value.ctx.names != self.names[:k]:
                 raise ValueError("parameter context mismatch")
+            if k == len(self.names):
+                return Scalar(self, value.cn, value.cd, value.num, value.den, False)
             # Appending zero exponents preserves the canonical form.
             pad = self._nil[k:]
             return Scalar(self, value.cn, value.cd,

@@ -127,8 +127,9 @@ class TensorSpace:
             raise ValueError("series parameters use a different context")
         self.M = M
         self.kind = M.kind
-        self.scalar_ctx = M.scalar_ctx
-        self.series = series
+        self.scalar_ctx = ctx = M.scalar_ctx
+        self.series = IntermediateSeries(ctx.scalar(series.alpha), ctx.scalar(series.beta),
+                                         ctx.scalar(series.F))
         self.window = (int(window[0]), int(window[1]))
         if self.window[0] > self.window[1]:
             raise ValueError("empty window")

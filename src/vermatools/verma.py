@@ -308,9 +308,11 @@ def subsingular(M: ModuleContext, p: int, r: int):
 
     Ansatz: u = L_{-p}^r v + sum over level-rp monomials with no W_{-p}
     factor, and the requirement is g.u = 0 in V / J' for the four
-    raising generators.  The linear system is built once over the
-    coefficient field and solved exactly there; one DEBUG log line per
-    call gives the system size and the outcome.
+    raising generators.  At the necessary h the system is first solved
+    on the monomials of L-degree <= r alone (see _subsingular_direct);
+    every system is solved exactly over the coefficient field, and one
+    DEBUG log line per call gives the system size, the ansatz when the
+    first pass ran, and the outcome.
     """
     try:
         uprime = u_prime(M, p)
@@ -326,16 +328,27 @@ def _subsingular_direct(M: ModuleContext, p: int, r: int, uprime: ModuleVector):
 
     The unknowns are the ansatz monomials and the lead L_{-p}^r is the
     known part; each g.u is taken in the quotient V / J', J' = U(g) u'.
-    The system is consistent exactly at the necessary h.
+    The system is consistent exactly at the necessary h.  There the
+    ansatz of L-degree <= r, when smaller, is solved first; an answer
+    with no unknown free solves the full system too (zeros elsewhere), so
+    it is taken.  Every other case, a symbolic h included, is decided on
+    the full ansatz, which refuses an unknown left free.
     """
     lead = PBWMonomial((), (p,) * r)
     unknowns = [m for m in weight_space_basis(r * p) if p not in m.w and m != lead]
-    rows, columns = _raising_system(quotient_l_prime(M, p, uprime), unknowns,
-                                    M.vector({lead: 1}))
-    ctx = M.scalar_ctx
-    res = linalg.solve(rows, columns, ctx)
-    _log.debug("subsingular(p=%d, r=%d): exact solve of %d x %d system over Q(%s): %s",
-               p, r, len(rows), len(columns), ", ".join(ctx.names),
+    Q, known, ctx = quotient_l_prime(M, p, uprime), M.vector({lead: 1}), M.scalar_ctx
+    small = [m for m in unknowns if len(m.l) <= r]
+    first = len(small) < len(unknowns) and (M.hw["h"] - necessary_h(p, r, M.hw["hW"])).is_zero()
+    for ansatz in ([small] if first else []) + [unknowns]:
+        rows, columns = _raising_system(Q, ansatz, known)
+        res = linalg.solve(rows, columns, ctx)
+        if ansatz is unknowns or (res is not None and not res[1]):
+            break
+        rejected = "inconsistent" if res is None else f"{len(res[1])} free"
+    on = "" if not first else (f" on the L-degree <= {r} ansatz" if ansatz is small else
+                               f" on the full ansatz (L-degree <= {r}: {rejected})")
+    _log.debug("subsingular(p=%d, r=%d): exact solve of %d x %d system over Q(%s)%s: %s",
+               p, r, len(rows), len(columns), ", ".join(ctx.names), on,
                "inconsistent" if res is None else f"rank {len(columns) - len(res[1])}")
     if res is None:
         return None
@@ -515,8 +528,10 @@ class QuotientModule(ModuleContext):
         return len(weight_space_basis(level)) - len(self._echelon(level).pivots)
 
     def _act_mono_compute(self, g: Generator, mono: PBWMonomial):
-        return tuple(self.reduce(ModuleVector(self.M, dict(self.M._act_mono(g, mono))))
-                     .terms.items())
+        image = self.M._act_mono(g, mono)
+        if not image:
+            return ()
+        return tuple(self._echelon(image[0][0].level).reduce(dict(image)).items())
 
 
 def quotient_l_prime(M: ModuleContext, p: int, uprime: ModuleVector | None = None) -> QuotientModule:

@@ -324,6 +324,23 @@ def test_lifting_a_value_equal_to_one_gives_the_unit(ctx):
     assert ctx.scalar(-1) is not ctx.one
 
 
+@pytest.mark.parametrize("ctx", [Q, QH], ids=["Q", "Q(hW)"])
+def test_lifting_from_an_equal_context_rehomes_the_value(ctx):
+    """A value from an equal but distinct context comes back on ctx itself,
+    equal and hashing alike, so the unit fast path holds for it."""
+    twin = PolyContext(ctx.names)
+    values = [twin.zero, twin.one, twin.scalar(Fraction(-3, 7))]
+    if ctx.names:
+        hW = twin.var("hW")
+        values += [hW, (hW * hW - 2) / (hW * 3 + 1)]
+    for v in values:
+        x = ctx.scalar(v)
+        assert x == v and hash(x) == hash(v)
+        assert x.ctx is ctx
+        assert x * ctx.one is x and ctx.one * x is x
+        assert ctx.scalar(x) is x
+
+
 # A unit recipe is one of the special scalars, a lifted int or a plain
 # int or Fraction; the operator is applied with Fraction as the oracle.
 unit_operands = st.one_of(st.sampled_from(["one", "-one", "zero"]),

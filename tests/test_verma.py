@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from vermatools import linalg, render, verma
-from vermatools.liealg import I, L, W, bracket
+from vermatools.liealg import C, C_I, C_L, C_LI, W22, I, L, W, bracket
 from vermatools.pbw import HighestWeight, ModuleContext, PBWMonomial
 from vermatools.scalar import PolyContext
 
@@ -159,15 +159,38 @@ def test_subsingular_none_off_the_necessary_h():
     assert verma.subsingular(ModuleContext(hw), 2, 1) is None
 
 
+# The points of the found-sampled benchmark workload, and (2,1) and (3,1).
+FIRST_PASS_POINTS = [(1, 4), (1, 5), (1, 6), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1),
+                     (5, 1)]
+
+
+def _full_ansatz_system(M, p, r, uprime):
+    """The subsingular system on every level-rp monomial without W_{-p}."""
+    lead = PBWMonomial.make(l=(p,) * r)
+    unknowns = [m for m in verma.weight_space_basis(r * p) if p not in m.w and m != lead]
+    return lead, verma._raising_system(verma.quotient_l_prime(M, p, uprime), unknowns,
+                                       M.vector({lead: 1}))
+
+
+def _solve_sizes(monkeypatch, verdict=None):
+    """Column counts of the systems linalg.solve is given from now on; the
+    i-th solve returns verdict(i, columns, result) when verdict is given."""
+    sizes, solve = [], linalg.solve
+
+    def recorded(rows, columns, ctx):
+        sizes.append(len(columns))
+        res = solve(rows, columns, ctx)
+        return res if verdict is None else verdict(len(sizes), columns, res)
+    monkeypatch.setattr(linalg, "solve", recorded)
+    return sizes
+
+
 def test_subsingular_solve_ignores_row_order():
     rng = random.Random(5)
     for p, r in ((2, 1), (2, 2)):
         M = subsingular_module(p, r)
         uprime = verma.u_prime(M, p)
-        lead = PBWMonomial.make(l=(p,) * r)
-        unknowns = [m for m in verma.weight_space_basis(r * p) if p not in m.w and m != lead]
-        rows, columns = verma._raising_system(verma.quotient_l_prime(M, p, uprime), unknowns,
-                                              M.vector({lead: 1}))
+        lead, (rows, columns) = _full_ansatz_system(M, p, r, uprime)
         expected = verma._subsingular_direct(M, p, r, uprime)
         assert expected is not None
         for _ in range(3):
@@ -181,6 +204,70 @@ def test_subsingular_solve_ignores_row_order():
     M_off = ModuleContext(hw_off)
     assert verma.subsingular(M_off, 2, 1) is None
     assert verma._subsingular_direct(M_off, 2, 1, verma.u_prime(M_off, 2)) is None
+
+
+@pytest.mark.parametrize("p,r", FIRST_PASS_POINTS)
+def test_first_pass_gives_the_full_ansatz_vector(monkeypatch, p, r):
+    """At the necessary h the full ansatz leaves no unknown free, and its
+    vector is the one the solve returns, which takes the L-degree <= r
+    ansatz first for p > 1.  Off it, the one system solved is the full
+    one, and it has no solution."""
+    M = subsingular_module(p, r)
+    uprime = verma.u_prime(M, p)
+    lead, (rows, columns) = _full_ansatz_system(M, p, r, uprime)
+    sol, free = linalg.solve(rows, columns, M.scalar_ctx)
+    assert not free
+    full = M.vector({lead: 1, **sol})
+    assert verma.subsingular(M, p, r) == full
+    sizes = _solve_sizes(monkeypatch)
+    assert verma._subsingular_direct(M, p, r, uprime) == full
+    assert len(sizes) == 1 and (sizes[0] < len(columns)) == (p > 1)
+    hw_off = HighestWeight.w22(M.scalar_ctx, c=M.hw["c"],
+                               h=M.hw["h"] + Fraction(1, 3), hW=M.hw["hW"])
+    M_off = ModuleContext(hw_off)
+    uprime_off = verma.u_prime(M_off, p)
+    del sizes[:]
+    assert verma._subsingular_direct(M_off, p, r, uprime_off) is None
+    assert sizes == [len(columns)]
+
+
+def test_symbolic_h_solves_the_full_ansatz_only(monkeypatch):
+    M = degenerate_module(3)
+    uprime = verma.u_prime(M, 3)
+    _, (_, columns) = _full_ansatz_system(M, 3, 2, uprime)
+    sizes = _solve_sizes(monkeypatch)
+    assert verma._subsingular_direct(M, 3, 2, uprime) is None
+    assert sizes == [len(columns)]
+
+
+@pytest.mark.parametrize("first,why", [("inconsistent", "inconsistent"), ("free", "1 free")])
+def test_rejected_first_pass_falls_back_to_the_full_ansatz(monkeypatch, caplog, first, why):
+    """A first pass that is inconsistent or leaves an unknown free is
+    dropped, the full ansatz decides, and the log line says why."""
+    M = subsingular_module(3, 2)
+    uprime = verma.u_prime(M, 3)
+    expected = verma._subsingular_direct(M, 3, 2, uprime)
+
+    def reject_first(i, columns, res):
+        if i > 1:
+            return res
+        return None if first == "inconsistent" else (res[0], columns[:1])
+    sizes = _solve_sizes(monkeypatch, reject_first)
+    caplog.set_level(logging.DEBUG, logger="vermatools.verma")
+    assert verma._subsingular_direct(M, 3, 2, uprime) == expected
+    assert sizes == [37, 54]
+    [record] = caplog.records
+    assert record.getMessage() == (
+        "subsingular(p=3, r=2): exact solve of 98 x 54 system over Q(hW) "
+        f"on the full ansatz (L-degree <= 2: {why}): rank 54")
+
+
+def test_full_ansatz_keeps_the_underdetermined_refusal(monkeypatch):
+    M = subsingular_module(2, 2)
+    uprime = verma.u_prime(M, 2)
+    _solve_sizes(monkeypatch, lambda i, columns, res: (res[0], columns[:1]))
+    with pytest.raises(ValueError, match="subsingular solve underdetermined at p=2, r=2"):
+        verma._subsingular_direct(M, 2, 2, uprime)
 
 
 def test_solved_vector_passes_the_certificate():
@@ -229,16 +316,18 @@ def test_off_weight_solve_is_logged(caplog):
     assert verma.subsingular(ModuleContext(hw_off), 2, 1) is None
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
-    assert "subsingular(p=2, r=1)" in record.getMessage()
-    assert "over Q(hW): inconsistent" in record.getMessage()
+    assert record.getMessage() == (
+        "subsingular(p=2, r=1): exact solve of 6 x 3 system over Q(hW): inconsistent")
 
 
 def test_found_vector_logs_the_rank(caplog):
     caplog.set_level(logging.DEBUG, logger="vermatools.verma")
     assert verma.subsingular(subsingular_module(2, 2), 2, 2) is not None
-    [record] = caplog.records
-    assert "subsingular(p=2, r=2)" in record.getMessage()
-    assert ": rank " in record.getMessage()
+    assert verma.subsingular(subsingular_module(1, 2), 1, 2) is not None
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "subsingular(p=2, r=2): exact solve of 18 x 11 system over Q(hW) "
+        "on the L-degree <= 2 ansatz: rank 11",
+        "subsingular(p=1, r=2): exact solve of 3 x 2 system over Q(c): rank 2"]
 
 
 def test_failed_u_prime_is_logged_and_raised(caplog):
@@ -384,6 +473,21 @@ def test_quotient_is_a_representation():
             assert lhs == rhs, (a, b, x)
             for img in (Q.act(a, x), Q.act(b, x), Q.act(a, Q.act(b, x)), lhs):
                 assert all(Q.basis_pred(m) for m in img.terms)
+
+
+def test_quotient_action_is_the_reduced_verma_action():
+    """Q._act_mono(g, m) is Q.reduce of g.m in M, on V/J', V/J and the
+    twisted case-L quotient, for every generator with mode in -3..3 and
+    every central one, on every monomial to level 4."""
+    for Q, second in _quotients_for_representation_check():
+        gens = [C] if Q.kind == W22 else [C_L, C_I, C_LI]
+        gens += [g(n) for g in (L, second) for n in range(-3, 4)]
+        M = Q.M
+        for level in range(5):
+            for m in verma.weight_space_basis(level):
+                for g in gens:
+                    expected = Q.reduce(M.act(g, M.vector({m: 1})))
+                    assert dict(Q._act_mono(g, m)) == expected.terms, (g, m)
 
 
 # ---------------------------------------------------------------------------
