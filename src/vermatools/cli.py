@@ -5,7 +5,8 @@ in one of three formats.  Reports are deterministic for a given job
 (timing aside), and the json form parses back into an equal Report.
 `main` builds only the parser of the command it runs (all seven for the
 top-level help or a missing or unknown command), and no parser or other
-cache outlives one call.
+cache outlives one call; only the table of parameter contexts does, one
+``PolyContext`` per tuple of names.
 
 Exit codes: 0 on success, 2 on malformed parameters, a parameter the job
 does not read, or a failed precondition, 3 when a decision procedure

@@ -28,7 +28,10 @@ integer images (``_coprime_certified``), which is exact and turns sums
 over a shared denominator in three symbols from minutes into
 milliseconds.
 
-``PolyContext.__init__`` builds the context's ``zero`` and ``one``, and
+There is one ``PolyContext`` per tuple of names: the constructor returns
+the context already made for the tuple, and copies and pickles come back
+as that object, so two Scalars share a field exactly when their ``ctx``
+is the same object.  A context builds its ``zero`` and ``one`` once, and
 ``one`` is a unit by identity: multiplying by that object returns the
 other factor itself.  Scalars are immutable and never mutate their
 shared polynomial dicts, so nothing can tell the difference, and the
@@ -369,25 +372,30 @@ def _pjson(a: Poly, cont: Fraction) -> list:
 
 
 class PolyContext:
-    """An ordered tuple of parameter names fixing the coefficient field."""
+    """An ordered tuple of parameter names fixing the coefficient field;
+    one object per tuple, kept for the life of the process."""
 
     __slots__ = ("names", "_nil", "zero", "one")
+    _made: dict = {}
 
-    def __init__(self, names: tuple[str, ...] = ()):
+    def __new__(cls, names: tuple[str, ...] = ()):
         names = tuple(names)
+        ctx = cls._made.get(names)
+        if ctx is not None:
+            return ctx
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names: {names}")
-        self.names = names
-        self._nil = (0,) * len(names)
-        unit = {self._nil: 1}
-        self.zero = Scalar(self, 0, 1, {}, unit, True)
-        self.one = Scalar(self, 1, 1, unit, unit, True)
+        ctx = super().__new__(cls)
+        ctx.names = names
+        ctx._nil = (0,) * len(names)
+        unit = {ctx._nil: 1}
+        ctx.zero = Scalar(ctx, 0, 1, {}, unit, True)
+        ctx.one = Scalar(ctx, 1, 1, unit, unit, True)
+        # Of two threads making the same context, both get the first one stored.
+        return cls._made.setdefault(names, ctx)
 
-    def __eq__(self, other):
-        return isinstance(other, PolyContext) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
+    def __reduce__(self):
+        return PolyContext, (self.names,)
 
     def __repr__(self):
         return f"PolyContext({self.names!r})"
@@ -404,8 +412,7 @@ class PolyContext:
 
     def scalar(self, value) -> "Scalar":
         """Lift an int, Fraction, or Scalar into this context; a Scalar
-        must be constant or come from a context whose names begin these.
-        The result is on this very object, for Scalar's identity paths."""
+        must be constant or come from a context whose names begin these."""
         if isinstance(value, Scalar):
             if value.ctx is self:
                 return value
@@ -414,8 +421,6 @@ class PolyContext:
             k = len(value.ctx.names)
             if value.ctx.names != self.names[:k]:
                 raise ValueError("parameter context mismatch")
-            if k == len(self.names):
-                return Scalar(self, value.cn, value.cd, value.num, value.den, False)
             # Appending zero exponents preserves the canonical form.
             pad = self._nil[k:]
             return Scalar(self, value.cn, value.cd,
@@ -503,10 +508,8 @@ class Scalar:
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other) -> "Scalar":
-        if type(other) is Scalar and other.ctx is self.ctx:
-            return other
         if isinstance(other, Scalar):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx:
                 raise ValueError("parameter context mismatch")
             return other
         return self.ctx.scalar(other)
@@ -649,7 +652,7 @@ class Scalar:
                     and self.cd == other.denominator)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (self.ctx == other.ctx and self.cn == other.cn and self.cd == other.cd
+        return (self.ctx is other.ctx and self.cn == other.cn and self.cd == other.cd
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):

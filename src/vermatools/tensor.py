@@ -57,26 +57,19 @@ class IntermediateSeries:
     def ctx(self) -> PolyContext:
         return self.alpha.ctx
 
-    def is_reducible_series(self) -> bool:
-        """Whether the parameters name one of the primed quotient modules.
-
-        That happens for integral alpha with beta in {0, 1} and F = 0;
-        the module then loses one basis vector (a trivial quotient or
-        submodule) and the primed module is used instead.
-        """
-        a, b, f = self.alpha, self.beta, self.F
-        if not (a.is_constant() and b.is_constant() and f.is_constant()):
-            return False
-        if not f.is_zero() or not a.is_integer():
-            return False
-        return b.as_fraction() in (Fraction(0), Fraction(1))
-
     def excluded_index(self) -> int | None:
-        """The index dropped from the primed module, if any."""
-        if not self.is_reducible_series():
+        """The index dropped from the primed module, or None.
+
+        Only integral alpha with beta in {0, 1} and F = 0 names a primed
+        quotient module: the module then loses one basis vector (a
+        trivial quotient or submodule) and the primed module is used
+        instead.
+        """
+        a, b = self.alpha, self.beta
+        if not (self.F.is_zero() and a.is_integer() and (b.is_zero() or b == 1)):
             return None
-        a = int(self.alpha.as_fraction())
-        return -a if self.beta.is_zero() else -a - 1
+        k = -int(a.as_fraction())
+        return k if b.is_zero() else k - 1
 
     def to_json(self) -> dict:
         return {"alpha": self.alpha.to_json(), "beta": self.beta.to_json(),
@@ -123,13 +116,13 @@ class TensorSpace:
     """
 
     def __init__(self, M: ModuleContext, series: IntermediateSeries, window: tuple):
-        if series.ctx != M.scalar_ctx:
-            raise ValueError("series parameters use a different context")
+        if series.ctx is not M.scalar_ctx:
+            raise ValueError("parameter context mismatch: the series and the module "
+                             "have different parameters")
         self.M = M
         self.kind = M.kind
-        self.scalar_ctx = ctx = M.scalar_ctx
-        self.series = IntermediateSeries(ctx.scalar(series.alpha), ctx.scalar(series.beta),
-                                         ctx.scalar(series.F))
+        self.scalar_ctx = M.scalar_ctx
+        self.series = series
         self.window = (int(window[0]), int(window[1]))
         if self.window[0] > self.window[1]:
             raise ValueError("empty window")
@@ -363,8 +356,7 @@ def decide_tensor(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision:
         notes = [f"U_{k} is irreducible and the quotient chain splits at "
                  f"indices {[1 - j * p - int(t) for j in range(1, r + 1)]}",
                  "quotient layers have L_0 weights h + (j - beta) p, j = 1..r"]
-        if hw["hW"].is_zero() and s.is_reducible_series() and \
-                s.beta.as_fraction() == 1:
+        if hw["hW"].is_zero() and s.excluded_index() is not None and s.beta == 1:
             notes.append("for this primed series with hW = 0 the layer list "
                          "may also contain the weight (c, h, 0) itself")
         return TensorDecision("Reducible", "IntegralShift", k,

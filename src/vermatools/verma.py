@@ -6,8 +6,9 @@ basis of each level and reduce questions to sparse exact linear algebra.
 
 The central objects:
 
-* ``u_prime``      the pure-W (or pure-I) singular vector at level p that
-                   exists exactly when 2 h_W + (p^2-1) c / 12 = 0;
+* ``u_prime``      the singular vector at the degenerate level p: pure W
+                   when 2 h_W + (p^2-1) c / 12 = 0, and for the twisted
+                   algebra pure I (case I) or with an L_{-p} term (case L);
 * ``subsingular``  the level-rp vector with leading term L_{-p}^r that is
                    singular modulo the submodule generated by ``u_prime``;
 * characters of the Verma module, the submodules J' = U(g) u' and
@@ -266,21 +267,28 @@ def _complete(M: ModuleContext, known: ModuleVector, unknowns, what: str) -> Mod
 
 
 def u_prime(M: ModuleContext, p: int) -> ModuleVector:
-    """The singular vector at level p supported on the second family only.
+    """The singular vector at the degenerate level p; ValueError at any
+    other level.
 
-    Normalized so the coefficient of W_{-p} (or I_{-p}) is 1 and no
-    monomial contains an L factor.  Exists exactly at the degenerate
-    level; raises ValueError otherwise.  It is solved directly on the
-    ansatz W_{-p} v + the other monomials of level p with no L factor
-    (pure_w_basis lists W_{-p} first).
+    For W(2,2) and the twisted case I (h_I / c_LI = 1 + p) it is
+    W_{-p} v (or I_{-p} v) completed over the other monomials of level p
+    with no L factor, so it has none.  In the twisted case L
+    (h_I / c_LI = 1 - p) it is L_{-p} v completed over the whole level.
+    The lead monomial, listed first by pure_w_basis or weight_space_basis,
+    has coefficient 1.
     """
     hw = M.hw
     if hw.kind == W22:
         c, hW = hw["c"], hw["hW"]
         if not (hW + hW + c * Fraction(p * p - 1, 12)).is_zero():
             raise ValueError(f"2*hW + (p^2-1)*c/12 != 0 at p={p}; no pure-W singular vector")
-    elif hv_find_p(hw) != (p, "I"):
-        raise ValueError(f"hI/cLI != 1+p at p={p}; no pure-I singular vector")
+    else:
+        found = hv_find_p(hw)
+        if found == (p, "L"):
+            return _complete(M, M.vector({PBWMonomial((), (p,)): 1}), weight_space_basis(p)[1:],
+                             f"singular vector with an L_{{-{p}}} term at level {p}")
+        if found != (p, "I"):
+            raise ValueError(f"hI/cLI is neither 1+p nor 1-p at p={p}; no singular vector u'")
     return _complete(M, M.vector({PBWMonomial((p,), ()): 1}), pure_w_basis(p)[1:],
                      f"pure singular vector at level {p}")
 
@@ -304,7 +312,7 @@ def require_degenerate(hw: HighestWeight, p: int, r: int | None = None) -> None:
 
 
 def subsingular(M: ModuleContext, p: int, r: int):
-    """The level-rp vector singular modulo J', or None.
+    """The level-rp vector singular modulo J', or None; W(2,2) weights only.
 
     Ansatz: u = L_{-p}^r v + sum over level-rp monomials with no W_{-p}
     factor, and the requirement is g.u = 0 in V / J' for the four
@@ -314,6 +322,8 @@ def subsingular(M: ModuleContext, p: int, r: int):
     DEBUG log line per call gives the system size, the ansatz when the
     first pass ran, and the outcome.
     """
+    if M.kind != W22:
+        raise ValueError("the subsingular solve applies to W(2,2) weights")
     try:
         uprime = u_prime(M, p)
     except (ValueError, ZeroDivisionError) as exc:
@@ -335,8 +345,8 @@ def _subsingular_direct(M: ModuleContext, p: int, r: int, uprime: ModuleVector):
     the full ansatz, which refuses an unknown left free.
     """
     lead = PBWMonomial((), (p,) * r)
-    unknowns = [m for m in weight_space_basis(r * p) if p not in m.w and m != lead]
     Q, known, ctx = quotient_l_prime(M, p, uprime), M.vector({lead: 1}), M.scalar_ctx
+    unknowns = [m for m in weight_space_basis(r * p) if Q.basis_pred(m) and m != lead]
     small = [m for m in unknowns if len(m.l) <= r]
     first = len(small) < len(unknowns) and (M.hw["h"] - necessary_h(p, r, M.hw["hW"])).is_zero()
     for ansatz in ([small] if first else []) + [unknowns]:
@@ -535,10 +545,12 @@ class QuotientModule(ModuleContext):
 
 
 def quotient_l_prime(M: ModuleContext, p: int, uprime: ModuleVector | None = None) -> QuotientModule:
-    """V / J': basis monomials avoid W_{-p} (I_{-p} for the twisted
-    algebra, which covers its case I)."""
+    """V / J': the basis monomials avoid the lead monomial of u', which is
+    W_{-p}, I_{-p} (twisted case I) or L_{-p} (twisted case L)."""
     if uprime is None:
         uprime = u_prime(M, p)
+    if PBWMonomial((), (p,)) in uprime.terms:
+        return QuotientModule(M, [uprime], lambda m: p not in m.l)
     return QuotientModule(M, [uprime], lambda m: p not in m.w)
 
 
@@ -558,18 +570,13 @@ def quotient_l(M: ModuleContext, p: int, r: int,
 def witness_quotient(M: ModuleContext, rep: StructureReport) -> QuotientModule | None:
     """The quotient of the Verma module by the vectors of its classify
     report: the full irreducible quotient when a subsingular vector
-    exists, the quotient by u' (by the case-L singular vector for the
-    twisted algebra) when only u' does, and None for an irreducible
-    Verma module."""
-    p = rep.p
+    exists, the quotient by u' when only u' does, and None for an
+    irreducible Verma module."""
     if rep.verdict == "VermaIrreducible":
         return None
     if rep.verdict == "UprimeAndSubsingular":
-        return quotient_l(M, p, rep.r, rep.u_prime, rep.u)
-    if rep.case == "L":
-        # twisted case L: the basis monomials avoid L_{-p}
-        return QuotientModule(M, [rep.u_prime], lambda m: p not in m.l)
-    return quotient_l_prime(M, p, rep.u_prime)
+        return quotient_l(M, rep.p, rep.r, rep.u_prime, rep.u)
+    return quotient_l_prime(M, rep.p, rep.u_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +616,9 @@ def recover_r(p: int, hw: HighestWeight) -> Scalar:
 
 # Highest level at which classify builds a witness vector; beyond it,
 # it and so tensor.hv_decision_polynomials refuse.  At p = 10, r = 1 a
-# numeric weight takes about 0.7 s in classify, and the twisted case-L
-# and case-I certificates about 1.6 s and 0.9 s, on a 2-core x86 box.
+# numeric weight takes about 0.04 s in the classify command, and the
+# hv-decide command about 0.55 s in the twisted case L and 0.35 s in
+# case I (2-core x86 VM, Python 3.11).
 CLASSIFY_MAX_LEVEL = 10
 
 
@@ -668,15 +676,7 @@ def _classify(M: ModuleContext) -> StructureReport:
         return StructureReport(kind=HV, verdict="VermaIrreducible")
     p, case = found
     _check_reach(p)
-    if case == "I":
-        uprime = u_prime(M, p)
-    else:
-        # The one singular vector at level p has an L_{-p} term: it is L_{-p} v
-        # completed over the rest of the level (weight_space_basis lists L_{-p} first).
-        head = M.vector({PBWMonomial.make(l=(p,)): 1})
-        uprime = _complete(M, head, weight_space_basis(p)[1:],
-                           f"singular vector with an L_{{-{p}}} term at level {p}")
-    return StructureReport(kind=HV, verdict="UprimeOnly", p=p, case=case, u_prime=uprime)
+    return StructureReport(kind=HV, verdict="UprimeOnly", p=p, case=case, u_prime=u_prime(M, p))
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,7 @@ def _sample_indices(p, r, t, s):
     picks = []
     if t is not None and t.denominator == 1:
         picks.append(1 - p - int(t))
-    if s.is_reducible_series():
+    if s.excluded_index() is not None:
         picks.append(s.excluded_index() - r * p + 1)
     picks.extend([2, -3])
     return picks[:4]
@@ -315,7 +315,7 @@ def test_criterion_07_decision_matches_truncated_chains():
                     else:
                         assert decision.verdict == "Irreducible"
                         assert not decision.witness.is_zero()
-                excl = s.excluded_index() if s.is_reducible_series() else None
+                excl = s.excluded_index()
                 for n in _sample_indices(p, r, t, s):
                     try:
                         stable = cyclicity_check(hw, s, n, 4)

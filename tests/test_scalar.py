@@ -1,13 +1,19 @@
 """Field axioms and canonical form for exact rational functions."""
 
+import copy
 import math
+import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from vermatools.cli import parse_expression
+from vermatools.pbw import HighestWeight, ModuleContext
 from vermatools.scalar import PolyContext, Scalar, _coprime_certified, _pgcd, _pis_const
+from vermatools.tensor import IntermediateSeries, TensorSpace
 
 CTX = PolyContext(("x", "y"))
 X = CTX.var("x")
@@ -326,8 +332,8 @@ def test_lifting_a_value_equal_to_one_gives_the_unit(ctx):
 
 @pytest.mark.parametrize("ctx", [Q, QH], ids=["Q", "Q(hW)"])
 def test_lifting_from_an_equal_context_rehomes_the_value(ctx):
-    """A value from an equal but distinct context comes back on ctx itself,
-    equal and hashing alike, so the unit fast path holds for it."""
+    """A context made again from the same names is ctx itself, so its
+    values lift to themselves, and the unit fast path holds for them."""
     twin = PolyContext(ctx.names)
     values = [twin.zero, twin.one, twin.scalar(Fraction(-3, 7))]
     if ctx.names:
@@ -339,6 +345,80 @@ def test_lifting_from_an_equal_context_rehomes_the_value(ctx):
         assert x.ctx is ctx
         assert x * ctx.one is x and ctx.one * x is x
         assert ctx.scalar(x) is x
+
+
+# ---------------------------------------------------------------------------
+# One context per tuple of names
+
+
+def test_a_names_tuple_makes_one_context():
+    assert PolyContext(("h", "hW")) is PolyContext(["h", "hW"])
+    assert PolyContext() is PolyContext(()) is PolyContext([])
+    with pytest.raises(ValueError, match="duplicate parameter names"):
+        PolyContext(("h", "h"))
+
+
+def test_threads_making_a_context_get_one_object():
+    """Eight threads make the same new contexts at once, with thread
+    switches forced often; each names tuple still yields one object."""
+    tuples = [("thread_a", f"thread_{i}") for i in range(40)]
+    start = threading.Barrier(8, timeout=10)
+    seen = [None] * 8
+
+    def make(k):
+        start.wait()
+        seen[k] = [PolyContext(names) for names in tuples]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=make, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, names in enumerate(tuples):
+        assert all(made[i] is PolyContext(names) for made in seen)
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_copies_of_a_context_are_the_context(how):
+    """Without __reduce__ a copy would be made by PolyContext.__new__(cls),
+    which hands back the empty context, and then overwrite its fields."""
+    empty = PolyContext(())
+    zero, one = empty.zero, empty.one
+    for ctx in (PolyContext(("h", "hW")), QH, empty):
+        if how == "pickle":
+            twin = pickle.loads(pickle.dumps(ctx))
+        else:
+            twin = getattr(copy, how)(ctx)
+        assert twin is ctx
+    assert empty.names == () and empty.zero is zero and empty.one is one
+    assert (empty.zero.num, empty.one.num, empty.one.den) == ({}, {(): 1}, {(): 1})
+
+
+def test_pickled_scalar_loads_equal():
+    hW = QH.var("hW")
+    for x in ((hW * hW - 2) / (hW * 3 + 1) * Fraction(5, 7), hW, QH.scalar(-3), X / (Y + 1)):
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and hash(y) == hash(x) and y.ctx is x.ctx
+        assert y * x.ctx.one is y
+
+
+def test_scalars_of_other_names_do_not_mix():
+    hW, z = QH.var("hW"), PolyContext(("z",)).var("z")
+    for op in (lambda a, b: a + b, lambda a, b: a * b):
+        with pytest.raises(ValueError, match="parameter context mismatch"):
+            op(hW, z)
+        with pytest.raises(ValueError, match="parameter context mismatch"):
+            op(hW, X)
+    M = ModuleContext(HighestWeight.w22(QH, c=1, h=0, hW=hW))
+    series = IntermediateSeries.make(z.ctx, z, 0)
+    with pytest.raises(ValueError, match="parameter context mismatch"):
+        TensorSpace(M, series, (-2, 2))
 
 
 # A unit recipe is one of the special scalars, a lifted int or a plain

@@ -67,8 +67,8 @@ def test_series_coefficients():
 
 
 def test_series_parameters_live_in_the_module_context():
-    """A series built on an equal but distinct context is lifted into M's
-    own context object, with equal parameters."""
+    """A series built on a context made again from M's names lives in M's
+    own context object, which the tensor space keeps."""
     M = ModuleContext(w22_weight(1, 0, 1, names=("x",)))
     x = PolyContext(("x",)).var("x")
     s = IntermediateSeries.make(x.ctx, x / 3, Fraction(1, 2), x + 1)
@@ -82,9 +82,37 @@ def test_reducible_series_detection():
     ctx = PolyContext(())
     assert IntermediateSeries.make(ctx, 2, 0).excluded_index() == -2
     assert IntermediateSeries.make(ctx, 2, 1).excluded_index() == -3
-    assert not IntermediateSeries.make(ctx, Fraction(1, 2), 0).is_reducible_series()
-    assert not IntermediateSeries.make(ctx, 0, Fraction(1, 2)).is_reducible_series()
-    assert not IntermediateSeries.make(ctx, 0, 0, F=1).is_reducible_series()
+    assert IntermediateSeries.make(ctx, Fraction(1, 2), 0).excluded_index() is None
+    assert IntermediateSeries.make(ctx, 0, Fraction(1, 2)).excluded_index() is None
+    assert IntermediateSeries.make(ctx, 0, 0, F=1).excluded_index() is None
+
+
+# excluded_index() for F = 0, 1 and x, at each (alpha, beta); x is symbolic.
+EXCLUDED_TABLE = {
+    (2, 0): (-2, None, None),
+    (2, 1): (-3, None, None),
+    (2, "1/2"): (None, None, None),
+    (2, "x"): (None, None, None),
+    ("1/2", 0): (None, None, None),
+    ("1/2", 1): (None, None, None),
+    ("1/2", "1/2"): (None, None, None),
+    ("1/2", "x"): (None, None, None),
+    ("x", 0): (None, None, None),
+    ("x", 1): (None, None, None),
+    ("x", "1/2"): (None, None, None),
+    ("x", "x"): (None, None, None),
+}
+
+
+def test_excluded_index_table():
+    ctx = PolyContext(("x",))
+
+    def value(v):
+        return ctx.var("x") if v == "x" else ctx.scalar(Fraction(v))
+    for (alpha, beta), row in EXCLUDED_TABLE.items():
+        for F, expected in zip((0, 1, "x"), row):
+            s = IntermediateSeries.make(ctx, value(alpha), value(beta), value(F))
+            assert s.excluded_index() == expected, (alpha, beta, F)
 
 
 def test_excluded_component_never_appears():

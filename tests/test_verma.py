@@ -90,6 +90,64 @@ def test_singular_space_dimensions(algebra, p):
     assert verma.singular_space(M, p) == [verma.u_prime(M, p)]
 
 
+def twisted_case_l_module(p, symbolic):
+    """Twisted V with hI = (1 - p) cLI: degenerate at p, case L; over
+    Q(h, cLI), or at cL = 1, cLI = 2, h = 3."""
+    if not symbolic:
+        return ModuleContext(HighestWeight.hv(PolyContext(()), cL=1, cLI=2, h=3,
+                                              hI=2 * (1 - p), cI=0))
+    ctx = PolyContext(("h", "cLI"))
+    cLI = ctx.var("cLI")
+    return ModuleContext(HighestWeight.hv(ctx, cL=0, cLI=cLI, h=ctx.var("h"),
+                                          hI=cLI * (1 - p), cI=0))
+
+
+CASE_L_POINTS = [(p, symbolic) for p in (1, 2, 3, 4) for symbolic in (False, True)]
+CASE_L_IDS = [f"p={p}-{'Q(h,cLI)' if symbolic else 'Q'}" for p, symbolic in CASE_L_POINTS]
+
+
+@pytest.mark.parametrize("p,symbolic", CASE_L_POINTS, ids=CASE_L_IDS)
+def test_u_prime_in_case_l_is_the_singular_vector(p, symbolic):
+    """In the twisted case L, u' is the one singular vector of level p,
+    found independently as a nullspace, and it leads with L_{-p}."""
+    M = twisted_case_l_module(p, symbolic)
+    u = verma.u_prime(M, p)
+    assert verma.singular_space(M, p) == [u]
+    assert u.coeff(PBWMonomial.make(l=(p,))) == M.scalar_ctx.one
+
+
+@pytest.mark.parametrize("p,symbolic", CASE_L_POINTS, ids=CASE_L_IDS)
+def test_case_l_quotient_avoids_l_p(p, symbolic):
+    """quotient_l_prime in case L is V / U(g) u' on the monomials without
+    L_{-p}: each image of _act_mono is the one a quotient built here
+    gives, and the level dimensions follow char_l_prime to level 2p."""
+    M = twisted_case_l_module(p, symbolic)
+    u = verma.u_prime(M, p)
+    Q = verma.quotient_l_prime(M, p)
+    direct = verma.QuotientModule(M, [u], lambda m: p not in m.l)
+    gens = [C_L, C_I, C_LI] + [g(n) for g in (L, I) for n in range(-2, 3)]
+    for level in range(p + 2):
+        for m in verma.weight_space_basis(level):
+            for g in gens:
+                assert dict(Q._act_mono(g, m)) == dict(direct._act_mono(g, m)), (g, m)
+    chars = verma.char_l_prime(M.hw, p, 2 * p).coeffs
+    assert [Q.dim(n) for n in range(2 * p + 1)] == list(chars)
+
+
+def test_u_prime_refuses_a_twisted_weight_degenerate_at_another_level():
+    for case_l in (True, False):
+        M = twisted_case_l_module(2, False) if case_l else twisted_case_i_module(2)
+        for p in (1, 3):
+            with pytest.raises(ValueError, match=r"neither 1\+p nor 1-p at p="):
+                verma.u_prime(M, p)
+
+
+def test_subsingular_refuses_twisted_weights():
+    for M in (twisted_case_l_module(2, False), twisted_case_i_module(2)):
+        with pytest.raises(ValueError, match=r"applies to W\(2,2\) weights"):
+            verma.subsingular(M, 2, 1)
+
+
 @pytest.mark.parametrize("p", [8, 10])
 def test_u_prime_at_high_levels(p):
     M = degenerate_module(p)
@@ -452,6 +510,7 @@ def _quotients_for_representation_check():
     rep = verma.classify(Mhv)
     assert rep.case == "L"
     yield verma.witness_quotient(Mhv, rep), I
+    yield verma.quotient_l_prime(twisted_case_l_module(3, False), 3), I
 
 
 def test_quotient_is_a_representation():
@@ -476,8 +535,8 @@ def test_quotient_is_a_representation():
 
 
 def test_quotient_action_is_the_reduced_verma_action():
-    """Q._act_mono(g, m) is Q.reduce of g.m in M, on V/J', V/J and the
-    twisted case-L quotient, for every generator with mode in -3..3 and
+    """Q._act_mono(g, m) is Q.reduce of g.m in M, on V/J', V/J and two
+    twisted case-L quotients, for every generator with mode in -3..3 and
     every central one, on every monomial to level 4."""
     for Q, second in _quotients_for_representation_check():
         gens = [C] if Q.kind == W22 else [C_L, C_I, C_LI]
