@@ -96,39 +96,22 @@ def bracket(a: Generator, b: Generator, kind: str) -> LieCombo:
         return []
     n, m = a.mode, b.mode
     fa, fb = a.family, b.family
-    if fa == "L" and fb == "L":
-        out = []
-        if n != m:
-            out.append((Generator("L", n + m), n - m))
-        if n == -m and n != 0:
-            cc = Generator("C") if kind == W22 else Generator("CL")
-            out.append((cc, Fraction(n**3 - n, 12)))
-        return out
-    if kind == W22:
-        if fa == "W" and fb == "W":
-            return []
-        if fa == "W":  # [W_n, L_m] = -[L_m, W_n]
-            return _negate(bracket(b, a, kind))
-        out = []
-        if n != m:
-            out.append((Generator("W", n + m), n - m))
-        if n == -m and n != 0:
-            out.append((Generator("C"), Fraction(n**3 - n, 12)))
-        return out
-    # HV
+    if fa != "L" and fb == "L":  # [X_n, L_m] = -[L_m, X_n]
+        return [(g, -c) for g, c in bracket(b, a, kind)]
     if fa == "I" and fb == "I":
-        if n == -m and n != 0:
-            return [(Generator("CI"), n)]
+        return [(C_I, n)] if n == -m and n != 0 else []
+    if fa == "W":  # [W_n, W_m] = 0
         return []
-    if fa == "I":  # [I_n, L_m] = -[L_m, I_n]
-        return _negate(bracket(b, a, kind))
     out = []
-    if m != 0:
-        out.append((Generator("I", n + m), -m))
-    if n == -m and n * n + n != 0:
-        out.append((Generator("CLI"), -(n * n + n)))
+    if fb == "I":
+        if m != 0:
+            out.append((Generator("I", n + m), -m))
+        if n == -m and n * n + n != 0:
+            out.append((C_LI, -(n * n + n)))
+        return out
+    # [L_n, X_m] for X = L or W: the Virasoro formula with X in place of L
+    if n != m:
+        out.append((Generator(fb, n + m), n - m))
+    if n == -m and n != 0:
+        out.append((C if kind == W22 else C_L, Fraction(n**3 - n, 12)))
     return out
-
-
-def _negate(combo: LieCombo) -> LieCombo:
-    return [(g, -c) for g, c in combo]

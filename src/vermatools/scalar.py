@@ -60,10 +60,6 @@ def _pis_const(p: Poly) -> bool:
 
 
 def _padd(a: Poly, b: Poly) -> Poly:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
     out = dict(a)
     for e, c in b.items():
         s = out.get(e)
@@ -148,8 +144,6 @@ def _pprimitive_int(a: Poly) -> tuple[int, Poly]:
 
 def _pdiv_exact(a: Poly, b: Poly) -> Poly:
     """Exact polynomial division; raises if b does not divide a."""
-    if not a:
-        return {}
     if len(b) == 1:
         eb, cb = next(iter(b.items()))
         out_m: Poly = {}

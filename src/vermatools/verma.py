@@ -437,9 +437,6 @@ class CharacterSeries:
     offset: Scalar
     coeffs: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-
     def to_json(self) -> dict:
         return {"offset": self.offset.to_json(), "coeffs": list(self.coeffs)}
 
@@ -506,23 +503,17 @@ class QuotientModule(ModuleContext):
         ech = self._ech.get(level)
         if ech is not None:
             return ech
-        basis = weight_space_basis(level)
-        priority = {}
-        nonbasis = 0
-        for i, m in enumerate(basis):
-            in_basis = self.basis_pred(m)
-            priority[m] = (1 if in_basis else 0, i)
-            if not in_basis:
-                nonbasis += 1
+        priority = {m: (bool(self.basis_pred(m)), i)
+                    for i, m in enumerate(weight_space_basis(level))}
         ech = linalg.Echelon(key=lambda m: priority[m])
         for rel in self.relations:
             if rel.level is not None:
                 ech.extend(word_images(self.M, level - rel.level, rel))
-        pivots_nonbasis = sum(1 for m in ech.pivots if not self.basis_pred(m))
-        if pivots_nonbasis != nonbasis or len(ech.pivots) != nonbasis:
+        nonbasis = {m for m, (in_basis, _) in priority.items() if not in_basis}
+        if ech.pivots.keys() != nonbasis:
             raise ValueError(
                 f"quotient basis mismatch at level {level}: "
-                f"{len(ech.pivots)} relations, {nonbasis} non-basis monomials")
+                f"{len(ech.pivots)} relations, {len(nonbasis)} non-basis monomials")
         self._ech[level] = ech
         return ech
 

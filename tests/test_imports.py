@@ -1,5 +1,6 @@
-"""Every name a vermatools module imports is used in that module, and no
-module leans on the private API of ``fractions.Fraction``."""
+"""Every name a vermatools module imports is used in that module, every
+private definition has a reader, and no module leans on the private API
+of ``fractions.Fraction``."""
 
 import ast
 from fractions import Fraction
@@ -32,6 +33,62 @@ def test_no_unused_imports(path):
 
 def test_unused_import_is_found():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == [(1, "os"), (2, "b")]
+
+
+def read_names(tree) -> set:
+    """Identifiers a syntax tree reads: names, attributes, imported names,
+    and string constants that are one identifier (a lookup by name, as
+    ``bench/tracing.py`` makes when it wraps a function)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def unread_private_definitions(modules: dict, readers: list) -> list:
+    """(module, name) of each module-level private def or class in modules
+    (name -> source) that neither another top-level statement of modules
+    nor a source in readers reads."""
+    read = set().union(*(read_names(ast.parse(source)) for source in readers))
+    statements = [(module, stmt, read_names(stmt))
+                  for module, source in modules.items() for stmt in ast.parse(source).body]
+    unread = []
+    for module, stmt, _ in statements:
+        if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and stmt.name.startswith("_") and not stmt.name.startswith("__")
+                and stmt.name not in read
+                and not any(stmt.name in names for _, other, names in statements
+                            if other is not stmt)):
+            unread.append((module, stmt.name))
+    return unread
+
+
+def test_every_private_definition_has_a_reader():
+    """bench/ counts as a reader: its tracer wraps private solver names."""
+    root = SRC.parents[1]
+    modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text() for d in ("tests", "bench") for p in sorted((root / d).rglob("*.py"))]
+    assert unread_private_definitions(modules, readers) == []
+
+
+def test_unread_private_definition_is_found():
+    modules = {"a.py": "def _used():\n    pass\n\n"
+                       "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+                       "class _Orphan:\n    pass\n\n"
+                       "def public():\n    return _used()\n\n"
+                       "def _by_name():\n    pass\n",
+               "b.py": "def _elsewhere():\n    pass\n"}
+    readers = ["import a\ngetattr(a, '_by_name')\n# _elsewhere\n"]
+    assert unread_private_definitions(modules, readers) == [
+        ("a.py", "_recursive"), ("a.py", "_Orphan"), ("b.py", "_elsewhere")]
 
 
 def test_render_imports_only_liealg():

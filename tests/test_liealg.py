@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from vermatools.liealg import C_LI, HV, W22, Generator, I, L, W, bracket
+from vermatools.liealg import C, C_LI, HV, W22, Generator, I, L, W, bracket
 
 BASIS = {
     W22: lambda n: [L(n), W(n)],
@@ -106,15 +106,19 @@ def test_heisenberg_central_term():
 
 
 def test_mixed_bracket_matches_virasoro_shape():
-    # [L_n, W_m] = (n - m) W_{n+m} plus a central term on the diagonal.
+    # [L_n, W_m] = (n - m) W_{n+m} + delta_{n,-m} (n^3 - n)/12 C, the
+    # Virasoro bracket with W in place of L.  Jacobi does not pin the
+    # central term: a W(2,2) whose [L, W] cocycle has another charge than
+    # [L, L] satisfies it too.
     for n in range(-5, 6):
         for m in range(-5, 6):
-            terms = combo_dict(bracket(L(n), W(m), W22))
-            noncentral = {g: c for g, c in terms.items() if not g.is_central()}
-            if n == m:
-                assert noncentral == {}
-            else:
-                assert noncentral == {W(n + m): Fraction(n - m)}
+            expected = {} if n == m else {W(n + m): Fraction(n - m)}
+            if n == -m and n ** 3 != n:
+                expected[C] = Fraction(n ** 3 - n, 12)
+            assert combo_dict(bracket(L(n), W(m), W22)) == expected
+            virasoro = combo_dict(bracket(L(n), L(m), W22))
+            assert {W(g.mode) if g.family == "L" else g: c
+                    for g, c in virasoro.items()} == expected
 
 
 @pytest.mark.parametrize("name,mode", [("C", 1), ("CL", -2)])

@@ -330,32 +330,37 @@ def test_lifting_a_value_equal_to_one_gives_the_unit(ctx):
     assert ctx.scalar(-1) is not ctx.one
 
 
-@pytest.mark.parametrize("ctx", [Q, QH], ids=["Q", "Q(hW)"])
-def test_lifting_from_an_equal_context_rehomes_the_value(ctx):
-    """A context made again from the same names is ctx itself, so its
-    values lift to themselves, and the unit fast path holds for them."""
-    twin = PolyContext(ctx.names)
-    values = [twin.zero, twin.one, twin.scalar(Fraction(-3, 7))]
-    if ctx.names:
-        hW = twin.var("hW")
-        values += [hW, (hW * hW - 2) / (hW * 3 + 1)]
-    for v in values:
-        x = ctx.scalar(v)
-        assert x == v and hash(x) == hash(v)
-        assert x.ctx is ctx
-        assert x * ctx.one is x and ctx.one * x is x
-        assert ctx.scalar(x) is x
-
-
 # ---------------------------------------------------------------------------
 # One context per tuple of names
 
 
 def test_a_names_tuple_makes_one_context():
+    """A context made again from the same names is the same object: values
+    built on it equal, hash like and lift to themselves in the first, and
+    a series built on it keeps its values in a tensor space's module."""
     assert PolyContext(("h", "hW")) is PolyContext(["h", "hW"])
     assert PolyContext() is PolyContext(()) is PolyContext([])
     with pytest.raises(ValueError, match="duplicate parameter names"):
         PolyContext(("h", "h"))
+
+    def values(ctx):
+        out = [ctx.zero, ctx.one, ctx.scalar(Fraction(-3, 7))]
+        if ctx.names:
+            hW = ctx.var("hW")
+            out += [hW, (hW * hW - 2) / (hW * 3 + 1)]
+        return out
+
+    for ctx in (Q, QH):
+        for v, w in zip(values(PolyContext(list(ctx.names))), values(ctx)):
+            assert v == w and hash(v) == hash(w) and v.ctx is ctx
+            assert ctx.scalar(v) is v
+    M = ModuleContext(HighestWeight.w22(PolyContext(("x",)), c=1, h=0, hW=1))
+    x = PolyContext(["x"]).var("x")
+    series = IntermediateSeries.make(x.ctx, x / 3, Fraction(1, 2), x + 1)
+    space = TensorSpace(M, series, (-3, 3))
+    assert space.series == series
+    for v in (space.series.alpha, space.series.beta, space.series.F):
+        assert v.ctx is M.scalar_ctx
 
 
 def test_threads_making_a_context_get_one_object():

@@ -66,18 +66,6 @@ def test_series_coefficients():
         assert Tf.act(I(n), Tf.vacuum_at(3)).terms[(3 + n, vac)] == coeff
 
 
-def test_series_parameters_live_in_the_module_context():
-    """A series built on a context made again from M's names lives in M's
-    own context object, which the tensor space keeps."""
-    M = ModuleContext(w22_weight(1, 0, 1, names=("x",)))
-    x = PolyContext(("x",)).var("x")
-    s = IntermediateSeries.make(x.ctx, x / 3, Fraction(1, 2), x + 1)
-    space = TensorSpace(M, s, (-3, 3))
-    assert space.series == s
-    for value in (space.series.alpha, space.series.beta, space.series.F):
-        assert value.ctx is M.scalar_ctx
-
-
 def test_reducible_series_detection():
     ctx = PolyContext(())
     assert IntermediateSeries.make(ctx, 2, 0).excluded_index() == -2

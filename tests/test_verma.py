@@ -484,6 +484,25 @@ def test_quotient_dimensions():
         assert Ql.dim(k) == lchar.coeffs[k]
 
 
+
+@pytest.mark.parametrize("pred,nonbasis", [
+    (lambda m: True, 0),
+    (lambda m: m.l != (2,), 1),
+    (lambda m: 2 not in m.w and m.l != (2,), 2),
+], ids=["keeps-all", "drops-L(-2)-only", "drops-two"])
+def test_quotient_refuses_a_basis_the_relations_do_not_fit(pred, nonbasis):
+    """u' = W_{-2} + ... eliminates one monomial at level 2, so a predicate
+    that keeps every monomial, drops one u' cannot eliminate, or drops
+    two is refused at level 2."""
+    M = degenerate_module(2, extra=())
+    uprime = verma.u_prime(M, 2)
+    assert PBWMonomial.make(l=(2,)) not in uprime.terms
+    Q = verma.QuotientModule(M, [uprime], pred)
+    with pytest.raises(ValueError, match=(
+            f"^quotient basis mismatch at level 2: 1 relations, {nonbasis} non-basis monomials$")):
+        Q.dim(2)
+
+
 def test_quotient_reduce_is_projection():
     M = degenerate_module(2, extra=())
     uprime = verma.u_prime(M, 2)
