@@ -7,6 +7,7 @@ in one of three formats.  Reports are deterministic for a given job
 top-level help or a missing or unknown command), and no parser or other
 cache outlives one call; only the table of parameter contexts does, one
 ``PolyContext`` per tuple of names.
+A command is one `_COMMANDS` row: its help, runner, flags and exact parameters.
 
 Exit codes: 0 on success, 2 on malformed parameters, a parameter the job
 does not read, or a failed precondition, 3 when a decision procedure
@@ -498,7 +499,7 @@ def run(job: Job) -> Report:
     """Dispatch a job and attach bindings and timing to the report."""
     if job.command not in _COMMANDS:
         raise ValueError(f"unknown command {job.command!r}")
-    runner = _COMMANDS[job.command][2]
+    runner = _COMMANDS[job.command][1]
     notes: list = []
     params = _Params(job.parameters, notes)
     started = time.perf_counter()
@@ -518,73 +519,36 @@ def run(job: Job) -> Report:
 _FORMATS = ("json", "text", "latex")
 _W22, _HV = ("c", "h", "hW"), ("h", "cL", "cLI", "cI", "hI")
 _BOTH = _PARAM_ORDER[:7]  # every weight; --algebra picks the ones read
+_ALGEBRA = ("--algebra", dict(choices=("w22", "hv")))
 
-
-def _add_common(p: argparse.ArgumentParser, names: tuple) -> None:
-    p.add_argument("--format", choices=_FORMATS, default="text")
-    p.add_argument("--symbolic", action="append", metavar="NAME",
-                   help="treat NAME as a formal parameter (up to 3)")
-    for name in names:
-        p.add_argument(f"--{name}", type=str, help=f"exact value for {name}")
-
-
-def _add_singular(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algebra", choices=("w22", "hv"))
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--case", choices=("I", "L"),
-                   help="degeneracy case that binds hI for the twisted algebra")
-    _add_common(p, _BOTH)
-
-
-def _add_subsingular(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    _add_common(p, _W22)
-
-
-def _add_classify(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algebra", choices=("w22", "hv"))
-    _add_common(p, _BOTH)
-
-
-def _add_character(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=tuple(_CHAR_FAMILIES))
-    p.add_argument("--N", type=int, help="truncation order")
-    p.add_argument("--p", type=int)
-    p.add_argument("--r", type=int)
-    _add_common(p, _W22)
-
-
-def _add_tensor(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, help="also report the layer weight at this index")
-    _add_common(p, _W22 + ("alpha", "beta"))
-
-
-def _add_hv_decide(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p", type=int, help="bind hI to the degenerate ratio for this p")
-    p.add_argument("--case", choices=("I", "L"))
-    _add_common(p, _HV + ("alpha", "beta", "F"))
-
-
-def _add_scan(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--rmax", type=int, required=True)
-    p.add_argument("--offsets", type=str,
-                   help="comma-separated h offsets that must fail")
-    p.add_argument("--format", choices=_FORMATS, default="text")
-
-
-# name: (help text, function that adds its arguments, runner)
+# name: (help text, runner, its own flags as (flag, add_argument keywords),
+#        the exact parameters it takes, or None for no --symbolic either)
 _COMMANDS = {
-    "singular": ("singular vectors at level p", _add_singular, _run_singular),
-    "subsingular": ("the level-rp subsingular vector", _add_subsingular,
-                    _run_subsingular),
-    "classify": ("submodule structure of a Verma module", _add_classify, _run_classify),
-    "character": ("graded dimension series", _add_character, _run_character),
-    "tensor": ("irreducibility of a tensor product", _add_tensor, _run_tensor),
-    "hv-decide": ("tensor decision for the twisted algebra", _add_hv_decide,
-                  _run_hv_decide),
-    "scan": ("subsingular existence evidence grid", _add_scan, _run_scan),
+    "singular": ("singular vectors at level p", _run_singular, (
+        _ALGEBRA, ("--p", dict(type=int, required=True)),
+        ("--case", dict(choices=("I", "L"),
+                        help="degeneracy case that binds hI for the twisted algebra"))),
+        _BOTH),
+    "subsingular": ("the level-rp subsingular vector", _run_subsingular, (
+        ("--p", dict(type=int, required=True)), ("--r", dict(type=int, required=True))),
+        _W22),
+    "classify": ("submodule structure of a Verma module", _run_classify, (_ALGEBRA,), _BOTH),
+    "character": ("graded dimension series", _run_character, (
+        ("--family", dict(choices=tuple(_CHAR_FAMILIES))),
+        ("--N", dict(type=int, help="truncation order")),
+        ("--p", dict(type=int)), ("--r", dict(type=int))),
+        _W22),
+    "tensor": ("irreducibility of a tensor product", _run_tensor, (
+        ("--n", dict(type=int, help="also report the layer weight at this index")),),
+        _W22 + ("alpha", "beta")),
+    "hv-decide": ("tensor decision for the twisted algebra", _run_hv_decide, (
+        ("--p", dict(type=int, help="bind hI to the degenerate ratio for this p")),
+        ("--case", dict(choices=("I", "L")))),
+        _HV + ("alpha", "beta", "F")),
+    "scan": ("subsingular existence evidence grid", _run_scan, (
+        ("--pmax", dict(type=int, required=True)), ("--rmax", dict(type=int, required=True)),
+        ("--offsets", dict(type=str, help="comma-separated h offsets that must fail"))),
+        None),
 }
 
 
@@ -603,8 +567,16 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_text, add_arguments, _ = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_text, allow_abbrev=False))
+        help_text, _, flags, exact = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
+        p.add_argument("--format", choices=_FORMATS, default="text")
+        if exact is not None:
+            p.add_argument("--symbolic", action="append", metavar="NAME",
+                           help="treat NAME as a formal parameter (up to 3)")
+            for param in exact:
+                p.add_argument(f"--{param}", type=str, help=f"exact value for {param}")
     return parser
 
 

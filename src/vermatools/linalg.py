@@ -120,7 +120,7 @@ def nullspace(rows, columns, ctx) -> list:
 RHS = ("__rhs__",)
 
 
-def solve(rows, columns, ctx):
+def solve(rows, columns):
     """Particular solution of an inhomogeneous system, or None.
 
     Each row may carry an entry under the ``RHS`` key holding its

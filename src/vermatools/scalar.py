@@ -112,7 +112,7 @@ def _ppow(a: Poly, k: int) -> Poly:
         k >>= 1
         if k:
             base = _pmul(base, base)
-    return out if out is not None else {(): 1}
+    return out
 
 
 def _plead(a: Poly) -> tuple:

@@ -412,7 +412,7 @@ def _eliminate_to_target(space: TensorSpace, T: TensorVector,
     ech = linalg.Echelon(key=key)
     for k in range(target_index + 1, top_index):
         ech.extend(word_images(space, k - target_index, space.vacuum_at(k)))
-    if any(col == tgt for col in ech.pivots):
+    if tgt in ech.pivots:
         raise ValueError("degenerate elimination: an intermediate word "
                          "reduced to the bare target vector")
     rem = ech.reduce(dict(T.terms))

@@ -257,7 +257,7 @@ def singular_space(M: ModuleContext, level: int) -> list:
 def _complete(M: ModuleContext, known: ModuleVector, unknowns, what: str) -> ModuleVector:
     """The singular vector known + sum_m x_m m over the unknown monomials m;
     ValueError unless it exists with every x_m determined."""
-    res = linalg.solve(*_raising_system(M, unknowns, known), M.scalar_ctx)
+    res = linalg.solve(*_raising_system(M, unknowns, known))
     if res is None:
         raise ValueError(f"no {what}")
     sol, free = res
@@ -351,7 +351,7 @@ def _subsingular_direct(M: ModuleContext, p: int, r: int, uprime: ModuleVector):
     first = len(small) < len(unknowns) and (M.hw["h"] - necessary_h(p, r, M.hw["hW"])).is_zero()
     for ansatz in ([small] if first else []) + [unknowns]:
         rows, columns = _raising_system(Q, ansatz, known)
-        res = linalg.solve(rows, columns, ctx)
+        res = linalg.solve(rows, columns)
         if ansatz is unknowns or (res is not None and not res[1]):
             break
         rejected = "inconsistent" if res is None else f"{len(res[1])} free"
@@ -546,14 +546,8 @@ def quotient_l_prime(M: ModuleContext, p: int, uprime: ModuleVector | None = Non
 
 
 def quotient_l(M: ModuleContext, p: int, r: int,
-               uprime: ModuleVector | None = None,
-               u: ModuleVector | None = None) -> QuotientModule:
-    if uprime is None:
-        uprime = u_prime(M, p)
-    if u is None:
-        u = _subsingular_direct(M, p, r, uprime)
-        if u is None:
-            raise ValueError(f"no subsingular vector at p={p}, r={r}")
+               uprime: ModuleVector, u: ModuleVector) -> QuotientModule:
+    """V / U(g){u', u}: the basis monomials avoid W_{-p} and L_{-p}^r."""
     return QuotientModule(M, [uprime, u],
                           lambda m: p not in m.w and m.l.count(p) < r)
 

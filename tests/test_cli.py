@@ -306,6 +306,13 @@ def test_inexact_division_exits_two(capsys, monkeypatch):
     (("tensor", "--symbolic", "c", "--symbolic", "h", "--symbolic", "hW",
       "--alpha", "1/(hW+h+c+1)**16 + 1/(hW+h+c+2)**16", "--beta", "0"),
      "a product of its operands can expand to 938961 terms, more than 1000"),
+    (("classify", "--symbolic", "foo", "--c", "1", "--hW", "1"), "unknown parameter 'foo'"),
+    (("classify", "--symbolic", "hW", "--hW", "1", "--c", "1"),
+     "parameters both symbolic and bound: ['hW']"),
+    (("classify", "--c", "x", "--hW", "1"), "unknown symbol 'x'; declare it with --symbolic"),
+    (("classify", "--c", "f(1)", "--hW", "1"), "unsupported expression element Call"),
+    (("classify", "--c", "1/", "--hW", "1"),
+     "cannot parse expression '1/': invalid syntax (<unknown>, line 1)"),
 ])
 def test_boolean_literals_exit_two(capsys, argv, message):
     code, out, err = run_main(capsys, *argv)
@@ -473,6 +480,7 @@ def test_symbolic_classify_verdict_is_marked_generic(capsys):
      "weight is not degenerate at p=3"),
     (("character", "--family", "l", "--c", "1", "--h", "0", "--hW", "0", "--p", "1",
       "--r", "2"), "h is not at the subsingular point for (p, r)=(1, 2)"),
+    (("character", "--family", "l", "--hW", "1"), "family 'l' needs --p"),
 ])
 def test_out_of_range_levels_exit_two(capsys, argv, message):
     code, out, err = run_main(capsys, *argv)

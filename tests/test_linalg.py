@@ -58,7 +58,7 @@ def test_shuffled_rows_give_the_same_result(system, rnd):
     rows = sparse_rows(matrix, rhs)
     perm = rnd.sample(range(len(rows)), len(rows))
     shuffled = [rows[i] for i in perm]
-    assert linalg.solve(shuffled, columns, CTX) == linalg.solve(rows, columns, CTX)
+    assert linalg.solve(shuffled, columns) == linalg.solve(rows, columns)
     homogeneous = sparse_rows(matrix)
     assert (linalg.nullspace([homogeneous[i] for i in perm], columns, CTX)
             == linalg.nullspace(homogeneous, columns, CTX))
@@ -116,7 +116,7 @@ def test_nullspace_and_solve_match_sympy(augmented):
         if row[-1]:
             d[linalg.RHS] = CTX.scalar(row[-1])
     R, pivots = A.row_join(sympy.Matrix([row[-1] for row in augmented])).rref()
-    res = linalg.solve(rows, columns, CTX)
+    res = linalg.solve(rows, columns)
     if ncols in pivots:
         assert res is None
         return

@@ -325,6 +325,36 @@ def test_cyclicity_rejects_excluded_target():
         cyclicity_check(hw, s, 1, 4)
 
 
+_HW = subsingular_weight(2, 1)
+_PRIMED = IntermediateSeries.make(_HW.ctx, 1, 0)  # excluded index -1
+
+
+def _space(window):
+    return TensorSpace(ModuleContext(_HW), _PRIMED, window)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: _space((2, 1)), "empty window"),
+    (lambda: _space((0, 1)).vacuum_at(5), "index 5 outside window [0, 1]"),
+    (lambda: _space((-2, 2)).vacuum_at(-1), "index -1 is excluded from the primed series"),
+    (lambda: subquotient_weight(_HW, _PRIMED, -1), "index -1 is excluded from the primed series"),
+    (lambda: cyclicity_check(_HW, _PRIMED, 0, -1), "depth must be nonnegative"),
+    (lambda: cyclicity_check(_HW, _PRIMED, 0, 2),
+     "target index is excluded from the primed series"),
+    (lambda: decide_tensor(hv_weight(1, 1, 3, 1), _PRIMED),
+     "decide_tensor handles the first algebra; use decide_tensor_hv"),
+    (lambda: decide_tensor_hv(_HW, _PRIMED),
+     "decide_tensor_hv handles the twisted algebra; use decide_tensor"),
+    (lambda: decide_tensor(_HW, IntermediateSeries.make(_HW.ctx, 1, 0, F=2)),
+     "the series parameter F must vanish for this algebra"),
+], ids=["empty-window", "outside-window", "vacuum-excluded", "layer-excluded",
+        "negative-depth", "target-excluded", "twisted-weight", "w22-weight", "nonzero-F"])
+def test_refusal_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Oracle: the same spans eliminated densely over Fractions, without linalg
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from vermatools import linalg, render, verma
+from vermatools import linalg, render, tensor, verma
 from vermatools.liealg import C, C_I, C_L, C_LI, W22, I, L, W, bracket
 from vermatools.pbw import HighestWeight, ModuleContext, PBWMonomial
 from vermatools.scalar import PolyContext
@@ -235,9 +235,9 @@ def _solve_sizes(monkeypatch, verdict=None):
     i-th solve returns verdict(i, columns, result) when verdict is given."""
     sizes, solve = [], linalg.solve
 
-    def recorded(rows, columns, ctx):
+    def recorded(rows, columns):
         sizes.append(len(columns))
-        res = solve(rows, columns, ctx)
+        res = solve(rows, columns)
         return res if verdict is None else verdict(len(sizes), columns, res)
     monkeypatch.setattr(linalg, "solve", recorded)
     return sizes
@@ -253,7 +253,7 @@ def test_subsingular_solve_ignores_row_order():
         assert expected is not None
         for _ in range(3):
             shuffled = rng.sample(rows, len(rows))
-            sol, free = linalg.solve(shuffled, columns, M.scalar_ctx)
+            sol, free = linalg.solve(shuffled, columns)
             assert not free
             assert M.vector({lead: 1, **sol}) == expected
     M = subsingular_module(2, 1)
@@ -273,7 +273,7 @@ def test_first_pass_gives_the_full_ansatz_vector(monkeypatch, p, r):
     M = subsingular_module(p, r)
     uprime = verma.u_prime(M, p)
     lead, (rows, columns) = _full_ansatz_system(M, p, r, uprime)
-    sol, free = linalg.solve(rows, columns, M.scalar_ctx)
+    sol, free = linalg.solve(rows, columns)
     assert not free
     full = M.vector({lead: 1, **sol})
     assert verma.subsingular(M, p, r) == full
@@ -478,7 +478,8 @@ def test_quotient_dimensions():
     for k in range(9):
         assert Q.dim(k) == pchar.coeffs[k]
     Msub = subsingular_module(2, 1)
-    Ql = verma.quotient_l(Msub, 2, 1)
+    rep = verma.classify(Msub)
+    Ql = verma.quotient_l(Msub, 2, 1, rep.u_prime, rep.u)
     lchar = verma.char_l(Msub.hw, 2, 1, 6)
     for k in range(7):
         assert Ql.dim(k) == lchar.coeffs[k]
@@ -524,7 +525,9 @@ def _quotients_for_representation_check():
     hw = HighestWeight.w22(ctx, c=-8, h=verma.necessary_h(2, 2, Fraction(1)), hW=1)
     M = ModuleContext(hw)
     yield verma.quotient_l_prime(M, 2), W
-    yield verma.quotient_l(M, 2, 2), W
+    rep = verma.classify(M)
+    assert (rep.p, rep.r) == (2, 2)
+    yield verma.quotient_l(M, 2, 2, rep.u_prime, rep.u), W
     Mhv = ModuleContext(HighestWeight.hv(ctx, cL=1, cLI=1, h=3, hI=-1, cI=0))
     rep = verma.classify(Mhv)
     assert rep.case == "L"
@@ -659,6 +662,7 @@ def test_classify_solves_u_prime_once(monkeypatch):
 
 
 def test_quotient_l_solves_u_prime_once(monkeypatch):
+    """The quotient of a classify report reuses the report's u'."""
     calls = []
     u_prime = verma.u_prime
 
@@ -667,9 +671,22 @@ def test_quotient_l_solves_u_prime_once(monkeypatch):
         return u_prime(M, p)
 
     monkeypatch.setattr(verma, "u_prime", counted)
-    Q = verma.quotient_l(subsingular_module(2, 1), 2, 1)
+    M = subsingular_module(2, 1)
+    Q = verma.witness_quotient(M, verma.classify(M))
     assert calls == [2]
     assert Q.dim(2) == verma.pair_partition_count(2) - 2
+
+
+def test_classify_without_a_subsingular_vector_at_its_h(monkeypatch):
+    """When h matches r but the solve finds no subsingular vector, the
+    verdict is UprimeOnly with a note, and the tensor product is reducible."""
+    monkeypatch.setattr(verma, "_subsingular_direct", lambda M, p, r, uprime: None)
+    hw = HighestWeight.w22(PolyContext(()), c=-8, h=Fraction(13, 4), hW=1)
+    rep = verma.classify(ModuleContext(hw))
+    assert (rep.verdict, rep.p, rep.notes) == (
+        "UprimeOnly", 2, ["h matches r=1 but no subsingular vector found"])
+    decision = tensor.decide_tensor(hw, tensor.IntermediateSeries.make(hw.ctx, Fraction(1, 2), 0))
+    assert (decision.verdict, decision.reason) == ("Reducible", "NoSubsingular")
 
 
 def test_classify_vacuum():
