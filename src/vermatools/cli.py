@@ -335,21 +335,21 @@ def _series(params: _Params, with_f: bool) -> tensor.IntermediateSeries:
 # Command implementations
 
 
+def _rendered(vectors: list, empty: str) -> dict:
+    """Text and LaTeX of a list of vectors, one per line."""
+    return {"text": "\n".join(map(render.text_vector, vectors)) or empty,
+            "latex": "\n".join(map(render.latex_vector, vectors)) or "\\emptyset"}
+
+
 def _run_singular(job: Job, params: _Params) -> Report:
     algebra = params.get("algebra", "w22")
     [p] = params.levels("p")
     hw = _w22_weight(params, p=p) if algebra == "w22" else _hv_weight(params, p=p)
     M = ModuleContext(hw)
     vectors = verma.singular_space(M, p)
-    text = [render.text_vector(v) for v in vectors]
-    latex = [render.latex_vector(v) for v in vectors]
     results = {"algebra": algebra, "p": p,
                "vectors": [v.to_json() for v in vectors]}
-    rendered = {
-        "text": "\n".join(text) if text else "no singular vectors at this level",
-        "latex": "\n".join(latex) if latex else "\\emptyset",
-    }
-    return Report(job, results, rendered=rendered)
+    return Report(job, results, rendered=_rendered(vectors, "no singular vectors at this level"))
 
 
 def _run_subsingular(job: Job, params: _Params) -> Report:
@@ -359,13 +359,8 @@ def _run_subsingular(job: Job, params: _Params) -> Report:
     u = verma.subsingular(M, p, r)
     results = {"p": p, "r": r, "found": u is not None,
                "vector": u.to_json() if u is not None else None}
-    if u is None:
-        rendered = {"text": "no subsingular vector at this weight",
-                    "latex": "\\emptyset"}
-    else:
-        rendered = {"text": render.text_vector(u),
-                    "latex": render.latex_vector(u)}
-    return Report(job, results, rendered=rendered)
+    return Report(job, results, rendered=_rendered([] if u is None else [u],
+                                                   "no subsingular vector at this weight"))
 
 
 def _run_classify(job: Job, params: _Params) -> Report:
@@ -383,14 +378,9 @@ def _run_classify(job: Job, params: _Params) -> Report:
     if rep.u is not None:
         lines.append("u  = " + render.text_vector(rep.u))
     lines.extend(rep.notes)
-    latex = []
-    if rep.u_prime is not None:
-        latex.append(render.latex_vector(rep.u_prime))
-    if rep.u is not None:
-        latex.append(render.latex_vector(rep.u))
-    rendered = {"text": "\n".join(lines),
-                "latex": "\n".join(latex) if latex else "\\emptyset"}
-    return Report(job, results, rendered=rendered)
+    latex = "\n".join(render.latex_vector(v) for v in (rep.u_prime, rep.u) if v is not None)
+    return Report(job, results, rendered={"text": "\n".join(lines),
+                                          "latex": latex or "\\emptyset"})
 
 
 _CHAR_FAMILIES = {"verma": verma.char_verma, "jprime": verma.char_j_prime,

@@ -81,8 +81,7 @@ def _pscale(a: Poly, k: int) -> Poly:
 
 
 def _pmul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return {}
+    """Product of two nonzero polynomials."""
     if _pis_const(a):
         return _pscale(b, next(iter(a.values())))
     if _pis_const(b):
@@ -131,9 +130,7 @@ def _pvars(a: Poly) -> set:
 
 
 def _pprimitive_int(a: Poly) -> tuple[int, Poly]:
-    """(content, primitive part) with the primitive part's lc positive."""
-    if not a:
-        return 1, {}
+    """(content, primitive part with positive lc) of a nonzero polynomial."""
     g = math.gcd(*a.values())
     if _plead(a)[1] < 0:
         g = -g
@@ -250,17 +247,6 @@ def _dense_gcd(x: list, y: list) -> list:
     return x
 
 
-def _pgcd_uni(a: Poly, b: Poly, v: int) -> Poly:
-    """Gcd of two polys in variable v only."""
-    n = len(next(iter(a)))
-    x = _dense_gcd(_dense_at(a, v, ()), _dense_at(b, v, ()))
-    out: Poly = {}
-    for i, c in enumerate(x):
-        if c:
-            out[(0,) * v + (i,) + (0,) * (n - v - 1)] = c
-    return out
-
-
 def _coprime_certified(a: Poly, b: Poly, shared: set) -> bool:
     """True when integer images prove that gcd(a, b) is constant.
 
@@ -283,11 +269,8 @@ def _coprime_certified(a: Poly, b: Poly, shared: set) -> bool:
 
 
 def _pgcd(a: Poly, b: Poly) -> Poly:
-    """Gcd of the primitive parts, returned primitive with positive lc."""
-    if not a:
-        return _pprimitive_int(b)[1]
-    if not b:
-        return _pprimitive_int(a)[1]
+    """Gcd of the primitive parts of two nonzero polynomials, returned
+    primitive with positive lc."""
     if _pis_const(a) or _pis_const(b):
         return _pone(len(next(iter(a))))
     if len(a) == 1 or len(b) == 1:
@@ -305,7 +288,9 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     both = va | vb
     v = min(both)
     if len(va) == 1 and va == vb:
-        return _pgcd_uni(a, b, v)
+        x = _dense_gcd(_dense_at(a, v, ()), _dense_at(b, v, ()))
+        pad = (0,) * (len(next(iter(a))) - v - 1)
+        return {(0,) * v + (i,) + pad: c for i, c in enumerate(x) if c}
     if _coprime_certified(a, b, va & vb):
         return _pone(len(next(iter(a))))
     if v not in va:
@@ -537,30 +522,21 @@ class Scalar:
         fa = an // gn * (gd // ad)
         fb = bn // gn * (gd // bd)
         da, db = self.den, other.den
-        # Build over the lcm denominator; any surviving common factor of
-        # the sum and the lcm divides gcd(da, db), so the one reduction
-        # below is against a stored (small) denominator, never a product.
+        # Build over the lcm denominator da * db / dg, dg = gcd(da, db);
+        # any surviving common factor of the sum and the lcm divides dg,
+        # so the sum needs a reduction only when dg is not constant.
         if da == db:
             num = _padd(_pscale(self.num, fa), _pscale(other.num, fb))
-            den = da
-            reducible = not _pis_const(den)
+            den = dg = da
         else:
             dg = _pgcd(da, db)
-            if _pis_const(dg):
-                num = _padd(_pscale(_pmul(self.num, db), fa),
-                            _pscale(_pmul(other.num, da), fb))
-                den = _pmul(da, db)
-                reducible = False
-            else:
-                ea = _pdiv_exact(da, dg)
-                eb = _pdiv_exact(db, dg)
-                num = _padd(_pscale(_pmul(self.num, eb), fa),
-                            _pscale(_pmul(other.num, ea), fb))
-                den = _pmul(da, eb)
-                reducible = True
+            ea, eb = (da, db) if _pis_const(dg) else (_pdiv_exact(da, dg), _pdiv_exact(db, dg))
+            num = _padd(_pscale(_pmul(self.num, eb), fa),
+                        _pscale(_pmul(other.num, ea), fb))
+            den = _pmul(da, eb)
         if not num:
             return self.ctx.zero
-        if reducible:
+        if not _pis_const(dg):
             t = _pgcd(num, den)
             if not _pis_const(t):
                 num = _pdiv_exact(num, t)

@@ -307,12 +307,10 @@ def subquotient_weight(hw: HighestWeight, s: IntermediateSeries,
     """
     if n == s.excluded_index():
         raise ValueError(f"index {n} is excluded from the primed series")
-    ctx = s.ctx
-    h_layer = hw["h"] - (ctx.scalar(n) + s.alpha + s.beta)
-    if hw.kind == W22:
-        return HighestWeight.w22(ctx, c=hw["c"], h=h_layer, hW=hw["hW"])
-    return HighestWeight.hv(ctx, cL=hw["cL"], cLI=hw["cLI"], h=h_layer,
-                            hI=hw["hI"] + s.F, cI=hw["cI"])
+    shifted = {"h": hw["h"] - (s.ctx.scalar(n) + s.alpha + s.beta)}
+    if hw.kind == HV:
+        shifted["hI"] = hw["hI"] + s.F
+    return HighestWeight(hw.kind, s.ctx, {**hw.weights, **shifted})
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +414,10 @@ def _eliminate_to_target(space: TensorSpace, T: TensorVector,
         raise ValueError("degenerate elimination: an intermediate word "
                          "reduced to the bare target vector")
     rem = ech.reduce(dict(T.terms))
-    if not rem:
-        return space.scalar_ctx.zero
-    if set(rem) != {tgt}:
+    if set(rem) - {tgt}:
         raise ValueError("degenerate elimination: the reduction left "
                          "components away from the target index")
-    return rem[tgt]
+    return rem.get(tgt, space.scalar_ctx.zero)
 
 
 def hv_decision_polynomials(hw: HighestWeight, s: IntermediateSeries,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalar import Scalar
+from .scalar import PolyContext, Scalar
 from .liealg import W22, HV, L, W, Generator, second_family
 from .pbw import EMPTY, PBWMonomial, HighestWeight, ModuleVector, ModuleContext
 from . import linalg
@@ -41,10 +41,6 @@ _log = logging.getLogger(__name__)
 @lru_cache(maxsize=None)
 def partitions(n: int) -> tuple:
     """All partitions of n as weakly decreasing tuples, lex descending."""
-    if n < 0:
-        return ()
-    if n == 0:
-        return ((),)
     result = []
 
     def extend(remaining, maxpart, prefix):
@@ -63,8 +59,6 @@ def partitions(n: int) -> tuple:
 @lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
     """Number of partitions of n (Euler recurrence)."""
-    if n < 0:
-        return 0
     if n == 0:
         return 1
     total = 0
@@ -395,8 +389,7 @@ def subsingular_r1_recursive(M: ModuleContext, p: int) -> ModuleVector:
     Writing u = sum_n w_n L_{-n} v with w_p = 1 and w_n in the commutative
     algebra of W modes, the coefficients for 0 < n < p satisfy
 
-      w_n = (p^2-1) / (2 h_W n (n^2 - p^2)) *
-            ( sum_{i=n+1}^{p-1} (n+i) w_i W_{-(i-n)} + (n+p) W_{-(p-n)} )
+      w_n = (p^2-1) / (2 h_W n (n^2 - p^2)) * sum_{i=n+1}^{p} (n+i) w_i W_{-(i-n)}
 
     and w_0 is completed by solving the exact singularity conditions.
     """
@@ -409,19 +402,14 @@ def subsingular_r1_recursive(M: ModuleContext, p: int) -> ModuleVector:
     wvec: dict[int, ModuleVector] = {p: M.vacuum()}
     for n in range(p - 1, 0, -1):
         acc = M.zero()
-        for i in range(n + 1, p):
+        for i in range(n + 1, p + 1):
             acc = acc + M.act(W(-(i - n)), wvec[i]).scaled(ctx.scalar(n + i))
-        acc = acc + M.act(W(-(p - n)), M.vacuum()).scaled(ctx.scalar(n + p))
         factor = ctx.scalar(Fraction(p * p - 1)) / (
             (hW + hW) * ctx.scalar(Fraction(n * (n * n - p * p))))
         wvec[n] = acc.scaled(factor)
-    # assemble the known part: sum_{n>=1} w_n L_{-n} v
-    known = M.zero()
-    for n in range(1, p + 1):
-        terms = {}
-        for mono, coeff in wvec[n].terms.items():
-            terms[PBWMonomial.make(mono.w, (n,))] = coeff
-        known = known + M.vector(terms)
+    # the known part sum_{n>=1} w_n L_{-n} v; its keys are distinct across n
+    known = M.vector({PBWMonomial.make(mono.w, (n,)): coeff for n in range(1, p + 1)
+                      for mono, coeff in wvec[n].terms.items()})
     return _complete(M, known, pure_w_basis(p)[1:],
                      f"singular vector of the assumed shape at level {p}")
 
@@ -678,8 +666,6 @@ def conjecture_scan_point(p: int, r: int, offsets=()) -> dict:
     offset delta; for p = 1 also checks the observed shape (only L_{-1}
     factors in the L part).
     """
-    from .scalar import PolyContext
-
     if p == 1:
         ctx = PolyContext(("c",))
         c = ctx.var("c")

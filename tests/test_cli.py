@@ -200,6 +200,15 @@ def test_json_round_trip():
     assert back == report
 
 
+def test_emit_rejects_a_missing_rendering_and_an_unknown_format():
+    report = run(Job("singular", {"algebra": "w22", "p": 2, "symbolic": ["hW"]}))
+    back = Report.from_json(json.loads(emit(report, "json").decode()))
+    with pytest.raises(ValueError, match="^report carries no text rendering$"):
+        emit(back, "text")
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        emit(report, "xml")
+
+
 def test_json_determinism_modulo_timing():
     job = Job("subsingular", {"p": 1, "r": 2, "h": "-1/2", "hW": "0",
                               "symbolic": ["c"]})
@@ -313,6 +322,8 @@ def test_inexact_division_exits_two(capsys, monkeypatch):
     (("classify", "--c", "f(1)", "--hW", "1"), "unsupported expression element Call"),
     (("classify", "--c", "1/", "--hW", "1"),
      "cannot parse expression '1/': invalid syntax (<unknown>, line 1)"),
+    (("classify", "--algebra", "hv", "--cLI", "1"),
+     "parameter 'hI' is required; pass --hI or --symbolic hI"),
 ])
 def test_boolean_literals_exit_two(capsys, argv, message):
     code, out, err = run_main(capsys, *argv)
@@ -334,6 +345,13 @@ def test_symbolic_limit_exits_two(capsys):
                             "--symbolic", "hI")
     assert code == 2
     assert "symbolic" in err
+
+
+def test_symbolic_name_given_twice_counts_once(capsys):
+    once = run_main(capsys, "classify", "--symbolic", "hW", "--c", "1")
+    twice = run_main(capsys, "classify", "--symbolic", "hW", "--symbolic", "hW", "--c", "1")
+    assert once[0] == 0
+    assert twice == once
 
 
 def test_symbolic_value_clash_exits_two(capsys):
@@ -419,6 +437,12 @@ def test_negative_exponents_reach_the_verdict(capsys):
 def test_unknown_command_raises():
     with pytest.raises(ValueError):
         run(Job("nonsense", {}))
+
+
+def test_unknown_character_family_raises():
+    message = "family must be one of ('verma', 'jprime', 'lprime', 'l', 'j')"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(Job("character", {"family": "x"}))
 
 
 def test_report_notes_record_bindings():
