@@ -280,7 +280,7 @@ def _w22_weight(params: _Params, p: int | None = None,
                 r: int | None = None) -> HighestWeight:
     """W(2,2) highest weight, deriving degenerate values when omitted."""
     ctx = params.ctx
-    if p is not None and p == 1:
+    if p == 1:
         hW = params.default("hW", 0, "degeneracy at p = 1 forces hW = 0")
         c = params.require("c")
     elif p is not None:

@@ -111,7 +111,7 @@ def nullspace(rows, columns, ctx) -> list:
         sol = {f: ctx.one}
         for p, prow in ech.pivots.items():
             cf = prow.get(f)
-            if cf is not None and not cf.is_zero():
+            if cf is not None:
                 sol[p] = -cf
         basis.append(sol)
     return basis
@@ -137,6 +137,6 @@ def solve(rows, columns):
     free = [c for c in columns if c not in ech.pivots]
     for p, prow in ech.pivots.items():
         val = prow.get(RHS)
-        if val is not None and not val.is_zero():
+        if val is not None:
             sol[p] = val
     return sol, free

@@ -103,14 +103,10 @@ def _pmul(a: Poly, b: Poly) -> Poly:
 
 
 def _ppow(a: Poly, k: int) -> Poly:
-    out = None
-    base = a
-    while k:
-        if k & 1:
-            out = base if out is None else _pmul(out, base)
-        k >>= 1
-        if k:
-            base = _pmul(base, base)
+    """a ** k for k >= 1, as k - 1 products by a."""
+    out = a
+    for _ in range(k - 1):
+        out = _pmul(out, a)
     return out
 
 
@@ -679,9 +675,7 @@ class Scalar:
                 fr[e] = Fraction(t["coeff"])
             if not fr:
                 return Fraction(1), {}
-            den = 1
-            for c in fr.values():
-                den = den * c.denominator // math.gcd(den, c.denominator)
+            den = math.lcm(*(c.denominator for c in fr.values()))
             return Fraction(1, den), {e: int(c * den) for e, c in fr.items()}
 
         cn, num = load(obj["numer"])

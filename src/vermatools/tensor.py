@@ -377,7 +377,8 @@ class HVCertificate:
     Case "I" (hI/cLI = 1 + p): applying the pure-I singular vector to
     v_{n+p-1} (x) v and eliminating intermediate indices leaves
     F s(F) v_{n-1} (x) v.  Case "L" (hI/cLI = 1 - p): the same procedure
-    on v_{n+p} (x) v leaves (q(F) n + r(F)) v_n (x) v.  The polynomials
+    on v_{n+p} (x) v leaves (q(F) n + r(F)) v_n (x) v.  Case I is the
+    q = 0 form of that certificate, with r(F) = F s(F).  The polynomials
     live in a context extended by the formal parameters n and F.
     """
 
@@ -524,32 +525,23 @@ def decide_tensor_hv(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision
             notes=("alpha + (1 - p) beta is not an integer",))
 
     cert = hv_decision_polynomials(hw, s, p)
-
-    def at_f(x: Scalar) -> Scalar:
-        # The certificate at the series' F: formal for a symbolic F, and
-        # a number of s.ctx for a numeric one.
-        return ctx.scalar(x.substitute({"F": s.F})) if f_const else x
-
+    # Case I is the q = 0 form of q(F) n + r(F), with r(F) = F s(F).
+    q, r_ = ((cert.s_poly.ctx.zero, cert.s_poly * cert.s_poly.ctx.var("F"))
+             if case == "I" else (cert.q_poly, cert.r_poly))
     f = s.F.as_fraction() if f_const else None
-    if case == "I":
-        sf = at_f(cert.s_poly * cert.s_poly.ctx.var("F"))
-        if sf.is_zero():
-            return TensorDecision(
-                "Unknown", None, None, p=p,
-                notes=(f"F = {f} is a root of the certificate polynomial "
-                       "F s(F); the criterion is silent here" if f_const
-                       else "the pure-I certificate vanishes identically",))
-        return TensorDecision(
-            "Irreducible", "ProductNonzero", sf, p=p,
-            notes=("F s(F) is nonzero" if f_const
-                   else "F transcendental: F s(F) cannot vanish",))
-
-    q, r_ = at_f(cert.q_poly), at_f(cert.r_poly)
+    if f_const:
+        # The certificate at the series' F, a number of s.ctx; a symbolic
+        # F stays formal.
+        q, r_ = (ctx.scalar(x.substitute({"F": s.F})) for x in (q, r_))
     if q.is_zero() and r_.is_zero():
-        return TensorDecision(
-            "Unknown", None, None, p=p,
-            notes=(f"the certificate vanishes identically at F = {f}" if f_const
-                   else "the certificate q(F) n + r(F) vanishes identically",))
+        if case == "I":
+            note = (f"F = {f} is a root of the certificate polynomial F s(F); "
+                    "the criterion is silent here" if f_const
+                    else "the pure-I certificate vanishes identically")
+        else:
+            note = (f"the certificate vanishes identically at F = {f}" if f_const
+                    else "the certificate q(F) n + r(F) vanishes identically")
+        return TensorDecision("Unknown", None, None, p=p, notes=(note,))
     root = None if q.is_zero() else -r_ / q
     if root is not None and root.is_integer():
         k = int(root.as_fraction())
@@ -559,7 +551,9 @@ def decide_tensor_hv(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision
                    "the criterion is silent there" if f_const
                    else f"the certificate vanishes at index n = {k} for "
                    "every F; the criterion is silent there",))
-    if f_const:
+    if case == "I":
+        note = "F s(F) is nonzero" if f_const else "F transcendental: F s(F) cannot vanish"
+    elif f_const:
         note = "q(F) n + r(F) is nonzero at every integer index"
     elif q.is_zero():
         note = "F transcendental: the certificate is the nonzero constant r(F)"

@@ -675,15 +675,15 @@ def conjecture_scan_point(p: int, r: int, offsets=()) -> dict:
         hW = ctx.var("hW")
         c = hW * Fraction(-24, p * p - 1)
     h = necessary_h(p, r, hW)
-    hw = HighestWeight.w22(ctx, c=c, h=h, hW=hW)
-    M = ModuleContext(hw)
-    u = subsingular(M, p, r)
+
+    def solve(delta):
+        hw = HighestWeight.w22(ctx, c=c, h=h + ctx.scalar(Fraction(delta)), hW=hW)
+        return subsingular(ModuleContext(hw), p, r)
+
+    u = solve(0)
     row = {"p": p, "r": r, "found": u is not None, "offsets": {}, "shape_ok": None}
     for delta in offsets:
-        hw_off = HighestWeight.w22(ctx, c=c, h=h + ctx.scalar(Fraction(delta)), hW=hW)
-        M_off = ModuleContext(hw_off)
-        u_off = subsingular(M_off, p, r)
-        row["offsets"][str(Fraction(delta))] = u_off is None
+        row["offsets"][str(Fraction(delta))] = solve(delta) is None
     if p == 1 and u is not None:
         row["shape_ok"] = all(set(m.l) <= {1} for m in u.terms)
     row["ok"] = bool(row["found"]) and all(row["offsets"].values()) and (

@@ -53,22 +53,35 @@ def read_names(tree) -> set:
     return names
 
 
+def _is_private_definition(node) -> bool:
+    return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__"))
+
+
 def unread_private_definitions(modules: dict, readers: list) -> list:
     """(module, name) of each module-level private def or class in modules
-    (name -> source) that neither another top-level statement of modules
-    nor a source in readers reads."""
+    (name -> source), and of each private method ("Class._method") of a
+    module-level class, that neither a source in readers nor another
+    top-level statement of modules reads; for a method, the other
+    statements of its class body count as readers too."""
     read = set().union(*(read_names(ast.parse(source)) for source in readers))
     statements = [(module, stmt, read_names(stmt))
                   for module, source in modules.items() for stmt in ast.parse(source).body]
-    unread = []
+
+    def unread(node, scope) -> bool:
+        return (_is_private_definition(node) and node.name not in read
+                and not any(node.name in names for _, other, names in scope if other is not node))
+
+    found = []
     for module, stmt, _ in statements:
-        if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                and stmt.name.startswith("_") and not stmt.name.startswith("__")
-                and stmt.name not in read
-                and not any(stmt.name in names for _, other, names in statements
-                            if other is not stmt)):
-            unread.append((module, stmt.name))
-    return unread
+        if unread(stmt, statements):
+            found.append((module, stmt.name))
+        if isinstance(stmt, ast.ClassDef):
+            members = [(module, member, read_names(member)) for member in stmt.body]
+            scope = [s for s in statements if s[1] is not stmt] + members
+            found += [(module, f"{stmt.name}.{member.name}")
+                      for _, member, _ in members if unread(member, scope)]
+    return found
 
 
 def test_every_private_definition_has_a_reader():
@@ -89,6 +102,23 @@ def test_unread_private_definition_is_found():
     readers = ["import a\ngetattr(a, '_by_name')\n# _elsewhere\n"]
     assert unread_private_definitions(modules, readers) == [
         ("a.py", "_recursive"), ("a.py", "_Orphan"), ("b.py", "_elsewhere")]
+
+
+def test_unread_private_method_is_found():
+    modules = {"a.py": "class Public:\n"
+                       "    def run(self):\n        return self._by_sibling()\n\n"
+                       "    def _by_sibling(self):\n        pass\n\n"
+                       "    def _orphan(self):\n        pass\n\n"
+                       "    def _recursive(self):\n        return self._recursive()\n\n"
+                       "    def _by_module(self):\n        pass\n\n"
+                       "    def _by_reader(self):\n        pass\n\n"
+                       "    def __len__(self):\n        return 0\n\n"
+                       "def public(x):\n    return x._by_module()\n",
+               "b.py": "class _Hidden:\n    def _orphan(self):\n        pass\n"}
+    readers = ["a.Public()._by_reader()\n"]
+    assert unread_private_definitions(modules, readers) == [
+        ("a.py", "Public._orphan"), ("a.py", "Public._recursive"),
+        ("b.py", "_Hidden"), ("b.py", "_Hidden._orphan")]
 
 
 def test_render_imports_only_liealg():

@@ -10,9 +10,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from vermatools import verma
 from vermatools.cli import parse_expression
+from vermatools.liealg import HV, L, W, check_generator
 from vermatools.pbw import HighestWeight, ModuleContext
-from vermatools.scalar import PolyContext, Scalar, _coprime_certified, _pgcd, _pis_const
+from vermatools.scalar import (
+    PolyContext, Scalar, _coprime_certified, _pdiv_exact, _pgcd, _pis_const)
 from vermatools.tensor import IntermediateSeries, TensorSpace
 
 CTX = PolyContext(("x", "y"))
@@ -611,3 +614,36 @@ def test_constant_hashes_like_its_value(ctx, v):
     s = ctx.scalar(v)
     assert s == v and hash(s) == hash(v)
     assert v in {s} and s in {v}
+
+
+_TWISTED = HighestWeight.hv(Q, cL=1, cLI=2, h=3, hI=6)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Scalar.make(Q, {(): 1}, {}), ZeroDivisionError, "zero denominator"),
+    (lambda: X.as_fraction(), ValueError, "not a constant: x"),
+    (lambda: (1 / X).degree_in("x"), ValueError, "denominator involves x"),
+    (lambda: (Y / X).coeff_of("x", 0), ValueError, "denominator involves x"),
+    (lambda: Scalar.from_json(CTX, {"numer": [{"coeff": "1", "exponents": [1]}],
+                                    "denom": [{"coeff": "1", "exponents": [0, 0]}]}),
+     ValueError, "exponent arity does not match context"),
+    (lambda: (1 / X).substitute({"x": 0}), ZeroDivisionError,
+     "substitution produced a zero denominator"),
+    # x / y by a monomial divisor, and x / (x + 1) by long division
+    (lambda: _pdiv_exact({(1, 0): 1}, {(0, 1): 1}), ArithmeticError,
+     "inexact polynomial division"),
+    (lambda: _pdiv_exact({(1, 0): 1}, {(1, 0): 1, (0, 0): 1}), ArithmeticError,
+     "inexact polynomial division"),
+    (lambda: check_generator(W(1), HV), ValueError, "generator W(1) does not belong to algebra hv"),
+    (lambda: _TWISTED.eigenvalue(L(-1)), ValueError,
+     "L(-1) has no eigenvalue on the highest weight vector"),
+    (lambda: verma.subsingular_r1_recursive(ModuleContext(_TWISTED), 2), ValueError,
+     "the recursion applies to W(2,2) weights"),
+], ids=["make-zero-denominator", "as-fraction", "degree-in", "coeff-of", "json-arity",
+        "substitute-zero-denominator", "pdiv-monomial", "pdiv-long", "check-generator",
+        "eigenvalue", "r1-recursion-twisted"])
+def test_library_refusals(call, error, message):
+    """Refusals that only a direct library call reaches, with their full text."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -588,8 +588,15 @@ def test_hv_pure_i_case_matrix():
     d_irr = decide_tensor_hv(hw, make(3))
     assert d_irr.verdict == "Irreducible"
     assert d_irr.witness.as_fraction() == Fraction(15, 2)
+    root_note = ("F = -2 is a root of the certificate polynomial F s(F); "
+                 "the criterion is silent here",)
     d_unknown = decide_tensor_hv(hw, make(-2))
-    assert d_unknown.verdict == "Unknown"
+    assert (d_unknown.verdict, d_unknown.witness, d_unknown.notes) == ("Unknown", None, root_note)
+    # the golden case-I root weight
+    hw0 = hv_weight(1, 2, 0, 6)
+    d0 = decide_tensor_hv(hw0, IntermediateSeries.make(hw0.ctx, Fraction(1, 2), 0, F=-2))
+    assert (d0.verdict, d0.reason, d0.witness, d0.p, d0.notes) == (
+        "Unknown", None, None, 2, root_note)
 
 
 def test_hv_l_case_matrix():
@@ -600,7 +607,10 @@ def test_hv_l_case_matrix():
     assert (d_shift.verdict, d_shift.reason, d_shift.witness) == (
         "Reducible", "IntegralShift", 1)
     # q n + r with q = -1, r = -1 - alpha + 2F: F = 1, alpha = 0 vanishes at n = 1
-    assert decide_tensor_hv(hw, make(0, 1)).verdict == "Unknown"
+    d_root = decide_tensor_hv(hw, make(0, 1))
+    assert (d_root.verdict, d_root.reason, d_root.witness, d_root.notes) == (
+        "Unknown", None, None, ("the certificate q(F) n + r(F) vanishes at index n = 1; "
+                                "the criterion is silent there",))
     assert decide_tensor_hv(hw, make(0, Fraction(1, 3))).verdict == "Irreducible"
 
 
@@ -615,6 +625,62 @@ def test_hv_symbolic_f_is_transcendental():
     sl = IntermediateSeries(ctx.zero, ctx.zero, ctx.var("F"))
     dl = decide_tensor_hv(hw_l, sl)
     assert dl.verdict == "Irreducible"
+
+
+_IRR_I_CONST = "F s(F) is nonzero"
+_IRR_I_SYM = "F transcendental: F s(F) cannot vanish"
+_IRR_L_CONST = "q(F) n + r(F) is nonzero at every integer index"
+_IRR_L_SYM = "F transcendental: q(F) n + r(F) has no integer root"
+
+# The certificate branch of decide_tensor_hv at cL = 0, cLI = 1, h = 3,
+# alpha = 1/3, beta = 0, hI = (1 + p) cLI (case I) or (1 - p) cLI (case L):
+# (case, p, F, verdict, witness, note); F = "F" is a symbolic F.  No weight
+# here has an integer root of q(F) n + r(F); test_hv_l_case_matrix has one.
+_HV_CERTIFICATE_TABLE = [
+    ("I", 1, 3, "Irreducible", "3", _IRR_I_CONST),
+    ("I", 1, Fraction(-1, 2), "Irreducible", "-1/2", _IRR_I_CONST),
+    ("I", 1, "F", "Irreducible", "F", _IRR_I_SYM),
+    ("I", 2, 3, "Irreducible", "12", _IRR_I_CONST),
+    ("I", 2, Fraction(-1, 2), "Irreducible", "-1/4", _IRR_I_CONST),
+    ("I", 2, "F", "Irreducible", "F^2 + F", _IRR_I_SYM),
+    ("I", 3, 3, "Irreducible", "30", _IRR_I_CONST),
+    ("I", 3, Fraction(-1, 2), "Irreducible", "-3/16", _IRR_I_CONST),
+    ("I", 3, "F", "Irreducible", "(F^3 + 3*F^2 + 2*F)/2", _IRR_I_SYM),
+    ("I", 4, 3, "Irreducible", "60", _IRR_I_CONST),
+    ("I", 4, Fraction(-1, 2), "Irreducible", "-5/32", _IRR_I_CONST),
+    ("I", 4, "F", "Irreducible", "(F^4 + 6*F^3 + 11*F^2 + 6*F)/6", _IRR_I_SYM),
+    ("L", 1, 3, "Irreducible", "23/3", _IRR_L_CONST),
+    ("L", 1, Fraction(-1, 2), "Irreducible", "-17/6", _IRR_L_CONST),
+    ("L", 1, "F", "Irreducible", "(9*F - 4)/3", _IRR_L_SYM),
+    ("L", 2, 3, "Irreducible", "-22/3", _IRR_L_CONST),
+    ("L", 2, Fraction(-1, 2), "Irreducible", "-389/96", _IRR_L_CONST),
+    ("L", 2, "F", "Irreducible", "(-35*F^2 + 65*F - 56)/24", _IRR_L_SYM),
+    ("L", 3, 3, "Irreducible", "11/4", _IRR_L_CONST),
+    ("L", 3, Fraction(-1, 2), "Irreducible", "-185/32", _IRR_L_CONST),
+    ("L", 3, "F", "Irreducible", "(17*F^3 - 72*F^2 + 136*F - 120)/36", _IRR_L_SYM),
+    ("L", 4, 3, "Unknown", None, "the certificate vanishes identically at F = 3"),
+    ("L", 4, Fraction(-1, 2), "Irreducible", "-4025/512", _IRR_L_CONST),
+    ("L", 4, "F", "Irreducible",
+     "(-33*F^4 + 250*F^3 - 831*F^2 + 1550*F - 1248)/288", _IRR_L_SYM),
+]
+
+
+@pytest.mark.parametrize("case,p,f,verdict,witness,note", _HV_CERTIFICATE_TABLE,
+                         ids=[f"{c}-{p}-F={f}" for c, p, f, *_ in _HV_CERTIFICATE_TABLE])
+def test_hv_certificate_verdict_table(case, p, f, verdict, witness, note):
+    ctx = PolyContext(("F",) if f == "F" else ())
+    hw = HighestWeight.hv(ctx, cL=0, cLI=1, h=3, hI=1 + p if case == "I" else 1 - p, cI=0)
+    F = ctx.var("F") if f == "F" else ctx.scalar(f)
+    d = decide_tensor_hv(hw, IntermediateSeries(ctx.scalar(Fraction(1, 3)), ctx.zero, F))
+    assert (d.verdict, d.p, d.r, d.notes) == (verdict, p, None, (note,))
+    if witness is None:
+        assert (d.reason, d.witness) == (None, None)
+    else:
+        assert d.reason == "ProductNonzero"
+        # a numeric F leaves a number of the series' context; a symbolic one
+        # keeps the certificate's context, extended by n and F
+        assert (str(d.witness), d.witness.ctx.names) == (
+            witness, ("F", "n") if f == "F" else ())
 
 
 def test_hv_decide_rejects_bad_central_charges():
