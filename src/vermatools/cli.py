@@ -211,13 +211,10 @@ class _Params:
         self.given = {k: v for k, v in parameters.items() if k != "symbolic"}
         self.notes = notes
         self.read: set = set()
-        seen = []
-        for name in parameters.get("symbolic") or []:
+        seen = dict.fromkeys(parameters.get("symbolic") or [])
+        for name in seen:
             if name not in _PARAM_ORDER:
                 raise ValueError(f"unknown parameter {name!r}")
-            if name in seen:
-                continue
-            seen.append(name)
         if len(seen) > _MAX_SYMBOLIC:
             raise ValueError(f"at most {_MAX_SYMBOLIC} symbolic parameters "
                              f"per job, got {len(seen)}")
@@ -588,16 +585,11 @@ def _merge_value_flags(argv: list) -> list:
     argparse would otherwise read as an option name.
     """
     merged = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok in _VALUE_FLAGS and i + 1 < len(argv)
-                and _LEADING_MINUS_VALUE.match(argv[i + 1])):
-            merged.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        merged.append(tok)
-        i += 1
+    for tok in argv:
+        if merged and merged[-1] in _VALUE_FLAGS and _LEADING_MINUS_VALUE.match(tok):
+            merged[-1] += f"={tok}"
+        else:
+            merged.append(tok)
     return merged
 
 

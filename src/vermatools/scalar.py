@@ -289,10 +289,6 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
         return {(0,) * v + (i,) + pad: c for i, c in enumerate(x) if c}
     if _coprime_certified(a, b, va & vb):
         return _pone(len(next(iter(a))))
-    if v not in va:
-        return _pgcd(a, _content_wrt(b, v))
-    if v not in vb:
-        return _pgcd(_content_wrt(a, v), b)
     ca, cb = _content_wrt(a, v), _content_wrt(b, v)
     cg = _pgcd(ca, cb)
     pa, pb = _pdiv_exact(a, ca), _pdiv_exact(b, cb)
@@ -444,11 +440,10 @@ class Scalar:
             return ctx.zero
         kn, pn = _pprimitive_int(num)
         kd, pd = _pprimitive_int(den)
-        if not (_pis_const(pn) or _pis_const(pd)):
-            g = _pgcd(pn, pd)
-            if not _pis_const(g):
-                pn = _pdiv_exact(pn, g)
-                pd = _pdiv_exact(pd, g)
+        g = _pgcd(pn, pd)
+        if not _pis_const(g):
+            pn = _pdiv_exact(pn, g)
+            pd = _pdiv_exact(pd, g)
         cn = cont.numerator * kn
         cd = cont.denominator * kd
         if cd < 0:

@@ -379,7 +379,9 @@ class HVCertificate:
     F s(F) v_{n-1} (x) v.  Case "L" (hI/cLI = 1 - p): the same procedure
     on v_{n+p} (x) v leaves (q(F) n + r(F)) v_n (x) v.  Case I is the
     q = 0 form of that certificate, with r(F) = F s(F).  The polynomials
-    live in a context extended by the formal parameters n and F.
+    live in a context extended by the formal parameters n and F.  Checked
+    exactly for p <= 10: s(F) = C(F/cLI + p - 1, p - 1) and
+    q(F) = (-1)^p C(F/cLI - 1, p - 1), both nonzero polynomials in F.
     """
 
     case: str
@@ -528,19 +530,14 @@ def decide_tensor_hv(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision
     # Case I is the q = 0 form of q(F) n + r(F), with r(F) = F s(F).
     q, r_ = ((cert.s_poly.ctx.zero, cert.s_poly * cert.s_poly.ctx.var("F"))
              if case == "I" else (cert.q_poly, cert.r_poly))
-    f = s.F.as_fraction() if f_const else None
     if f_const:
-        # The certificate at the series' F, a number of s.ctx; a symbolic
-        # F stays formal.
+        # The certificate at the series' F, a number of s.ctx; a symbolic F stays formal.
         q, r_ = (ctx.scalar(x.substitute({"F": s.F})) for x in (q, r_))
+    # s(F) and q(F) are nonzero binomials in F (HVCertificate), so F is constant here.
     if q.is_zero() and r_.is_zero():
-        if case == "I":
-            note = (f"F = {f} is a root of the certificate polynomial F s(F); "
-                    "the criterion is silent here" if f_const
-                    else "the pure-I certificate vanishes identically")
-        else:
-            note = (f"the certificate vanishes identically at F = {f}" if f_const
-                    else "the certificate q(F) n + r(F) vanishes identically")
+        note = (f"F = {s.F} is a root of the certificate polynomial F s(F); "
+                "the criterion is silent here" if case == "I"
+                else f"the certificate vanishes identically at F = {s.F}")
         return TensorDecision("Unknown", None, None, p=p, notes=(note,))
     root = None if q.is_zero() else -r_ / q
     if root is not None and root.is_integer():
@@ -555,8 +552,6 @@ def decide_tensor_hv(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision
         note = "F s(F) is nonzero" if f_const else "F transcendental: F s(F) cannot vanish"
     elif f_const:
         note = "q(F) n + r(F) is nonzero at every integer index"
-    elif q.is_zero():
-        note = "F transcendental: the certificate is the nonzero constant r(F)"
     else:
         note = "F transcendental: q(F) n + r(F) has no integer root"
     return TensorDecision("Irreducible", "ProductNonzero", r_, p=p, notes=(note,))

@@ -362,7 +362,7 @@ def _subsingular_direct(M: ModuleContext, p: int, r: int, uprime: ModuleVector):
     return M.vector({lead: ctx.one, **sol})
 
 
-def _certify_subsingular(M: ModuleContext, p: int, r: int, u: ModuleVector) -> bool:
+def _certify_subsingular(M: ModuleContext, p: int, u: ModuleVector) -> bool:
     """Exact check that g.u lies in J' for every raising generator: each
     image reduces to zero in V / J'."""
     Q = quotient_l_prime(M, p)

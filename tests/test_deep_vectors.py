@@ -52,7 +52,7 @@ def test_pinned_vector_is_subsingular(p, r):
     assert u.level == r * p
     assert u.coeff(PBWMonomial.make(l=(p,) * r)) == M.scalar_ctx.one
     assert all(p not in m.w and len(m.l) <= r for m in u.terms)
-    assert verma._certify_subsingular(M, p, r, u)
+    assert verma._certify_subsingular(M, p, u)
 
 
 def _dump(vectors: dict) -> str:

@@ -121,6 +121,38 @@ def test_unread_private_method_is_found():
         ("b.py", "_Hidden"), ("b.py", "_Hidden._orphan")]
 
 
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) of each parameter that its function
+    never reads; self, cls, names starting with an underscore, and
+    *args / **kwargs are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            read = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [(node.lineno, getattr(node, "name", "<lambda>"), a.arg)
+                      for a in args.posonlyargs + args.args + args.kwonlyargs
+                      if a.arg not in read and a.arg not in ("self", "cls")
+                      and not a.arg.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_unread_parameter_is_found():
+    source = ("def f(a, b, *args, c, _d, **kwargs):\n    return a\n\n"
+              "class K:\n    def m(self, x, /, y):\n        y = x\n\n"
+              "    @classmethod\n    def k(cls, z):\n        def inner():\n"
+              "            return z\n        return inner\n\n"
+              "g = lambda u, v: u\n")
+    assert unread_parameters(source) == [
+        (1, "f", "b"), (1, "f", "c"), (5, "m", "y"), (14, "<lambda>", "v")]
+
+
 def test_render_imports_only_liealg():
     """scalar, pbw and verma print through render, so render reads them
     through their attributes and imports none of them."""

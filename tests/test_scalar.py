@@ -541,6 +541,26 @@ def test_coprime_sum_over_a_shared_denominator_is_fast():
     assert sympy.Poly(den).total_degree() == 6
 
 
+@pytest.mark.parametrize("left,right", [
+    ("(y + 1)**2 * (y - 3)", "(y + 1) * (y - 3) * (x*y + 2)"),
+    ("(y + 1) * (z - y)", "(z - y) * (x**2 + y*z) * (x - z)"),
+    ("2*y**2 + 2", "(x + 1) * (x*y + z)"),
+])
+def test_gcd_with_an_operand_free_of_the_first_variable(left, right):
+    """left lacks x, the smallest variable of right: the gcd is that of
+    left with the content of right in x, in either order."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(XYZ)
+
+    def poly(text):
+        return {m: int(c) for m, c in sympy.Poly(sympy.sympify(text), *gens).terms()}
+
+    expected = sympy.gcd(sympy.sympify(left), sympy.sympify(right))
+    for a, b in ((left, right), (right, left)):
+        g = _pgcd(poly(a), poly(b))
+        assert g in (poly(expected), poly(-expected))
+
+
 def test_gcd_whose_leading_coefficients_vanish_at_the_trial_points():
     """g's leading coefficient in x vanishes at y = 5, -9, 22 and in y at
     x = 3, -5, 14, the values _coprime_certified tries, so every image of

@@ -509,6 +509,32 @@ def test_certificate_value_level_two():
     assert cert.s_poly == ectx.one + ectx.var("F") / 2
 
 
+def _binomial(top, k):
+    """C(top, k), as a product of k factors."""
+    out = top.ctx.one
+    for i in range(k):
+        out = out * (top - i) / (i + 1)
+    return out
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_certificate_closed_forms(p):
+    """Over Q(h, cL, cLI, alpha, beta): s(F) = C(F/cLI + p - 1, p - 1) in
+    case I and q(F) = (-1)^p C(F/cLI - 1, p - 1) in case L, both nonzero
+    polynomials in F, so a symbolic F never makes the certificate vanish."""
+    ctx = PolyContext(("h", "cL", "cLI", "alpha", "beta"))
+    h, cL, cLI, alpha, beta = (ctx.var(x) for x in ctx.names)
+    s = IntermediateSeries(alpha, beta, ctx.one)
+    cert_i = hv_decision_polynomials(
+        HighestWeight.hv(ctx, cL=cL, cLI=cLI, h=h, hI=(1 + p) * cLI, cI=0), s, p)
+    ectx = cert_i.s_poly.ctx
+    x = ectx.var("F") / ectx.var("cLI")
+    assert cert_i.s_poly == _binomial(x + p - 1, p - 1)
+    cert_l = hv_decision_polynomials(
+        HighestWeight.hv(ctx, cL=cL, cLI=cLI, h=h, hI=(1 - p) * cLI, cI=0), s, p)
+    assert cert_l.q_poly == (-1) ** p * _binomial(x - 1, p - 1)
+
+
 _CERTIFICATE_POINTS = [(p, case, names) for names in ((), ("cLI",))
                        for p, case in ((1, "I"), (2, "I"), (1, "L"), (2, "L"))]
 
@@ -625,6 +651,16 @@ def test_hv_symbolic_f_is_transcendental():
     sl = IntermediateSeries(ctx.zero, ctx.zero, ctx.var("F"))
     dl = decide_tensor_hv(hw_l, sl)
     assert dl.verdict == "Irreducible"
+
+
+def test_hv_symbolic_f_root_for_every_f():
+    """Case L at p = 2 where -r(F) / q(F) is the integer -2 for every F."""
+    ctx = PolyContext(("F",))
+    hw = HighestWeight.hv(ctx, cL=26, cLI=1, h=-1, hI=-1, cI=0)
+    d = decide_tensor_hv(hw, IntermediateSeries(ctx.zero, ctx.zero, ctx.var("F")))
+    assert (d.verdict, d.reason, d.witness, d.p, d.notes) == (
+        "Unknown", None, None, 2, ("the certificate vanishes at index n = -2 for "
+                                   "every F; the criterion is silent there",))
 
 
 _IRR_I_CONST = "F s(F) is nonzero"
