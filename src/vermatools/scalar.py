@@ -325,18 +325,6 @@ def _primitive_wrt(a: Poly, v: int) -> Poly:
     return _pprimitive_int(_pdiv_exact(a, _content_wrt(a, v)))[1]
 
 
-def _psub_vals(a: Poly, values: list, ctx: "PolyContext") -> "Scalar":
-    """Evaluate integer polynomial a at Scalar values (one per slot)."""
-    acc = ctx.zero
-    for e, c in a.items():
-        term = ctx.scalar(c)
-        for i, k in enumerate(e):
-            if k:
-                term = term * values[i] ** k
-        acc = acc + term
-    return acc
-
-
 def _pjson(a: Poly, cont: Fraction) -> list:
     items = sorted(a.items(), reverse=True)
     return [{"coeff": str(cont * c), "exponents": list(e)} for e, c in items]
@@ -624,20 +612,6 @@ class Scalar:
                      frozenset(self.num.items()), frozenset(self.den.items())))
 
     # -- structure -------------------------------------------------------
-
-    def substitute(self, bindings: dict) -> "Scalar":
-        """Replace named parameters by Scalar values (same context)."""
-        values = []
-        for name in self.ctx.names:
-            if name in bindings:
-                values.append(self.ctx.scalar(bindings[name]))
-            else:
-                values.append(self.ctx.var(name))
-        num = _psub_vals(self.num, values, self.ctx)
-        den = _psub_vals(self.den, values, self.ctx)
-        if den.is_zero():
-            raise ZeroDivisionError("substitution produced a zero denominator")
-        return num * self.ctx.scalar(self.cont) / den
 
     def degree_in(self, name: str) -> int:
         """Degree of the numerator in a parameter; denominator must be free of it."""

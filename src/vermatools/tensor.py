@@ -379,7 +379,9 @@ class HVCertificate:
     F s(F) v_{n-1} (x) v.  Case "L" (hI/cLI = 1 - p): the same procedure
     on v_{n+p} (x) v leaves (q(F) n + r(F)) v_n (x) v.  Case I is the
     q = 0 form of that certificate, with r(F) = F s(F).  The polynomials
-    live in a context extended by the formal parameters n and F.  Checked
+    live in a context extended by the formal parameters F and n;
+    ``decide_tensor_hv`` runs the same elimination at the series' own F,
+    over Q(n) when F is a number, and does not read them.  Checked
     exactly for p <= 10: s(F) = C(F/cLI + p - 1, p - 1) and
     q(F) = (-1)^p C(F/cLI - 1, p - 1), both nonzero polynomials in F.
     """
@@ -423,16 +425,37 @@ def _eliminate_to_target(space: TensorSpace, T: TensorVector,
     return rem.get(tgt, space.scalar_ctx.zero)
 
 
+def _hv_certificate(hw: HighestWeight, s: IntermediateSeries, p: int) -> Scalar:
+    """q(F) n + r(F), or F s(F) in case I, at the series' own F, exact in
+    its field extended by the index n.  Each word on v_k (x) v has top
+    component v_k (x) X.v with coefficient 1, so the elimination pivots do
+    not depend on F and a numeric F gives the formal certificate's value."""
+    if "n" in s.ctx.names:
+        raise ValueError("the parameter name 'n' is reserved for the series index")
+    ectx = PolyContext(s.ctx.names + ("n",))
+    M = ModuleContext(HighestWeight(HV, ectx, hw.weights))
+    rep = classify(M)
+    # The symbolic index n is carried as a shift of alpha.
+    s2 = IntermediateSeries.make(ectx, ectx.scalar(s.alpha) + ectx.var("n"), s.beta, s.F)
+    target, top = (-1, p - 1) if rep.case == "I" else (0, p)
+    space = TensorSpace(witness_quotient(M, rep), s2, (target, top))
+    T = space.apply_module_vector(rep.u_prime, top)
+    lam = _eliminate_to_target(space, T, target, top)
+    if not lam.is_zero() and lam.degree_in("n") > (rep.case == "L"):
+        raise ValueError("degenerate elimination: " + (
+            "unexpected index dependence in the pure-I certificate" if rep.case == "I"
+            else "certificate is not linear in the index"))
+    return lam
+
+
 def hv_decision_polynomials(hw: HighestWeight, s: IntermediateSeries,
                             p: int) -> HVCertificate:
     """Elimination certificates for the twisted algebra, F formal.
 
     The highest weight must satisfy hI = (1 + p) cLI (case I) or
     hI = (1 - p) cLI (case L) with cI = 0 and cLI nonzero.  The returned
-    polynomials are exact in the field extended by n and F; the series
-    parameter F supplied in s is ignored and replaced by the formal one.
-    The singular vector and the quotient are those of ``classify`` and
-    ``witness_quotient`` over that field.
+    polynomials are exact in the weight's field extended by F and then
+    n; the series parameter F supplied in s is replaced by the formal one.
     """
     if hw.kind != HV:
         raise ValueError("certificates exist for the twisted algebra only")
@@ -441,30 +464,11 @@ def hv_decision_polynomials(hw: HighestWeight, s: IntermediateSeries,
     found = hv_find_p(hw)
     if found is None or found[0] != p:
         raise ValueError(f"weight is not degenerate at p={p}")
-    if "n" in hw.ctx.names:
-        raise ValueError("the parameter name 'n' is reserved for the "
-                         "series index")
-    ectx = PolyContext(hw.ctx.names + tuple(x for x in ("n", "F") if x not in hw.ctx.names))
-    n_sym, f_sym = ectx.var("n"), ectx.var("F")
-    hw2 = HighestWeight(HV, ectx, hw.weights)
-    # The symbolic index n is carried as a shift of alpha.
-    s2 = IntermediateSeries.make(ectx, ectx.scalar(s.alpha) + n_sym, s.beta, f_sym)
-    M = ModuleContext(hw2)
-    rep = classify(M)
-    target, top = (-1, p - 1) if rep.case == "I" else (0, p)
-    space = TensorSpace(witness_quotient(M, rep), s2, (target, top))
-    T = space.apply_module_vector(rep.u_prime, top)
-    lam = _eliminate_to_target(space, T, target, top)
-    if rep.case == "I":
-        if not lam.is_zero() and lam.degree_in("n") > 0:
-            raise ValueError("degenerate elimination: unexpected index "
-                             "dependence in the pure-I certificate")
-        return HVCertificate(case="I", p=p, s_poly=lam / f_sym)
-    if not lam.is_zero() and lam.degree_in("n") > 1:
-        raise ValueError("degenerate elimination: certificate is not "
-                         "linear in the index")
-    return HVCertificate(case="L", p=p, q_poly=lam.coeff_of("n", 1),
-                         r_poly=lam.coeff_of("n", 0))
+    fctx = hw.ctx if "F" in hw.ctx.names else PolyContext(hw.ctx.names + ("F",))
+    lam = _hv_certificate(hw, IntermediateSeries.make(fctx, s.alpha, s.beta, fctx.var("F")), p)
+    if found[1] == "I":
+        return HVCertificate("I", p, s_poly=lam / lam.ctx.var("F"))
+    return HVCertificate("L", p, q_poly=lam.coeff_of("n", 1), r_poly=lam.coeff_of("n", 0))
 
 
 def decide_tensor_hv(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision:
@@ -526,13 +530,12 @@ def decide_tensor_hv(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision
             "Irreducible", "ProductNonzero", witness, p=p,
             notes=("alpha + (1 - p) beta is not an integer",))
 
-    cert = hv_decision_polynomials(hw, s, p)
-    # Case I is the q = 0 form of q(F) n + r(F), with r(F) = F s(F).
-    q, r_ = ((cert.s_poly.ctx.zero, cert.s_poly * cert.s_poly.ctx.var("F"))
-             if case == "I" else (cert.q_poly, cert.r_poly))
+    # Eliminated at the series' own F: case I is the q = 0 form, r(F) = F s(F).
+    lam = _hv_certificate(hw, s, p)
+    q, r_ = lam.coeff_of("n", 1), lam.coeff_of("n", 0)
     if f_const:
-        # The certificate at the series' F, a number of s.ctx; a symbolic F stays formal.
-        q, r_ = (ctx.scalar(x.substitute({"F": s.F})) for x in (q, r_))
+        # Numbers of the extended field, lifted into s.ctx; a symbolic F keeps n in its field.
+        q, r_ = ctx.scalar(q), ctx.scalar(r_)
     # s(F) and q(F) are nonzero binomials in F (HVCertificate), so F is constant here.
     if q.is_zero() and r_.is_zero():
         note = (f"F = {s.F} is a root of the certificate polynomial F s(F); "

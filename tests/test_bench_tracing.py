@@ -4,7 +4,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from vermatools import liealg, linalg, pbw, render, scalar, tensor, verma
+from vermatools import cli, liealg, linalg, pbw, render, scalar, tensor, verma
 
 SCALAR_DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                   "__truediv__", "__rtruediv__", "__neg__", "__pow__")
@@ -12,8 +12,13 @@ SCALAR_DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rm
 
 def _wrapped_names():
     return (verma.subsingular, verma._subsingular_direct, verma._certify_subsingular,
+            verma._subsingular_sampled, verma._specialize_module, verma._rational_interpolate,
+            verma.u_prime, verma.singular_space, verma.classify,
             verma.QuotientModule._echelon, verma.QuotientModule.reduce,
-            tensor.cyclicity_check, tensor.decide_tensor_hv, tensor.TensorSpace.act,
+            tensor.cyclicity_check, tensor.subquotient_free_dims, tensor.decide_tensor,
+            tensor.decide_tensor_hv, tensor.hv_decision_polynomials, tensor.TensorSpace.act,
+            cli.main, cli.run, cli.emit, cli._build_parser, cli._merge_value_flags,
+            cli._job_from_args,
             render.text_vector, render.latex_vector, render.latex_scalar,
             render.latex_character, render.latex_table,
             liealg.bracket, pbw.ModuleContext.__init__, pbw.ModuleContext.act,

@@ -714,9 +714,77 @@ def test_hv_certificate_verdict_table(case, p, f, verdict, witness, note):
     else:
         assert d.reason == "ProductNonzero"
         # a numeric F leaves a number of the series' context; a symbolic one
-        # keeps the certificate's context, extended by n and F
+        # keeps the elimination's context, the series' extended by n
         assert (str(d.witness), d.witness.ctx.names) == (
             witness, ("F", "n") if f == "F" else ())
+
+
+# decide_tensor_hv at a numeric F, against values that do not come from its
+# elimination at that F: the closed form of s(F) in case I, and the formal
+# certificate evaluated by sympy in case L.  At cL = 1, cLI = 1, h = 3 the
+# case-L points reach all three outcomes: the certificate vanishes
+# identically (F = 3 for p >= 4, F = 5 for p >= 6), it has an integer
+# root in n, or it is nonzero at every integer index.
+_NUMERIC_F = (3, Fraction(-1, 2), Fraction(2, 3), 5)
+_ORACLE_POINTS = [(p, alpha) for p in range(1, 7)
+                  for alpha in (Fraction(1, 3), 0)] + [(8, Fraction(1, 3))]
+
+
+def _oracle_weight(case, p):
+    return hv_weight(1, 1, 3, 1 + p if case == "I" else 1 - p)
+
+
+def _value_at(x, f):
+    """x, a polynomial in F with rational coefficients, at F = f: read from
+    its json by sympy."""
+    sympy = pytest.importorskip("sympy")
+    syms = [sympy.Symbol(name) for name in x.ctx.names]
+
+    def poly(items):
+        return sum((sympy.Rational(t["coeff"])
+                    * sympy.prod([y ** e for y, e in zip(syms, t["exponents"])])
+                    for t in items), sympy.Integer(0))
+
+    doc = x.to_json()
+    value = (poly(doc["numer"]) / poly(doc["denom"])).subs(sympy.Symbol("F"),
+                                                         sympy.Rational(str(f)))
+    return Fraction(str(value))
+
+
+@pytest.mark.parametrize("p,alpha", _ORACLE_POINTS,
+                         ids=[f"p={p}-alpha={a}" for p, a in _ORACLE_POINTS])
+def test_hv_numeric_f_case_i_witness(p, alpha):
+    """Case I: the witness is F s(F) = F C(F/cLI + p - 1, p - 1)."""
+    hw = _oracle_weight("I", p)
+    for f in _NUMERIC_F:
+        d = decide_tensor_hv(hw, IntermediateSeries.make(hw.ctx, alpha, 0, F=f))
+        want = f * _binomial(hw.ctx.scalar(Fraction(f) / hw["cLI"].as_fraction() + p - 1),
+                             p - 1)
+        assert (d.verdict, d.reason, d.witness, d.p, d.notes) == (
+            "Irreducible", "ProductNonzero", want, p, (_IRR_I_CONST,))
+
+
+@pytest.mark.parametrize("p,alpha", _ORACLE_POINTS,
+                         ids=[f"p={p}-alpha={a}" for p, a in _ORACLE_POINTS])
+def test_hv_numeric_f_case_l_matches_formal_certificate(p, alpha):
+    """Case L: verdict, witness and note follow from q(F) n + r(F), kept
+    formal by hv_decision_polynomials and evaluated at F."""
+    hw = _oracle_weight("L", p)
+    cert = hv_decision_polynomials(hw, IntermediateSeries.make(hw.ctx, alpha, 0), p)
+    for f in _NUMERIC_F:
+        q, r = _value_at(cert.q_poly, f), _value_at(cert.r_poly, f)
+        if q == r == 0:
+            want = ("Unknown", None, None,
+                    (f"the certificate vanishes identically at F = {f}",))
+        elif q and (-r / q).denominator == 1:
+            want = ("Unknown", None, None,
+                    (f"the certificate q(F) n + r(F) vanishes at index n = {-r / q}; "
+                     "the criterion is silent there",))
+        else:
+            want = ("Irreducible", "ProductNonzero", r, (_IRR_L_CONST,))
+        d = decide_tensor_hv(hw, IntermediateSeries.make(hw.ctx, alpha, 0, F=f))
+        witness = None if d.witness is None else d.witness.as_fraction()
+        assert (d.verdict, d.reason, witness, d.notes, d.p) == want + (p,)
 
 
 def test_hv_decide_rejects_bad_central_charges():
