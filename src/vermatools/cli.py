@@ -67,9 +67,9 @@ class Report:
     job: Job
     results: dict
     notes: list = field(default_factory=list)
-    timing: dict = field(default_factory=dict)
-    rendered: dict = field(default_factory=dict)
-    exit_code: int = 0
+    timing: dict = field(default_factory=dict, compare=False)
+    rendered: dict = field(default_factory=dict, compare=False)
+    exit_code: int = field(default=0, compare=False)
 
     def to_json(self) -> dict:
         return {"job": self.job.to_json(), "results": self.results,
@@ -79,12 +79,6 @@ class Report:
     def from_json(obj: dict) -> "Report":
         return Report(job=Job.from_json(obj["job"]), results=obj["results"],
                       notes=list(obj["notes"]), timing=dict(obj["timing"]))
-
-    def __eq__(self, other):
-        if not isinstance(other, Report):
-            return NotImplemented
-        return (self.job == other.job and self.results == other.results
-                and self.notes == other.notes)
 
 
 def emit(report: Report, fmt: str) -> bytes:
@@ -280,16 +274,13 @@ def _w22_weight(params: _Params, p: int | None = None,
     if p == 1:
         hW = params.default("hW", 0, "degeneracy at p = 1 forces hW = 0")
         c = params.require("c")
-    elif p is not None:
+    else:
         hW = params.require("hW")
-        c = params.value("c")
+        c = params.value("c") if p is not None else params.require("c")
         if c is None:
             c = hW * Fraction(-24, p * p - 1)
             params.notes.append(f"bound c = -24 hW / (p^2 - 1) = {c} "
                                 "(degeneracy at p)")
-    else:
-        hW = params.require("hW")
-        c = params.require("c")
     if r is not None:
         h = params.value("h")
         if h is None:
@@ -308,11 +299,8 @@ def _hv_weight(params: _Params, p: int | None = None) -> HighestWeight:
     cLI = params.require("cLI")
     cI = params.default("cI", 0, "the theory requires cI = 0")
     h = params.default("h", 0, "h defaults to 0")
-    hI = params.value("hI")
+    hI = params.value("hI") if p is not None else params.require("hI")
     if hI is None:
-        if p is None:
-            raise ValueError("parameter 'hI' is required; pass --hI or "
-                             "--symbolic hI")
         case = params.get("case", "I")
         mult = 1 + p if case == "I" else 1 - p
         hI = cLI * mult

@@ -95,29 +95,34 @@ class Echelon:
         return not self.reduce(row)
 
 
+RHS = ("__rhs__",)
+
+
+def _eliminate(rows, columns):
+    """Eliminate with pivots preferred in the order of ``columns``, ``RHS``
+    last; returns the pivot rows and the free columns."""
+    order = {c: i for i, c in enumerate([*columns, RHS])}
+    ech = Echelon(key=order.__getitem__)
+    ech.extend(rows)
+    return ech.pivots, [c for c in columns if c not in ech.pivots]
+
+
 def nullspace(rows, columns, ctx) -> list:
     """Basis of solutions of the homogeneous system given by ``rows``.
 
     ``columns`` lists every unknown; the returned solutions are dicts
     with one basis vector per free column (that column's value is 1).
     """
-    order = {c: i for i, c in enumerate(columns)}
-    ech = Echelon(key=order.__getitem__)
-    ech.extend(rows)
+    pivots, free = _eliminate(rows, columns)
     basis = []
-    for f in columns:
-        if f in ech.pivots:
-            continue
+    for f in free:
         sol = {f: ctx.one}
-        for p, prow in ech.pivots.items():
+        for p, prow in pivots.items():
             cf = prow.get(f)
             if cf is not None:
                 sol[p] = -cf
         basis.append(sol)
     return basis
-
-
-RHS = ("__rhs__",)
 
 
 def solve(rows, columns):
@@ -127,16 +132,7 @@ def solve(rows, columns):
     right-hand side.  Free unknowns are set to zero; the returned pair is
     (solution dict, list of free columns).
     """
-    order = {c: i for i, c in enumerate(columns)}
-    order[RHS] = len(order)
-    ech = Echelon(key=order.__getitem__)
-    ech.extend(rows)
-    if RHS in ech.pivots:
+    pivots, free = _eliminate(rows, columns)
+    if RHS in pivots:
         return None
-    sol = {}
-    free = [c for c in columns if c not in ech.pivots]
-    for p, prow in ech.pivots.items():
-        val = prow.get(RHS)
-        if val is not None:
-            sol[p] = val
-    return sol, free
+    return {p: prow[RHS] for p, prow in pivots.items() if RHS in prow}, free

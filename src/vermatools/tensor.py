@@ -425,7 +425,7 @@ def _eliminate_to_target(space: TensorSpace, T: TensorVector,
     return rem.get(tgt, space.scalar_ctx.zero)
 
 
-def _hv_certificate(hw: HighestWeight, s: IntermediateSeries, p: int) -> Scalar:
+def _hv_certificate(hw: HighestWeight, s: IntermediateSeries) -> Scalar:
     """q(F) n + r(F), or F s(F) in case I, at the series' own F, exact in
     its field extended by the index n.  Each word on v_k (x) v has top
     component v_k (x) X.v with coefficient 1, so the elimination pivots do
@@ -437,7 +437,7 @@ def _hv_certificate(hw: HighestWeight, s: IntermediateSeries, p: int) -> Scalar:
     rep = classify(M)
     # The symbolic index n is carried as a shift of alpha.
     s2 = IntermediateSeries.make(ectx, ectx.scalar(s.alpha) + ectx.var("n"), s.beta, s.F)
-    target, top = (-1, p - 1) if rep.case == "I" else (0, p)
+    target, top = (-1, rep.p - 1) if rep.case == "I" else (0, rep.p)
     space = TensorSpace(witness_quotient(M, rep), s2, (target, top))
     T = space.apply_module_vector(rep.u_prime, top)
     lam = _eliminate_to_target(space, T, target, top)
@@ -465,7 +465,7 @@ def hv_decision_polynomials(hw: HighestWeight, s: IntermediateSeries,
     if found is None or found[0] != p:
         raise ValueError(f"weight is not degenerate at p={p}")
     fctx = hw.ctx if "F" in hw.ctx.names else PolyContext(hw.ctx.names + ("F",))
-    lam = _hv_certificate(hw, IntermediateSeries.make(fctx, s.alpha, s.beta, fctx.var("F")), p)
+    lam = _hv_certificate(hw, IntermediateSeries.make(fctx, s.alpha, s.beta, fctx.var("F")))
     if found[1] == "I":
         return HVCertificate("I", p, s_poly=lam / lam.ctx.var("F"))
     return HVCertificate("L", p, q_poly=lam.coeff_of("n", 1), r_poly=lam.coeff_of("n", 0))
@@ -531,7 +531,7 @@ def decide_tensor_hv(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision
             notes=("alpha + (1 - p) beta is not an integer",))
 
     # Eliminated at the series' own F: case I is the q = 0 form, r(F) = F s(F).
-    lam = _hv_certificate(hw, s, p)
+    lam = _hv_certificate(hw, s)
     q, r_ = lam.coeff_of("n", 1), lam.coeff_of("n", 0)
     if f_const:
         # Numbers of the extended field, lifted into s.ctx; a symbolic F keeps n in its field.

@@ -630,19 +630,17 @@ def _classify(M: ModuleContext) -> StructureReport:
             return StructureReport(kind=W22, verdict="VermaIrreducible")
         _check_reach(p)
         uprime = u_prime(M, p)
+        rep = StructureReport(kind=W22, verdict="UprimeOnly", p=p, u_prime=uprime)
         r_val = recover_r(p, hw)
-        if r_val.is_integer():
-            r = int(r_val.as_fraction())
-            if r >= 1:
-                _check_reach(p, r)
-                u = _subsingular_direct(M, p, r, uprime)
-                if u is not None:
-                    return StructureReport(kind=W22, verdict="UprimeAndSubsingular",
-                                           p=p, r=r, u_prime=uprime, u=u)
-                return StructureReport(kind=W22, verdict="UprimeOnly", p=p,
-                                       u_prime=uprime,
-                                       notes=[f"h matches r={r} but no subsingular vector found"])
-        return StructureReport(kind=W22, verdict="UprimeOnly", p=p, u_prime=uprime)
+        r = int(r_val.as_fraction()) if r_val.is_integer() else 0
+        if r >= 1:
+            _check_reach(p, r)
+            u = _subsingular_direct(M, p, r, uprime)
+            if u is not None:
+                return StructureReport(kind=W22, verdict="UprimeAndSubsingular",
+                                       p=p, r=r, u_prime=uprime, u=u)
+            rep.notes.append(f"h matches r={r} but no subsingular vector found")
+        return rep
     # twisted Heisenberg-Virasoro
     found = hv_find_p(hw)
     if found is None:

@@ -200,6 +200,17 @@ def test_json_round_trip():
     assert back == report
 
 
+def test_report_equality_reads_job_results_and_notes():
+    job = Job("scan", {"pmax": 1, "rmax": 1})
+    report = Report(job, {"rows": []}, ["a note"])
+    assert report == Report(job, {"rows": []}, ["a note"], timing={"seconds": 1.0},
+                            rendered={"text": "x"}, exit_code=3)
+    assert report != Report(job, {"rows": []}, ["another note"])
+    assert report != Report(job, {"rows": [1]}, ["a note"])
+    assert report != Report(Job("scan", {"pmax": 2, "rmax": 1}), {"rows": []}, ["a note"])
+    assert (report == "x") is False
+
+
 def test_emit_rejects_a_missing_rendering_and_an_unknown_format():
     report = run(Job("singular", {"algebra": "w22", "p": 2, "symbolic": ["hW"]}))
     back = Report.from_json(json.loads(emit(report, "json").decode()))
@@ -324,6 +335,7 @@ def test_inexact_division_exits_two(capsys, monkeypatch):
      "cannot parse expression '1/': invalid syntax (<unknown>, line 1)"),
     (("classify", "--algebra", "hv", "--cLI", "1"),
      "parameter 'hI' is required; pass --hI or --symbolic hI"),
+    (("classify", "--hW", "1"), "parameter 'c' is required; pass --c or --symbolic c"),
 ])
 def test_boolean_literals_exit_two(capsys, argv, message):
     code, out, err = run_main(capsys, *argv)

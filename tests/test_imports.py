@@ -1,8 +1,12 @@
 """Every name a vermatools module imports is used in that module, every
-private definition has a reader, and no module leans on the private API
-of ``fractions.Fraction``."""
+private definition has a reader, no module leans on the private API
+of ``fractions.Fraction``, and the command line loads nothing from
+outside the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -196,3 +200,33 @@ def test_private_fraction_use_is_found():
     assert fraction_private_uses(source) == [
         (1, "_gcd"), (2, "_normalize"), (3, "_denominator"),
         (3, "_from_coprime_ints"), (3, "_numerator")]
+
+
+# The set-up that bench/setup_probe.py times: import the command line and
+# build the parser of every command; prints each module this loads.
+_SETUP = """
+import sys
+before = set(sys.modules)
+from vermatools import cli
+cli._build_parser()
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def outside_stdlib(modules) -> list:
+    """The modules that are neither vermatools nor part of the standard library."""
+    return [m for m in modules
+            if m.split(".")[0] != "vermatools" and m.split(".")[0] not in sys.stdlib_module_names]
+
+
+def test_command_line_setup_loads_only_the_standard_library():
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run([sys.executable, "-c", _SETUP], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, check=True).stdout.split()
+    assert "vermatools.cli" in loaded
+    assert outside_stdlib(loaded) == []
+
+
+def test_module_outside_stdlib_is_found():
+    assert outside_stdlib(["json.decoder", "vermatools.cli", "sympy.core", "vermatoolsx"]) == [
+        "sympy.core", "vermatoolsx"]
