@@ -14,7 +14,6 @@ from .tensor import (
     IntermediateSeries,
     TensorDecision,
     TensorSpace,
-    TensorVector,
     cyclicity_check,
     decide_tensor,
     decide_tensor_hv,
@@ -62,7 +61,6 @@ __all__ = [
     "IntermediateSeries",
     "TensorDecision",
     "TensorSpace",
-    "TensorVector",
     "cyclicity_check",
     "decide_tensor",
     "decide_tensor_hv",

@@ -398,8 +398,8 @@ def _run_character(job: Job, params: _Params) -> Report:
     return Report(job, results, rendered=rendered)
 
 
-def _decision_report(job: Job, results: dict, decision: tensor.TensorDecision) -> Report:
-    """Report of a tensor decision: text and LaTeX renderings of the
+def _decision_report(job: Job, decision: tensor.TensorDecision, s) -> Report:
+    """Report of a decision on series s: text and LaTeX renderings of the
     verdict and witness, and exit code 3 on an Unknown verdict."""
     lines = [f"verdict: {decision.verdict}"]
     if decision.reason:
@@ -414,6 +414,7 @@ def _decision_report(job: Job, results: dict, decision: tensor.TensorDecision) -
     wit_tex = render.latex_scalar(wit) if isinstance(wit, Scalar) else str(wit)
     rendered = {"text": "\n".join(lines),
                 "latex": f"\\text{{{decision.verdict}}}: {wit_tex}"}
+    results = {"decision": decision.to_json(), "series": s.to_json()}
     return Report(job, results, rendered=rendered,
                   exit_code=3 if decision.verdict == "Unknown" else 0)
 
@@ -421,14 +422,11 @@ def _decision_report(job: Job, results: dict, decision: tensor.TensorDecision) -
 def _run_tensor(job: Job, params: _Params) -> Report:
     hw = _w22_weight(params)
     s = _series(params, with_f=False)
-    decision = tensor.decide_tensor(hw, s)
-    results = {"decision": decision.to_json(),
-               "series": s.to_json()}
-    report = _decision_report(job, results, decision)
+    report = _decision_report(job, tensor.decide_tensor(hw, s), s)
     layer = params.get("n")
     if layer is not None:
         wq = tensor.subquotient_weight(hw, s, int(layer))
-        results["subquotientWeight"] = wq.to_json()
+        report.results["subquotientWeight"] = wq.to_json()
         report.rendered["text"] += f"\nlayer {layer} weight: " + render.text_weights(wq.weights)
         report.rendered["latex"] += (f"\n\\text{{layer {layer} weight}}: "
                                      + render.latex_weights(wq.weights))
@@ -442,9 +440,7 @@ def _run_hv_decide(job: Job, params: _Params) -> Report:
         [p] = params.levels("p")
     hw = _hv_weight(params, p=p)
     s = _series(params, with_f=True)
-    decision = tensor.decide_tensor_hv(hw, s)
-    return _decision_report(job, {"decision": decision.to_json(), "series": s.to_json()},
-                            decision)
+    return _decision_report(job, tensor.decide_tensor_hv(hw, s), s)
 
 
 def _run_scan(job: Job, params: _Params) -> Report:

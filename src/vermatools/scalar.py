@@ -386,7 +386,7 @@ class PolyContext:
                           {e + pad: c for e, c in value.num.items()},
                           {e + pad: c for e, c in value.den.items()})
         if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
+            raise TypeError(f"not an exact value: {value!r}")
         return self._rational(value.numerator, value.denominator)
 
     def var(self, name: str) -> "Scalar":

@@ -97,22 +97,12 @@ def _column_key(col):
     return (-m, mono.sort_key())
 
 
-class TensorVector(Vector):
-    """Finite combination of v_m (x) (monomial . v), inside a window;
-    ``ctx`` is its TensorSpace."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return f"TensorVector({len(self.terms)} terms, window={self.ctx.window})"
-
-
 class TensorSpace:
     """Computation window for (intermediate series) (x) M.
 
     The second factor M is a Verma module or a quotient of one
     (a ModuleContext or a QuotientModule), over the parameter context of
-    the series.
+    the series.  Its vectors are ``Vector``s over keys (m, monomial).
     """
 
     def __init__(self, M: ModuleContext, series: IntermediateSeries, window: tuple):
@@ -129,19 +119,19 @@ class TensorSpace:
         self.excluded = series.excluded_index()
         self._series_coeffs: dict = {}
 
-    def zero(self) -> TensorVector:
-        return TensorVector(self, {})
+    def zero(self) -> Vector:
+        return Vector(self, {})
 
-    def vacuum_at(self, m: int) -> TensorVector:
+    def vacuum_at(self, m: int) -> Vector:
         """The vector v_m (x) v."""
         lo, hi = self.window
         if m < lo or m > hi:
             raise ValueError(f"index {m} outside window [{lo}, {hi}]")
         if m == self.excluded:
             raise ValueError(f"index {m} is excluded from the primed series")
-        return TensorVector(self, {(m, PBWMonomial.make()): self.scalar_ctx.one})
+        return Vector(self, {(m, PBWMonomial.make()): self.scalar_ctx.one})
 
-    def act(self, g: Generator, x: TensorVector) -> TensorVector:
+    def act(self, g: Generator, x: Vector) -> Vector:
         """Leibniz action of a generator on a tensor vector."""
         check_generator(g, self.kind)
         lo, hi = self.window
@@ -160,9 +150,9 @@ class TensorSpace:
                     _accumulate(out, (m2, mono), cf * coeff)
             for mono2, c2 in self.M._act_mono(g, mono):
                 _accumulate(out, (m, mono2), cf * c2)
-        return TensorVector(self, out)
+        return Vector(self, out)
 
-    def apply_module_vector(self, u, m: int) -> TensorVector:
+    def apply_module_vector(self, u, m: int) -> Vector:
         """Apply an element of the lowering algebra, given as a module
         vector (sum of monomials acting on the highest weight vector),
         to v_m (x) v."""
@@ -393,7 +383,7 @@ class HVCertificate:
     r_poly: Scalar | None = None
 
 
-def _eliminate_to_target(space: TensorSpace, T: TensorVector,
+def _eliminate_to_target(space: TensorSpace, T: Vector,
                          target_index: int, top_index: int) -> Scalar:
     """Coefficient left on v_target (x) v after eliminating the
     intermediate indices of T.

@@ -38,49 +38,35 @@ _log = logging.getLogger(__name__)
 # Partitions and weight-space bases
 
 
-@lru_cache(maxsize=None)
 def partitions(n: int) -> tuple:
     """All partitions of n as weakly decreasing tuples, lex descending."""
-    result = []
-
-    def extend(remaining, maxpart, prefix):
-        if remaining == 0:
-            result.append(tuple(prefix))
-            return
-        for part in range(min(remaining, maxpart), 0, -1):
-            prefix.append(part)
-            extend(remaining - part, part, prefix)
-            prefix.pop()
-
-    extend(n, n, [])
-    return tuple(result)
+    return _partitions(n, n)
 
 
 @lru_cache(maxsize=None)
-def partition_count(n: int) -> int:
-    """Number of partitions of n (Euler recurrence)."""
+def _partitions(n: int, largest: int) -> tuple:
+    """Partitions of n with no part above ``largest``, lex descending."""
     if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        sign = 1 if k % 2 == 1 else -1
-        if g1 <= n:
-            total += sign * partition_count(n - g1)
-        if g2 <= n:
-            total += sign * partition_count(n - g2)
-        k += 1
-    return total
+        return ((),)
+    return tuple((k,) + rest for k in range(min(n, largest), 0, -1)
+                 for rest in _partitions(n - k, k))
 
 
 @lru_cache(maxsize=None)
+def _pair_counts(top: int) -> tuple:
+    """P2(0), ..., P2(top), the coefficients of prod_{k>=1} (1 - q^k)^{-2}:
+    one pass multiplies by 1 / (1 - q^k), for each family and part size k."""
+    counts = [1] + [0] * top
+    for _family in range(2):
+        for k in range(1, top + 1):
+            for n in range(k, top + 1):
+                counts[n] += counts[n - k]
+    return tuple(counts)
+
+
 def pair_partition_count(n: int) -> int:
     """Number of PBW monomials of level n (two commuting families)."""
-    return sum(partition_count(i) * partition_count(n - i) for i in range(n + 1))
+    return _pair_counts(n)[n] if n >= 0 else 0
 
 
 @lru_cache(maxsize=None)
@@ -271,6 +257,8 @@ def u_prime(M: ModuleContext, p: int) -> ModuleVector:
     The lead monomial, listed first by pure_w_basis or weight_space_basis,
     has coefficient 1.
     """
+    if p < 1:
+        raise ValueError(f"p must be a positive integer, not {p}")
     hw = M.hw
     if hw.kind == W22:
         c, hW = hw["c"], hw["hW"]
@@ -318,6 +306,8 @@ def subsingular(M: ModuleContext, p: int, r: int):
     """
     if M.kind != W22:
         raise ValueError("the subsingular solve applies to W(2,2) weights")
+    if r < 1:
+        raise ValueError(f"r must be a positive integer, not {r}")
     try:
         uprime = u_prime(M, p)
     except (ValueError, ZeroDivisionError) as exc:
@@ -432,8 +422,9 @@ class CharacterSeries:
 def _character(offset, mask, N: int) -> CharacterSeries:
     """q^offset (sum of sign q^shift over the (shift, sign) pairs of mask)
     sum_n P2(n) q^n to order N; pairs with equal shifts add."""
+    p2 = _pair_counts(N - min(shift for shift, _ in mask))
     return CharacterSeries(offset, tuple(
-        sum(sign * pair_partition_count(n - shift) for shift, sign in mask)
+        sum(sign * p2[n - shift] for shift, sign in mask if shift <= n)
         for n in range(N + 1)))
 
 

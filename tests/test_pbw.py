@@ -164,7 +164,7 @@ def test_vector_mixing_levels_is_refused():
 
 @pytest.mark.parametrize("where", ["module", "tensor"])
 def test_vector_arithmetic_contract(where):
-    # ModuleVector and TensorVector share one arithmetic: check it on both.
+    # ModuleVector and the Vector of a TensorSpace share one arithmetic: check it on both.
     M = w22_module()
     if where == "module":
         ctx, start = M, M.monomial_vector(w=(1,))

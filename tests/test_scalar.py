@@ -5,6 +5,7 @@ import math
 import pickle
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -299,6 +300,18 @@ def test_lifting_a_value_equal_to_one_gives_the_unit(ctx):
         assert ctx.scalar(value) is ctx.one
     assert ctx.scalar(0) is ctx.zero and ctx.scalar(Fraction(0, 5)) is ctx.zero
     assert ctx.scalar(-1) is not ctx.one
+
+
+@pytest.mark.parametrize("value", [0.1, "1/3", Decimal("0.5")], ids=["float", "str", "Decimal"])
+def test_inexact_values_are_refused(value):
+    """Only ints, Fractions and Scalars lift: a float would enter as its
+    binary fraction and be classified at a value no one wrote."""
+    with pytest.raises(TypeError, match="not an exact value"):
+        QH.scalar(value)
+    with pytest.raises(TypeError, match="not an exact value"):
+        HighestWeight.w22(Q, c=value, h=0, hW=1)
+    with pytest.raises(TypeError, match="not an exact value"):
+        IntermediateSeries.make(Q, value, 0)
 
 
 # ---------------------------------------------------------------------------

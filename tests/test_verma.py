@@ -169,6 +169,22 @@ def test_u_prime_refused_where_only_the_level_condition_holds():
         verma.u_prime(M, 2)
 
 
+def test_levels_below_one_are_refused():
+    """At c = 24 hW the level condition holds at p = 0, and at r = 0 the
+    subsingular ansatz is the bare highest weight vector, which every
+    raising generator kills; neither names a vector."""
+    ctx = PolyContext(())
+    M = ModuleContext(HighestWeight.w22(ctx, c=24, h=0, hW=1))
+    with pytest.raises(ValueError, match="p must be a positive integer, not 0"):
+        verma.u_prime(M, 0)
+    M = ModuleContext(HighestWeight.w22(ctx, c=-8, h=Fraction(13, 4), hW=1))
+    for r in (0, -1):
+        with pytest.raises(ValueError, match=f"r must be a positive integer, not {r}"):
+            verma.subsingular(M, 2, r)
+    with pytest.raises(ValueError, match="r must be a positive integer, not 0"):
+        verma.conjecture_scan_point(2, 0)
+
+
 # ---------------------------------------------------------------------------
 # Subsingular vectors
 
