@@ -49,7 +49,7 @@ def _partitions(n: int, largest: int) -> tuple:
     if n == 0:
         return ((),)
     return tuple((k,) + rest for k in range(min(n, largest), 0, -1)
-                 for rest in _partitions(n - k, k))
+                 for rest in _partitions(n - k, min(k, n - k)))
 
 
 @lru_cache(maxsize=None)
@@ -283,9 +283,17 @@ def necessary_h(p: int, r: int, hW) -> Scalar | Fraction:
     return hW + Fraction((13 * p + 1) * (p - 1), 12) + Fraction((1 - r) * p, 2)
 
 
+def _require_level(r: int) -> None:
+    """ValueError unless r, the power of L_{-p} in u, is a positive integer."""
+    if r < 1:
+        raise ValueError(f"r must be a positive integer, not {r}")
+
+
 def require_degenerate(hw: HighestWeight, p: int, r: int | None = None) -> None:
     """ValueError unless the W(2,2) weight is degenerate at p and, given r,
     h is the necessary value for (p, r)."""
+    if r is not None:
+        _require_level(r)
     hW, h, c = hw["hW"], hw["h"], hw["c"]
     if not (hW * 2 + c * Fraction(p * p - 1, 12)).is_zero():
         raise ValueError(f"weight is not degenerate at p={p}")
@@ -306,8 +314,7 @@ def subsingular(M: ModuleContext, p: int, r: int):
     """
     if M.kind != W22:
         raise ValueError("the subsingular solve applies to W(2,2) weights")
-    if r < 1:
-        raise ValueError(f"r must be a positive integer, not {r}")
+    _require_level(r)
     try:
         uprime = u_prime(M, p)
     except (ValueError, ZeroDivisionError) as exc:
@@ -448,11 +455,13 @@ def char_l(hw: HighestWeight, p: int, r: int, N: int) -> CharacterSeries:
 
     q^h (1 - q^p)(1 - q^{rp}) sum_n P2(n) q^n.
     """
+    _require_level(r)
     return _character(hw["h"], ((0, 1), (p, -1), (r * p, -1), (p + r * p, 1)), N)
 
 
 def char_j(hw: HighestWeight, p: int, r: int, N: int) -> CharacterSeries:
     """Character of J = U(g){u', u}: q^{h+p} (1 + q^{(r-1)p} - q^{rp}) sum_n P2(n) q^n."""
+    _require_level(r)
     return _character(hw["h"] + p, ((0, 1), ((r - 1) * p, 1), (r * p, -1)), N)
 
 

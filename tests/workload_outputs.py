@@ -1,17 +1,17 @@
 """Print what every benchmark job outputs, one record per line, to diff
 two checkouts or two hash seeds.
 
-    python3 tests/workload_outputs.py [--root DIR] [--seeds 1 2 3] > out.txt
+    python3 tests/workload_outputs.py [--root DIR] > out.txt
 
-The jobs are those of the three workloads in DIR/bench/workloads.py,
-run once each on the package in DIR/src (DIR defaults to this checkout).
-A record is the workload, seed and job name, a tab, and a json object:
-for a command-line job its exit code, its stdout with the json
-"seconds" blanked, and its stderr; for a library call its result's
-to_json() where it has one, else its fields as text; for a job that
-raises, the error.  The records do
-not depend on the machine or on the hash seed, so two runs that print
-different lines compute different outputs:
+The jobs are those of the three workloads in DIR/bench/workloads.py at
+the seeds in SEEDS, run once each on the package in DIR/src (DIR
+defaults to this checkout).  A record is the workload, seed and job
+name, a tab, and a json object: for a command-line job its exit code,
+its stdout with the json "seconds" blanked, and its stderr; for a
+library call its result's to_json() where it has one, else its fields
+as text; for a job that raises, the error.  The records do not depend
+on the machine or on the hash seed, so two runs that print different
+lines compute different outputs:
 
     python3 tests/workload_outputs.py --root ../base > base.txt
     python3 tests/workload_outputs.py > head.txt
@@ -29,6 +29,7 @@ import os
 import re
 import sys
 
+SEEDS = (1, 2, 3)
 _TIMING = re.compile(r'"seconds": [0-9.e+-]+')
 
 
@@ -61,7 +62,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         help="checkout whose src/ and bench/ are run (default: this one)")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
@@ -71,7 +71,7 @@ def main(argv=None) -> int:
         parser.error(f"vermatools imported from {cli.__file__}, not from {root}/src")
 
     for name in sorted(workloads.WORKLOADS):
-        for seed in args.seeds:
+        for seed in SEEDS:
             for job in workloads.make_jobs(name, seed):
                 record = _record(job, cli)
                 print(f"{name}:{seed}:{job.name}\t{json.dumps(record, sort_keys=True)}")
