@@ -228,10 +228,16 @@ class _Params:
         """Whether the job binds the parameter or declares it symbolic."""
         return name in self.symbolic or self.given.get(name) is not None
 
+    def integer(self, name: str, default=None) -> int:
+        """The parameter (or default) as an int: given as one, not a bool, or as digits."""
+        raw = self.get(name, default)
+        if type(raw) is int or isinstance(raw, str) and re.fullmatch(r"\s*[-+]?\d+\s*", raw):
+            return int(raw)
+        raise ValueError(f"{name} must be an integer, not {raw!r}")
+
     def levels(self, *names: str) -> list:
         """The named integer parameters; ValueError unless each is at least 1."""
-        self.read.update(names)
-        values = [int(self.given[name]) for name in names]
+        values = [self.integer(name) for name in names]
         if min(values) < 1:
             what = "a positive integer" if len(names) == 1 else "positive integers"
             raise ValueError(f"{' and '.join(names)} must be {what}")
@@ -376,7 +382,7 @@ def _run_character(job: Job, params: _Params) -> Report:
     family = params.get("family", "verma")
     if family not in _CHAR_FAMILIES:
         raise ValueError(f"family must be one of {tuple(_CHAR_FAMILIES)}")
-    n_order = int(params.get("N", 20))
+    n_order = params.integer("N", 20)
     if n_order < 0:
         raise ValueError("N must be a nonnegative integer")
     if family == "verma":
@@ -423,9 +429,9 @@ def _run_tensor(job: Job, params: _Params) -> Report:
     hw = _w22_weight(params)
     s = _series(params, with_f=False)
     report = _decision_report(job, tensor.decide_tensor(hw, s), s)
-    layer = params.get("n")
+    layer = params.integer("n") if params.declared("n") else None
     if layer is not None:
-        wq = tensor.subquotient_weight(hw, s, int(layer))
+        wq = tensor.subquotient_weight(hw, s, layer)
         report.results["subquotientWeight"] = wq.to_json()
         report.rendered["text"] += f"\nlayer {layer} weight: " + render.text_weights(wq.weights)
         report.rendered["latex"] += (f"\n\\text{{layer {layer} weight}}: "
@@ -450,6 +456,8 @@ def _run_scan(job: Job, params: _Params) -> Report:
     for i, piece in enumerate(pieces, 1):
         if not piece.strip():
             raise ValueError(f"offset {i} of {text!r} is empty")
+        if re.search(r"\b[^\W\d]", piece):  # a name, which scan cannot declare symbolic
+            raise ValueError(f"offset {i} of {text!r} must be a rational number")
     offsets = [parse_expression(piece, PolyContext(())).as_fraction() for piece in pieces]
     rows = verma.conjecture_scan(p_max, r_max, offsets)
     results = {"pmax": p_max, "rmax": r_max,

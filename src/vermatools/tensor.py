@@ -4,9 +4,10 @@ The intermediate series V_{alpha,beta} (plus a parameter F for the twisted
 Heisenberg-Virasoro algebra) has basis v_m, m running over the integers.
 Tensoring with a quotient T of a Verma module gives a module spanned by
 vectors v_m (x) (x v) with x a PBW monomial.  This module is not highest
-weight, so all computations here are truncated: indices m are confined to
-an explicit window and operator words to an explicit degree.  Within those
-bounds everything is exact.
+weight, so all computations here are truncated: operator words to an
+explicit degree and the starting indices m to an explicit range.  Lowering
+words only lower the index, so nothing else needs bounding, and within
+those bounds everything is exact.
 
 The irreducibility decisions reduce to two ingredients: a cyclicity
 criterion (the tensor product is irreducible precisely when every
@@ -41,7 +42,7 @@ class IntermediateSeries:
     with the second family acting by zero (first algebra) or by the
     constant F on every mode (twisted Heisenberg-Virasoro) and all
     central elements acting by zero.  Shifting alpha by an integer gives
-    an isomorphic module, so alpha matters modulo 1 plus the window
+    an isomorphic module, so alpha matters modulo 1 plus the index
     labelling.
     """
 
@@ -98,14 +99,14 @@ def _column_key(col):
 
 
 class TensorSpace:
-    """Computation window for (intermediate series) (x) M.
+    """The tensor product (intermediate series) (x) M.
 
     The second factor M is a Verma module or a quotient of one
     (a ModuleContext or a QuotientModule), over the parameter context of
     the series.  Its vectors are ``Vector``s over keys (m, monomial).
     """
 
-    def __init__(self, M: ModuleContext, series: IntermediateSeries, window: tuple):
+    def __init__(self, M: ModuleContext, series: IntermediateSeries):
         if series.ctx is not M.scalar_ctx:
             raise ValueError("parameter context mismatch: the series and the module "
                              "have different parameters")
@@ -113,9 +114,6 @@ class TensorSpace:
         self.kind = M.kind
         self.scalar_ctx = M.scalar_ctx
         self.series = series
-        self.window = (int(window[0]), int(window[1]))
-        if self.window[0] > self.window[1]:
-            raise ValueError("empty window")
         self.excluded = series.excluded_index()
         self._series_coeffs: dict = {}
 
@@ -124,9 +122,6 @@ class TensorSpace:
 
     def vacuum_at(self, m: int) -> Vector:
         """The vector v_m (x) v."""
-        lo, hi = self.window
-        if m < lo or m > hi:
-            raise ValueError(f"index {m} outside window [{lo}, {hi}]")
         if m == self.excluded:
             raise ValueError(f"index {m} is excluded from the primed series")
         return Vector(self, {(m, PBWMonomial.make()): self.scalar_ctx.one})
@@ -134,20 +129,14 @@ class TensorSpace:
     def act(self, g: Generator, x: Vector) -> Vector:
         """Leibniz action of a generator on a tensor vector."""
         check_generator(g, self.kind)
-        lo, hi = self.window
         out: dict = {}
         for (m, mono), cf in x.terms.items():
             coeff = self._series_coeffs.get((g, m))
             if coeff is None:
                 coeff = _series_coefficient(g, self.scalar_ctx.scalar(m), self.series)
                 self._series_coeffs[(g, m)] = coeff
-            if not coeff.is_zero():
-                m2 = m + g.mode
-                if m2 != self.excluded:
-                    if m2 < lo or m2 > hi:
-                        raise ValueError(
-                            f"window overflow: index {m2} outside [{lo}, {hi}]")
-                    _accumulate(out, (m2, mono), cf * coeff)
+            if not coeff.is_zero() and m + g.mode != self.excluded:
+                _accumulate(out, (m + g.mode, mono), cf * coeff)
             for mono2, c2 in self.M._act_mono(g, mono):
                 _accumulate(out, (m, mono2), cf * c2)
         return Vector(self, out)
@@ -178,9 +167,9 @@ def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
     The span is built from all lowering words applied to v_k (x) v for
     k in [n, n + depth], each word of the degree matching the weight of
     the target.  It returns True at the first start whose words put the
-    target in the span, which is the full-window answer since membership
-    only grows; False means the whole truncated span misses the
-    target.  ``quotient`` is "auto", the
+    target in the span, which is the answer for the whole range of starts
+    since membership only grows; False means the whole truncated span
+    misses the target.  ``quotient`` is "auto", the
     ``witness_quotient`` of the classification of the highest weight, or
     "verma", the Verma module itself; any other choice raises ValueError.
     """
@@ -191,7 +180,7 @@ def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
     M = ModuleContext(hw)
     if quotient == "auto":
         M = witness_quotient(M, classify(M)) or M
-    space = TensorSpace(M, s, (n - 1, n + depth))
+    space = TensorSpace(M, s)
     if space.excluded == n - 1:
         raise ValueError("target index is excluded from the primed series")
     ech = linalg.Echelon(key=_column_key)
@@ -214,13 +203,11 @@ def subquotient_free_dims(hw: HighestWeight, s: IntermediateSeries, n: int,
     k in (n, n + 2].  A count of pair_partition_count(d) at every
     level is freeness evidence at this truncation.
     """
-    extra = 2
-    M = ModuleContext(hw)
-    space = TensorSpace(M, s, (n - max_level - extra, n + extra))
+    space = TensorSpace(ModuleContext(hw), s)
     dims = {}
     for d in range(1, max_level + 1):
         ech = linalg.Echelon(key=_column_key)
-        for k in range(n + 1, n + extra + 1):
+        for k in (n + 1, n + 2):
             if k != space.excluded:
                 ech.extend(word_images(space, d + (k - n), space.vacuum_at(k)))
         before = len(ech)
@@ -428,7 +415,7 @@ def _hv_certificate(hw: HighestWeight, s: IntermediateSeries) -> Scalar:
     # The symbolic index n is carried as a shift of alpha.
     s2 = IntermediateSeries.make(ectx, ectx.scalar(s.alpha) + ectx.var("n"), s.beta, s.F)
     target, top = (-1, rep.p - 1) if rep.case == "I" else (0, rep.p)
-    space = TensorSpace(witness_quotient(M, rep), s2, (target, top))
+    space = TensorSpace(witness_quotient(M, rep), s2)
     T = space.apply_module_vector(rep.u_prime, top)
     lam = _eliminate_to_target(space, T, target, top)
     if not lam.is_zero() and lam.degree_in("n") > (rep.case == "L"):

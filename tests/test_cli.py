@@ -509,6 +509,11 @@ def test_symbolic_classify_verdict_is_marked_generic(capsys):
     (("scan", "--pmax", "1", "--rmax", "1", "--offsets", ",,"), "offset 1 of ',,' is empty"),
     (("scan", "--pmax", "1", "--rmax", "1", "--offsets", "1/3,,2"),
      "offset 2 of '1/3,,2' is empty"),
+    # scan has no --symbolic, so a name is refused without pointing to one
+    (("scan", "--pmax", "1", "--rmax", "1", "--offsets", "hW"),
+     "offset 1 of 'hW' must be a rational number"),
+    (("scan", "--pmax", "1", "--rmax", "1", "--offsets", "1/3,2*h+1"),
+     "offset 2 of '1/3,2*h+1' must be a rational number"),
     # a quotient character at a weight without that quotient's structure
     (("character", "--family", "l", "--p", "2", "--r", "1", "--c", "7", "--hW", "1",
       "--h", "0"), "weight is not degenerate at p=2"),
@@ -523,6 +528,38 @@ def test_out_of_range_levels_exit_two(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+_TENSOR_JOB = {"c": "-8", "h": "13/4", "hW": "1", "alpha": "0", "beta": "0"}
+
+
+@pytest.mark.parametrize("command,parameters,message", [
+    ("subsingular", {"p": 2.5, "r": 1, "hW": "1"}, "p must be an integer, not 2.5"),
+    ("subsingular", {"p": True, "r": True, "c": "1"}, "p must be an integer, not True"),
+    ("subsingular", {"p": 2, "r": "1.0", "hW": "1"}, "r must be an integer, not '1.0'"),
+    ("subsingular", {"r": 1, "hW": "1"}, "p must be an integer, not None"),
+    ("singular", {"p": "2/1", "hW": "1"}, "p must be an integer, not '2/1'"),
+    ("character", {"N": 3.7}, "N must be an integer, not 3.7"),
+    ("character", {"N": False}, "N must be an integer, not False"),
+    ("character", {"family": "l", "p": 2, "r": 1.0, "hW": "1"}, "r must be an integer, not 1.0"),
+    ("scan", {"pmax": 1, "rmax": 1.5}, "rmax must be an integer, not 1.5"),
+    ("hv-decide", {"cLI": "1", "h": "3", "alpha": "1/3", "beta": "0", "F": "3", "p": 2.0},
+     "p must be an integer, not 2.0"),
+    ("tensor", {**_TENSOR_JOB, "n": 2.5}, "n must be an integer, not 2.5"),
+    ("tensor", {**_TENSOR_JOB, "n": True}, "n must be an integer, not True"),
+])
+def test_library_jobs_refuse_non_integers(command, parameters, message):
+    with pytest.raises(ValueError) as info:
+        run(Job(command, parameters))
+    assert str(info.value) == message
+
+
+def test_library_jobs_read_integer_strings():
+    as_int = run(Job("character", {"family": "l", "p": 2, "r": 1, "hW": "1", "N": 5}))
+    as_text = run(Job("character", {"family": "l", "p": "2", "r": " 1", "hW": "1", "N": "+5"}))
+    assert as_text.results == as_int.results
+    layer = run(Job("tensor", {**_TENSOR_JOB, "n": "2"}))
+    assert layer.rendered["text"].splitlines()[-1] == "layer 2 weight: c = -8, h = 5/4, hW = 1"
 
 
 def test_character_smallest_levels_are_accepted(capsys):

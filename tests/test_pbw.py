@@ -170,7 +170,7 @@ def test_vector_arithmetic_contract(where):
         ctx, start = M, M.monomial_vector(w=(1,))
     else:
         series = IntermediateSeries.make(M.scalar_ctx, M.scalar_ctx.var("h"), Fraction(1, 3))
-        ctx = TensorSpace(M, series, (-4, 4))
+        ctx = TensorSpace(M, series)
         start = ctx.vacuum_at(1)
     x = ctx.act(L(-2), start)
     y = ctx.act(L(-1), ctx.act(L(-1), start))

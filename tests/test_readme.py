@@ -40,3 +40,23 @@ def test_readme_example_output(capsys, argv, shown):
     captured = capsys.readouterr()
     printed = [line for line in (captured.out + captured.err).splitlines() if line.strip()]
     assert printed == shown
+
+
+def _library_block() -> list:
+    """Lines of the one python block under the README's "Library" heading."""
+    text = README.read_text().split("\n## Library\n", 1)[1]
+    return text.split("```python\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    """Each print(...) line prints its trailing comment, or, without one,
+    the comment line that follows it."""
+    lines = _library_block()
+    shown = []
+    for i, line in enumerate(lines):
+        if line.startswith("print("):
+            _, hash_, comment = line.partition("#")
+            shown.append((comment if hash_ else lines[i + 1].lstrip("#")).strip())
+    exec("\n".join(lines), {})
+    assert len(shown) == 3
+    assert capsys.readouterr().out.splitlines() == shown

@@ -341,7 +341,7 @@ def test_a_names_tuple_makes_one_context():
     M = ModuleContext(HighestWeight.w22(PolyContext(("x",)), c=1, h=0, hW=1))
     x = PolyContext(["x"]).var("x")
     series = IntermediateSeries.make(x.ctx, x / 3, Fraction(1, 2), x + 1)
-    space = TensorSpace(M, series, (-3, 3))
+    space = TensorSpace(M, series)
     assert space.series == series
     for v in (space.series.alpha, space.series.beta, space.series.F):
         assert v.ctx is M.scalar_ctx
@@ -407,7 +407,7 @@ def test_scalars_of_other_names_do_not_mix():
     M = ModuleContext(HighestWeight.w22(QH, c=1, h=0, hW=hW))
     series = IntermediateSeries.make(z.ctx, z, 0)
     with pytest.raises(ValueError, match="parameter context mismatch"):
-        TensorSpace(M, series, (-2, 2))
+        TensorSpace(M, series)
 
 
 # A unit recipe is one of the special scalars, a lifted int or a plain

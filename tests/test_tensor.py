@@ -7,7 +7,7 @@ import pytest
 
 from vermatools import tensor, verma
 from vermatools.liealg import HV, W22, I, L, W
-from vermatools.pbw import HighestWeight, ModuleContext, PBWMonomial
+from vermatools.pbw import HighestWeight, ModuleContext, PBWMonomial, Vector
 from vermatools.scalar import PolyContext
 from vermatools.tensor import (
     IntermediateSeries,
@@ -49,7 +49,7 @@ def test_series_coefficients():
     (L_0 v = 0 at h = 0)."""
     ctx = PolyContext(())
     s = IntermediateSeries.make(ctx, Fraction(1, 3), Fraction(1, 2))
-    T = TensorSpace(ModuleContext(w22_weight(1, 0, 1)), s, (-10, 10))
+    T = TensorSpace(ModuleContext(w22_weight(1, 0, 1)), s)
     vac = PBWMonomial.make()
     for n in (-2, 0, 3):
         for m in (-1, 0, 4):
@@ -59,7 +59,7 @@ def test_series_coefficients():
             assert T.act(L(n), T.vacuum_at(m)).terms[(m + n, vac)] == coeff
             assert tensor._series_coefficient(W(n), ctx.scalar(m), s).is_zero()
     sf = IntermediateSeries.make(ctx, 0, 0, F=Fraction(5, 7))
-    Tf = TensorSpace(ModuleContext(hv_weight(1, 1, 0, 0)), sf, (-10, 10))
+    Tf = TensorSpace(ModuleContext(hv_weight(1, 1, 0, 0)), sf)
     for n in (-1, 2):
         coeff = tensor._series_coefficient(I(n), ctx.scalar(3), sf)
         assert coeff.as_fraction() == Fraction(5, 7)
@@ -106,7 +106,7 @@ def test_excluded_index_table():
 def test_excluded_component_never_appears():
     hw = w22_weight(1, 2, 3)
     s = IntermediateSeries.make(hw.ctx, 0, 0)
-    space = TensorSpace(ModuleContext(hw), s, (-4, 4))
+    space = TensorSpace(ModuleContext(hw), s)
     x = space.vacuum_at(1)
     y = space.act(L(-1), x)  # would land on the excluded index 0
     assert all(m != 0 for m, _ in y.terms)
@@ -114,12 +114,14 @@ def test_excluded_component_never_appears():
         space.vacuum_at(0)
 
 
-def test_window_overflow_is_loud():
+def test_action_reaches_any_index():
+    """L_5 (v_0 (x) v) = (L_5 v_0) (x) v, as L_5 v = 0; by hand
+    L_5 v_0 = -(0 + alpha + beta + 5 beta) v_5 = -10/3 v_5."""
     hw = w22_weight(1, 2, 3)
-    s = IntermediateSeries.make(hw.ctx, Fraction(1, 3), 0)
-    space = TensorSpace(ModuleContext(hw), s, (-2, 2))
-    with pytest.raises(ValueError, match="window overflow"):
-        space.act(L(-3), space.vacuum_at(0))
+    s = IntermediateSeries.make(hw.ctx, Fraction(1, 3), Fraction(1, 2))
+    space = TensorSpace(ModuleContext(hw), s)
+    want = Vector(space, {(5, PBWMonomial.make()): hw.ctx.scalar(Fraction(-10, 3))})
+    assert space.act(L(5), space.vacuum_at(0)) == want
 
 
 def random_tensor_vector(space, rng, kind):
@@ -152,7 +154,7 @@ def test_tensor_action_respects_brackets(kind, alpha, beta, f):
         low = I
     M = ModuleContext(hw)
     s = IntermediateSeries.make(hw.ctx, alpha, beta, f)
-    space = TensorSpace(M, s, (-12, 12))
+    space = TensorSpace(M, s)
     rng = random.Random(777)
     gens = [fam(n) for n in range(-2, 3) for fam in (L, low)]
     for _ in range(25):
@@ -172,7 +174,7 @@ def test_component_weights_are_homogeneous():
     """Acting by a mode-n generator keeps level minus index constant."""
     hw = w22_weight(1, 2, 3)
     s = IntermediateSeries.make(hw.ctx, Fraction(1, 3), 0)
-    space = TensorSpace(ModuleContext(hw), s, (-8, 8))
+    space = TensorSpace(ModuleContext(hw), s)
     x = space.vacuum_at(2)
     for word in ([L(-1)], [L(-2), W(-1)], [W(-1), L(1), L(-3)]):
         y = x
@@ -211,10 +213,10 @@ def _word_image_case(label):
         # factor is zero in V / J'
         M = ModuleContext(w22_weight(1, 0, 0))
         s = IntermediateSeries.make(M.scalar_ctx, Fraction(1, 3), 0)
-        space = TensorSpace(verma.quotient_l_prime(M, 1), s, (-4, 3))
+        space = TensorSpace(verma.quotient_l_prime(M, 1), s)
         return space, space.vacuum_at(2)
     hw = subsingular_weight(2, 1)
-    space = TensorSpace(ModuleContext(hw), IntermediateSeries.make(hw.ctx, 0, 0), (-3, 3))
+    space = TensorSpace(ModuleContext(hw), IntermediateSeries.make(hw.ctx, 0, 0))
     assert space.excluded == 0
     return space, space.vacuum_at(3)
 
@@ -329,14 +331,9 @@ _HW = subsingular_weight(2, 1)
 _PRIMED = IntermediateSeries.make(_HW.ctx, 1, 0)  # excluded index -1
 
 
-def _space(window):
-    return TensorSpace(ModuleContext(_HW), _PRIMED, window)
-
-
 @pytest.mark.parametrize("call,message", [
-    (lambda: _space((2, 1)), "empty window"),
-    (lambda: _space((0, 1)).vacuum_at(5), "index 5 outside window [0, 1]"),
-    (lambda: _space((-2, 2)).vacuum_at(-1), "index -1 is excluded from the primed series"),
+    (lambda: TensorSpace(ModuleContext(_HW), _PRIMED).vacuum_at(-1),
+     "index -1 is excluded from the primed series"),
     (lambda: subquotient_weight(_HW, _PRIMED, -1), "index -1 is excluded from the primed series"),
     (lambda: cyclicity_check(_HW, _PRIMED, 0, -1), "depth must be nonnegative"),
     (lambda: cyclicity_check(_HW, _PRIMED, 0, 2),
@@ -347,8 +344,8 @@ def _space(window):
      "decide_tensor_hv handles the twisted algebra; use decide_tensor"),
     (lambda: decide_tensor(_HW, IntermediateSeries.make(_HW.ctx, 1, 0, F=2)),
      "the series parameter F must vanish for this algebra"),
-], ids=["empty-window", "outside-window", "vacuum-excluded", "layer-excluded",
-        "negative-depth", "target-excluded", "twisted-weight", "w22-weight", "nonzero-F"])
+], ids=["vacuum-excluded", "layer-excluded", "negative-depth", "target-excluded",
+        "twisted-weight", "w22-weight", "nonzero-F"])
 def test_refusal_messages(call, message):
     with pytest.raises(ValueError) as info:
         call()
@@ -380,12 +377,12 @@ def _dense_rank(rows: list) -> int:
 
 
 def _dense_cyclic(hw, s, n, depth, quotient):
-    """cyclicity_check's full-window answer: is v_{n-1} (x) v in the span of
+    """cyclicity_check's answer for the whole range of starts: is v_{n-1} (x) v in the span of
     every start's word images?"""
     M = ModuleContext(hw)
     if quotient == "auto":
         M = verma.witness_quotient(M, verma.classify(M)) or M
-    space = TensorSpace(M, s, (n - 1, n + depth))
+    space = TensorSpace(M, s)
     rows = [row for k in range(n, n + depth + 1) if k != space.excluded
             for row in verma.word_images(space, k - (n - 1), space.vacuum_at(k))]
     target = {(n - 1, PBWMonomial.make()): M.scalar_ctx.one}
@@ -395,7 +392,7 @@ def _dense_cyclic(hw, s, n, depth, quotient):
 def _dense_free_dims(hw, s, n, max_level):
     """subquotient_free_dims by ranks: new directions of the words on
     v_n (x) v beyond those on v_{n+1} (x) v and v_{n+2} (x) v."""
-    space = TensorSpace(ModuleContext(hw), s, (n - max_level - 2, n + 2))
+    space = TensorSpace(ModuleContext(hw), s)
     dims = {}
     for d in range(1, max_level + 1):
         higher = [row for k in (n + 1, n + 2) if k != space.excluded
@@ -417,7 +414,7 @@ ORACLE_SERIES = [(a, b) for a in (Fraction(0), Fraction(1, 2), Fraction(1, 3))
 @pytest.mark.parametrize("name", ORACLE_WEIGHTS)
 def test_cyclicity_matches_dense_elimination(name):
     """Every (alpha, beta), n in [-3, 2] and both quotients, at depths 0-4
-    in turn, against the full window eliminated densely."""
+    in turn, against the whole span eliminated densely."""
     hw = ORACLE_WEIGHTS[name]
     answers = set()
     for i, (a, b) in enumerate(ORACLE_SERIES):
