@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import linalg
 from .liealg import HV, W22, Generator, check_generator
-from .pbw import HighestWeight, ModuleContext, PBWMonomial, Vector, _accumulate
+from .pbw import HighestWeight, ModuleContext, ModuleVector, PBWMonomial, Vector, _accumulate
 from .scalar import PolyContext, Scalar
 from .verma import classify, hv_find_p, require_degenerate, witness_quotient, word_images
 
@@ -122,6 +122,8 @@ class TensorSpace:
 
     def vacuum_at(self, m: int) -> Vector:
         """The vector v_m (x) v."""
+        if type(m) is not int:
+            raise ValueError(f"index must be an integer, not {m!r}")
         if m == self.excluded:
             raise ValueError(f"index {m} is excluded from the primed series")
         return Vector(self, {(m, PBWMonomial.make()): self.scalar_ctx.one})
@@ -140,19 +142,6 @@ class TensorSpace:
             for mono2, c2 in self.M._act_mono(g, mono):
                 _accumulate(out, (m, mono2), cf * c2)
         return Vector(self, out)
-
-    def apply_module_vector(self, u, m: int) -> Vector:
-        """Apply an element of the lowering algebra, given as a module
-        vector (sum of monomials acting on the highest weight vector),
-        to v_m (x) v."""
-        out = self.zero()
-        start = self.vacuum_at(m)
-        for mono, cf in u.terms.items():
-            x = start
-            for g in reversed(mono.as_word(self.kind)):
-                x = self.act(g, x)
-            out = out + x.scaled(cf)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +176,7 @@ def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
     target = {(n - 1, PBWMonomial.make()): M.scalar_ctx.one}
     for k in range(n, n + depth + 1):
         if k != space.excluded:
-            ech.extend(word_images(space, k - (n - 1), space.vacuum_at(k)))
+            ech.extend(word_images(space, k - (n - 1), space.vacuum_at(k)).values())
             if ech.contains(target):
                 return True
     return False
@@ -209,9 +198,9 @@ def subquotient_free_dims(hw: HighestWeight, s: IntermediateSeries, n: int,
         ech = linalg.Echelon(key=_column_key)
         for k in (n + 1, n + 2):
             if k != space.excluded:
-                ech.extend(word_images(space, d + (k - n), space.vacuum_at(k)))
+                ech.extend(word_images(space, d + (k - n), space.vacuum_at(k)).values())
         before = len(ech)
-        ech.extend(word_images(space, d, space.vacuum_at(n)))
+        ech.extend(word_images(space, d, space.vacuum_at(n)).values())
         dims[d] = len(ech) - before
     return dims
 
@@ -370,32 +359,33 @@ class HVCertificate:
     r_poly: Scalar | None = None
 
 
-def _eliminate_to_target(space: TensorSpace, T: Vector,
-                         target_index: int, top_index: int) -> Scalar:
-    """Coefficient left on v_target (x) v after eliminating the
-    intermediate indices of T.
+def _eliminate_to_target(space: TensorSpace, u: ModuleVector, target_index: int) -> Scalar:
+    """Coefficient left on v_target (x) v after applying the module vector
+    u to v_top (x) v, top = target + u.level, and reducing the image
+    against the lowering words on each v_k (x) v, target < k < top, of
+    the degree that lands on the target's weight.
 
-    T is the image of a singular vector applied to v_top (x) v, so its
-    components sit at indices in [target, top - 1].  Lowering words on
-    the strictly intermediate vectors v_k (x) v, target < k < top, have
-    degree below p; at those degrees the quotient has no relations, the
-    word images are linearly independent, and they cover exactly the
-    non-target columns.  Reducing T against them is therefore an exact
-    change of generators and leaves a unique multiple of the bare
-    target vector.
+    Every such word image lies in the submodule that the higher indices
+    generate, so the reduction is exact, also where those degrees reach
+    the level of a relation of the quotient (r >= 2).  The multiple of the
+    bare target vector left is unique unless an intermediate image reaches
+    the bare target; that case raises, as does a remainder away from it.
     """
+    top = target_index + u.level
     tgt = (target_index, PBWMonomial.make())
 
     def key(col):
         return (1 if col == tgt else 0,) + _column_key(col)
 
     ech = linalg.Echelon(key=key)
-    for k in range(target_index + 1, top_index):
-        ech.extend(word_images(space, k - target_index, space.vacuum_at(k)))
+    for k in range(target_index + 1, top):
+        ech.extend(word_images(space, k - target_index, space.vacuum_at(k)).values())
     if tgt in ech.pivots:
         raise ValueError("degenerate elimination: an intermediate word "
                          "reduced to the bare target vector")
-    rem = ech.reduce(dict(T.terms))
+    images = word_images(space, u.level, space.vacuum_at(top), u.terms)
+    T = sum((Vector(space, x).scaled(u.terms[m]) for m, x in images.items()), space.zero())
+    rem = ech.reduce(T.terms)
     if set(rem) - {tgt}:
         raise ValueError("degenerate elimination: the reduction left "
                          "components away from the target index")
@@ -414,10 +404,8 @@ def _hv_certificate(hw: HighestWeight, s: IntermediateSeries) -> Scalar:
     rep = classify(M)
     # The symbolic index n is carried as a shift of alpha.
     s2 = IntermediateSeries.make(ectx, ectx.scalar(s.alpha) + ectx.var("n"), s.beta, s.F)
-    target, top = (-1, rep.p - 1) if rep.case == "I" else (0, rep.p)
     space = TensorSpace(witness_quotient(M, rep), s2)
-    T = space.apply_module_vector(rep.u_prime, top)
-    lam = _eliminate_to_target(space, T, target, top)
+    lam = _eliminate_to_target(space, rep.u_prime, -1 if rep.case == "I" else 0)
     if not lam.is_zero() and lam.degree_in("n") > (rep.case == "L"):
         raise ValueError("degenerate elimination: " + (
             "unexpected index dependence in the pure-I certificate" if rep.case == "I"

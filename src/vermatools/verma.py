@@ -86,25 +86,30 @@ def weight_space_basis(level: int) -> tuple:
     return tuple(monos)
 
 
-def word_images(space, degree: int, start) -> list:
-    """Nonzero images, as term dicts, of every PBW word of the given degree
-    (none when it is negative) applied to ``start``, in
-    weight_space_basis(degree) order; ``space`` is a ModuleContext or a
-    TensorSpace.
+def word_images(space, degree: int, start, words=None) -> dict:
+    """Nonzero images, as term dicts keyed by word, of every PBW word of the
+    given degree (none when it is negative), or of those in ``words``,
+    applied to ``start``, in weight_space_basis(degree) order; ``space`` is
+    a ModuleContext or a TensorSpace.
 
     The image of a word X r, with X its leftmost factor, is
     ``space.act(X, image of r)``, so each word costs one action.  The
-    suffixes r are walked depth first; a branch stops at a zero image, or
-    where no word of the degree extends it (a leftmost W mode k leaves 0
-    or at least k to go).
+    suffixes r are walked depth first; a branch stops at a zero image, at a
+    suffix of no word in ``words``, or where no word of the degree extends
+    it (a leftmost W mode k leaves 0 or at least k to go).
     """
     if degree < 0 or start.is_zero():
-        return []
+        return {}
+    if words is not None:
+        keep = {PBWMonomial(m.w[i:], m.l) for m in words for i in range(len(m.w) + 1)}
+        keep |= {PBWMonomial((), m.l[i:]) for m in words for i in range(len(m.l) + 1)}
     fam = second_family(space.kind)
     images = {}
     stack = [(0, EMPTY, None, start)]
     while stack:
         level, mono, g, vec = stack.pop()
+        if words is not None and mono not in keep:
+            continue
         if g is not None:
             vec = space.act(g, vec)
             if vec.is_zero():
@@ -120,7 +125,7 @@ def word_images(space, degree: int, start) -> list:
         if not w:
             for n in range(l[0] if l else 1, rest + 1):
                 stack.append((level + n, PBWMonomial((), (n,) + l), Generator("L", -n), vec))
-    return [images[m] for m in weight_space_basis(degree) if m in images]
+    return {m: images[m] for m in weight_space_basis(degree) if m in images}
 
 
 def pure_w_basis(level: int) -> list:
@@ -496,7 +501,7 @@ class QuotientModule(ModuleContext):
         ech = linalg.Echelon(key=lambda m: priority[m])
         for rel in self.relations:
             if rel.level is not None:
-                ech.extend(word_images(self.M, level - rel.level, rel))
+                ech.extend(word_images(self.M, level - rel.level, rel).values())
         nonbasis = {m for m, (in_basis, _) in priority.items() if not in_basis}
         if ech.pivots.keys() != nonbasis:
             raise ValueError(

@@ -16,7 +16,7 @@ def j_prime_echelon(M, p, level, uprime):
     in basis order; empty below level p."""
     order = {m: i for i, m in enumerate(weight_space_basis(level))}
     ech = linalg.Echelon(key=order.__getitem__)
-    ech.extend(word_images(M, level - p, uprime))
+    ech.extend(word_images(M, level - p, uprime).values())
     return ech
 
 

@@ -1,12 +1,15 @@
 """Every name a vermatools module imports is used in that module, every
-private definition has a reader, no module leans on the private API
+private definition has a reader, every public one is named somewhere
+outside its own definition, no module leans on the private API
 of ``fractions.Fraction``, and the command line loads nothing from
 outside the standard library."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -123,6 +126,57 @@ def test_unread_private_method_is_found():
     assert unread_private_definitions(modules, readers) == [
         ("a.py", "Public._orphan"), ("a.py", "Public._recursive"),
         ("b.py", "_Hidden"), ("b.py", "_Hidden._orphan")]
+
+
+def _public_definitions(tree) -> list:
+    """(line, name) of each public module-level def or class, and of each
+    public method ("Class.method") of a module-level class."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+            found.append((stmt.lineno, stmt.name))
+        if isinstance(stmt, ast.ClassDef):
+            found += [(m.lineno, f"{stmt.name}.{m.name}") for m in stmt.body
+                      if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return found
+
+
+def unread_public_definitions(modules: dict, texts: list) -> list:
+    """(module, name) of each public definition in modules (name -> source)
+    whose name appears, as a whole word, nowhere in modules or texts
+    except on its own def or class line."""
+    words = Counter(re.findall(r"\w+", "\n".join([*modules.values(), *texts])))
+    found = []
+    for module, source in modules.items():
+        lines = source.splitlines()
+        for line, name in _public_definitions(ast.parse(source)):
+            word = name.rpartition(".")[2]
+            if words[word] == len(re.findall(rf"\b{word}\b", lines[line - 1])):
+                found.append((module, name))
+    return found
+
+
+def test_every_public_definition_has_a_reader():
+    root = SRC.parents[1]
+    modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    texts = [p.read_text() for d in ("tests", "bench") for p in sorted((root / d).rglob("*.py"))]
+    texts.append((root / "README.md").read_text())
+    assert unread_public_definitions(modules, texts) == []
+
+
+def test_unread_public_definition_is_found():
+    modules = {"a.py": "class Public:\n"
+                       "    def run(self):\n        return self.helper()\n\n"
+                       "    def helper(self):\n        pass\n\n"
+                       "    def orphan(self):\n        pass\n\n"
+                       "    def recursive(self):\n        return self.recursive()\n\n"
+                       "    def __len__(self):\n        return 0\n\n"
+                       "def lonely(x):\n    return x\n\n"
+                       "def documented():\n    pass\n",
+               "b.py": "class Orphaned:\n    def _private(self):\n        pass\n"}
+    texts = ["a.Public().run()\n", "Call `documented()`; lonelyhearts is another word.\n"]
+    assert unread_public_definitions(modules, texts) == [
+        ("a.py", "Public.orphan"), ("a.py", "lonely"), ("b.py", "Orphaned")]
 
 
 def unread_parameters(source: str) -> list:

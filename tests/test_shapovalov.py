@@ -181,3 +181,56 @@ def test_gram_determinant_vanishes_on_each_factor(r):
         assert _factor(hw, r) == 0
         assert _rank(gram_matrix(ModuleContext(hw), r))[1] == 0, hw.weights
 
+
+
+def _kernel(rows: list) -> list:
+    """A basis of the kernel of a matrix of Fractions, one vector per free
+    column with 1 there: fraction-free elimination as in ``_rank``, then
+    back substitution over the pivot columns."""
+    scales = [math.lcm(*(v.denominator for v in r)) for r in rows]
+    rows = [[int(v * k) for v in r] for r, k in zip(rows, scales)]
+    width, pivots, prev = len(rows[0]), [], 1
+    for col in range(width):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[k], rows[piv] = rows[piv], rows[k]
+        top = rows[k]
+        for i in range(k + 1, len(rows)):
+            a = rows[i][col]
+            rows[i] = [(x * top[col] - a * y) // prev for x, y in zip(rows[i], top)]
+        prev = top[col]
+        pivots.append(col)
+    kernel = []
+    for free in (c for c in range(width) if c not in pivots):
+        x = [Fraction(c == free) for c in range(width)]
+        for k in reversed(range(len(pivots))):
+            c = pivots[k]
+            x[c] = -sum(rows[k][j] * x[j] for j in range(c + 1, width)) / rows[k][c]
+        kernel.append(x)
+    return kernel
+
+
+# (p, r, hW): the restricted Gram matrices have sizes 4, 15, 55 and 45.
+SUBSINGULAR_KERNELS = [(2, 1, Fraction(1)), (2, 2, Fraction(1)), (3, 2, Fraction(1)),
+                       (2, 3, Fraction(-5, 3))]
+
+
+@pytest.mark.parametrize("p,r,hW", SUBSINGULAR_KERNELS,
+                         ids=[f"({p},{r}) hW={hW}" for p, r, hW in SUBSINGULAR_KERNELS])
+def test_subsingular_vector_is_the_gram_kernel_on_l_prime(p, r, hW):
+    """J' = U(g) u' lies in the radical of the form, so the form descends
+    to L' = V/J', whose level-n basis is the monomials with no W_{-p}.
+    At the subsingular point the Gram matrix on that basis at level rp has
+    a one-dimensional kernel, and it is the subsingular vector."""
+    M = ModuleContext(_w22(p, r, hW=hW))
+    n = r * p
+    basis = verma.weight_space_basis(n)
+    keep = [i for i, m in enumerate(basis) if p not in m.w]
+    gram = gram_matrix(M, n)
+    [kernel] = _kernel([[gram[i][j] for j in keep] for i in keep])
+    lead = kernel[[basis[i] for i in keep].index(((), (p,) * r))]
+    want = {basis[i]: x / lead for i, x in zip(keep, kernel) if x}
+    u = verma.subsingular(M, p, r)
+    assert {m: c.as_fraction() for m, c in u.terms.items()} == want

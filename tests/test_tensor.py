@@ -185,15 +185,18 @@ def test_component_weights_are_homogeneous():
         assert offsets == {sum(-g.mode for g in word) - 2}
 
 
-def _word_images_by_loop(space, degree, start):
-    """Each PBW word applied factor by factor, rightmost first."""
-    out = []
+def _word_images_by_loop(space, degree, start, words=None):
+    """Each PBW word, or each of ``words``, applied factor by factor,
+    rightmost first: the nonzero images keyed by word, in basis order."""
+    out = {}
     for m in verma.weight_space_basis(degree):
+        if words is not None and m not in words:
+            continue
         vec = start
         for g in reversed(m.as_word(space.kind)):
             vec = space.act(g, vec)
         if not vec.is_zero():
-            out.append(vec.terms)
+            out[m] = vec.terms
     return out
 
 
@@ -227,11 +230,16 @@ def test_word_images_match_factor_by_factor_loop(label):
     space, start = _word_image_case(label)
     for degree in range(7):
         expected = _word_images_by_loop(space, degree, start)
-        assert verma.word_images(space, degree, start) == expected, degree
+        assert list(verma.word_images(space, degree, start).items()) == list(expected.items())
         if label == "tensor quotient" and degree:
             assert len(expected) < len(verma.weight_space_basis(degree))
-    assert verma.word_images(space, -1, start) == []
-    assert verma.word_images(space, 3, space.zero()) == []
+        # a subset of the words: their images, and only theirs
+        words = set(verma.weight_space_basis(degree)[degree % 3::3])
+        chosen = _word_images_by_loop(space, degree, start, words)
+        assert list(verma.word_images(space, degree, start, words).items()) == list(
+            chosen.items()), degree
+    assert verma.word_images(space, -1, start) == {}
+    assert verma.word_images(space, 3, space.zero()) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +352,17 @@ _PRIMED = IntermediateSeries.make(_HW.ctx, 1, 0)  # excluded index -1
      "decide_tensor_hv handles the twisted algebra; use decide_tensor"),
     (lambda: decide_tensor(_HW, IntermediateSeries.make(_HW.ctx, 1, 0, F=2)),
      "the series parameter F must vanish for this algebra"),
+    (lambda: TensorSpace(ModuleContext(_HW), _PRIMED).vacuum_at(Fraction(1, 2)),
+     "index must be an integer, not Fraction(1, 2)"),
+    (lambda: TensorSpace(ModuleContext(_HW), _PRIMED).vacuum_at(True),
+     "index must be an integer, not True"),
+    (lambda: TensorSpace(ModuleContext(_HW), _PRIMED).vacuum_at(0.5),
+     "index must be an integer, not 0.5"),
+    (lambda: subquotient_free_dims(_HW, _PRIMED, Fraction(1, 2), 2),
+     "index must be an integer, not Fraction(3, 2)"),
 ], ids=["vacuum-excluded", "layer-excluded", "negative-depth", "target-excluded",
-        "twisted-weight", "w22-weight", "nonzero-F"])
+        "twisted-weight", "w22-weight", "nonzero-F", "fraction-index", "bool-index",
+        "float-index", "fraction-layer"])
 def test_refusal_messages(call, message):
     with pytest.raises(ValueError) as info:
         call()
@@ -384,7 +401,7 @@ def _dense_cyclic(hw, s, n, depth, quotient):
         M = verma.witness_quotient(M, verma.classify(M)) or M
     space = TensorSpace(M, s)
     rows = [row for k in range(n, n + depth + 1) if k != space.excluded
-            for row in verma.word_images(space, k - (n - 1), space.vacuum_at(k))]
+            for row in verma.word_images(space, k - (n - 1), space.vacuum_at(k)).values()]
     target = {(n - 1, PBWMonomial.make()): M.scalar_ctx.one}
     return _dense_rank(rows + [target]) == _dense_rank(rows)
 
@@ -396,8 +413,8 @@ def _dense_free_dims(hw, s, n, max_level):
     dims = {}
     for d in range(1, max_level + 1):
         higher = [row for k in (n + 1, n + 2) if k != space.excluded
-                  for row in verma.word_images(space, d + k - n, space.vacuum_at(k))]
-        own = verma.word_images(space, d, space.vacuum_at(n))
+                  for row in verma.word_images(space, d + k - n, space.vacuum_at(k)).values()]
+        own = list(verma.word_images(space, d, space.vacuum_at(n)).values())
         dims[d] = _dense_rank(higher + own) - _dense_rank(higher)
     return dims
 
@@ -473,6 +490,30 @@ def test_subquotient_weight_arithmetic():
     s_prime = IntermediateSeries.make(hw.ctx, 2, 0)
     with pytest.raises(ValueError):
         subquotient_weight(hw, s_prime, -2)
+
+
+_LAMBDA_GRID = [(2, 1), (1, 2), (3, 1), (2, 2), (1, 3), (3, 2), (2, 3), (2, 4), (4, 2),
+                (2, 5), (5, 2), (10, 1)]
+
+
+@pytest.mark.parametrize("alpha,beta", [(Fraction(1, 3), 0), (Fraction(2, 7), 5)],
+                         ids=["a=1/3-b=0", "a=2/7-b=5"])
+@pytest.mark.parametrize("p,r", _LAMBDA_GRID)
+def test_w22_elimination_is_minus_lambda(p, r, alpha, beta):
+    """The twisted certificate's elimination, run unchanged on W(2,2): the
+    subsingular vector applied to v_{rp-1} (x) v in V/J, over Q(n) with
+    alpha shifted by n, leaves -lambda(n) on v_{-1} (x) v, where
+    decide_tensor quotes lambda(n) from the paper's closed form."""
+    ctx = PolyContext(("n",))
+    hw = (HighestWeight.w22(ctx, c=5, h=verma.necessary_h(1, r, Fraction(0)), hW=0) if p == 1
+          else HighestWeight.w22(ctx, c=Fraction(-24, p * p - 1), h=verma.necessary_h(p, r, 1),
+                                 hW=1))
+    M = ModuleContext(hw)
+    rep = verma.classify(M)
+    assert (rep.verdict, rep.p, rep.r) == ("UprimeAndSubsingular", p, r)
+    s = IntermediateSeries.make(ctx, ctx.var("n") + alpha, beta)
+    space = TensorSpace(verma.witness_quotient(M, rep), s)
+    assert tensor._eliminate_to_target(space, rep.u, -1) == -lambda_product(hw, s, 0, p, r)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +619,33 @@ def test_certificate_refusals():
     nctx = PolyContext(("n",))
     reserved = HighestWeight.hv(nctx, cL=1, cLI=2, h=nctx.var("n"), hI=4, cI=0)
     assert _refusal(reserved, 1) == "the parameter name 'n' is reserved for the series index"
+
+
+def test_certificate_walks_only_the_suffixes_of_u_prime(monkeypatch):
+    """Applying u' costs at most one action per distinct nonempty suffix
+    of its words, not one per word of its degree."""
+    calls, walks = [], []
+    act = TensorSpace.act
+
+    def counting_act(space, g, x):
+        calls.append(g)
+        return act(space, g, x)
+
+    def walk(space, degree, start, words=None):
+        before = len(calls)
+        out = verma.word_images(space, degree, start, words)
+        if words is not None:
+            walks.append((list(words), len(calls) - before))
+        return out
+
+    monkeypatch.setattr(TensorSpace, "act", counting_act)
+    monkeypatch.setattr(tensor, "word_images", walk)
+    hw = hv_weight(1, 1, 3, 1 + 8)
+    cert = hv_decision_polynomials(hw, IntermediateSeries.make(hw.ctx, Fraction(1, 3), 0, F=1), 8)
+    assert cert.case == "I"
+    [(words, count)] = walks
+    suffixes = {m.as_word(HV)[i:] for m in words for i in range(len(m.as_word(HV)))}
+    assert 0 < count <= len(suffixes)
 
 
 def test_certificate_beyond_budget_is_refused():
