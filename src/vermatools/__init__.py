@@ -18,7 +18,6 @@ from .tensor import (
     decide_tensor,
     decide_tensor_hv,
     hv_decision_polynomials,
-    lambda_product,
     subquotient_free_dims,
     subquotient_weight,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "decide_tensor",
     "decide_tensor_hv",
     "hv_decision_polynomials",
-    "lambda_product",
     "subquotient_free_dims",
     "subquotient_weight",
     "CharacterSeries",

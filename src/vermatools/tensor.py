@@ -24,7 +24,7 @@ from . import linalg
 from .liealg import HV, W22, Generator, check_generator
 from .pbw import HighestWeight, ModuleContext, ModuleVector, PBWMonomial, Vector, _accumulate
 from .scalar import PolyContext, Scalar
-from .verma import classify, hv_find_p, require_degenerate, witness_quotient, word_images
+from .verma import classify, hv_find_p, witness_quotient, word_images
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +91,13 @@ def _series_coefficient(g: Generator, m: Scalar, s: IntermediateSeries) -> Scala
 # Truncated tensor vectors
 
 
+def _require_index(m, excluded=None) -> None:
+    if type(m) is not int:
+        raise ValueError(f"index must be an integer, not {m!r}")
+    if m == excluded:
+        raise ValueError(f"index {m} is excluded from the primed series")
+
+
 def _column_key(col):
     # Highest index first: a word X on v_k (x) v has top component
     # v_k (x) X.v, so rows of different starts pivot in different blocks.
@@ -122,10 +129,7 @@ class TensorSpace:
 
     def vacuum_at(self, m: int) -> Vector:
         """The vector v_m (x) v."""
-        if type(m) is not int:
-            raise ValueError(f"index must be an integer, not {m!r}")
-        if m == self.excluded:
-            raise ValueError(f"index {m} is excluded from the primed series")
+        _require_index(m, self.excluded)
         return Vector(self, {(m, PBWMonomial.make()): self.scalar_ctx.one})
 
     def act(self, g: Generator, x: Vector) -> Vector:
@@ -162,6 +166,7 @@ def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
     ``witness_quotient`` of the classification of the highest weight, or
     "verma", the Verma module itself; any other choice raises ValueError.
     """
+    _require_index(n)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if quotient not in ("auto", "verma"):
@@ -243,122 +248,6 @@ def _require_constant(x: Scalar, name: str) -> Fraction:
     return x.as_fraction()
 
 
-def lambda_product(hw: HighestWeight, s: IntermediateSeries, n: int,
-                   p: int, r: int) -> Scalar:
-    """Product of the elimination coefficients
-
-        lambda_j = n + (r - j) p - 1 + alpha + (1 - p) beta,  j = 0..r-1.
-
-    Applying the subsingular vector of shape L_{-p}^r + ... to
-    v_{n + rp - 1} (x) v reaches v_{n-1} (x) v with this coefficient, so
-    a nonzero value certifies one cyclicity step.  The highest weight
-    must sit at the degenerate point carrying that subsingular vector.
-    """
-    require_degenerate(hw, p, r)
-    base = s.ctx.scalar(n) + s.alpha + s.beta * (1 - p)
-    out = s.ctx.one
-    for j in range(r):
-        out = out * (base + (r - j) * p - 1)
-    return out
-
-
-def subquotient_weight(hw: HighestWeight, s: IntermediateSeries,
-                       n: int) -> HighestWeight:
-    """Highest weight of the n-th layer U_n / U_{n+1} of V' (x) V.
-
-    For a primed series the excluded index carries no layer and is
-    rejected.  The layer is spanned by v_n (x) v over the lowering
-    algebra, with L_0 eigenvalue h - n - alpha - beta; for the twisted
-    algebra the I_0 eigenvalue shifts by F.
-    """
-    if n == s.excluded_index():
-        raise ValueError(f"index {n} is excluded from the primed series")
-    shifted = {"h": hw["h"] - (s.ctx.scalar(n) + s.alpha + s.beta)}
-    if hw.kind == HV:
-        shifted["hI"] = hw["hI"] + s.F
-    return HighestWeight(hw.kind, s.ctx, {**hw.weights, **shifted})
-
-
-# ---------------------------------------------------------------------------
-# Decision for the first algebra
-
-
-def decide_tensor(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision:
-    """Irreducibility of V'_{alpha,beta} (x) L(c, h, hW).
-
-    Irreducible exactly when the highest weight carries both u' and a
-    subsingular vector and alpha + (1 - p) beta is not an integer.
-    Requires concrete rational weights and series parameters; a symbolic
-    integrality question has no answer and raises instead.
-    """
-    if hw.kind != W22:
-        raise ValueError("decide_tensor handles the first algebra; "
-                         "use decide_tensor_hv")
-    _require_constant(s.alpha, "alpha")
-    _require_constant(s.beta, "beta")
-    if not s.F.is_zero():
-        raise ValueError("the series parameter F must vanish for this algebra")
-    for name in ("c", "h", "hW"):
-        _require_constant(hw[name], name)
-    M = ModuleContext(hw)
-    rep = classify(M)
-    if rep.verdict == "VermaIrreducible":
-        return TensorDecision(
-            "Reducible", "NoSubsingular", None,
-            notes=("the second factor is an irreducible Verma module; "
-                   "every index yields a Verma subquotient",))
-    if rep.verdict == "UprimeOnly":
-        return TensorDecision(
-            "Reducible", "NoSubsingular", None, p=rep.p,
-            notes=("u' generates the maximal submodule and no subsingular "
-                   "vector exists; the layers U_n / U_{n+1} are irreducible",))
-    p, r = rep.p, rep.r
-    shift = s.alpha + s.beta * (1 - p)
-    t = shift.as_fraction()
-    if t.denominator == 1:
-        k = 1 - p - int(t)
-        notes = [f"U_{k} is irreducible and the quotient chain splits at "
-                 f"indices {[1 - j * p - int(t) for j in range(1, r + 1)]}",
-                 "quotient layers have L_0 weights h + (j - beta) p, j = 1..r"]
-        if hw["hW"].is_zero() and s.excluded_index() is not None and s.beta == 1:
-            notes.append("for this primed series with hW = 0 the layer list "
-                         "may also contain the weight (c, h, 0) itself")
-        return TensorDecision("Reducible", "IntegralShift", k,
-                              notes=tuple(notes), p=p, r=r)
-    witness = lambda_product(hw, s, 0, p, r)
-    return TensorDecision("Irreducible", "ProductNonzero", witness,
-                          notes=("alpha + (1 - p) beta is not an integer; "
-                                 "the elimination product never vanishes",),
-                          p=p, r=r)
-
-
-# ---------------------------------------------------------------------------
-# Decision for the twisted Heisenberg-Virasoro algebra
-
-
-@dataclass(frozen=True)
-class HVCertificate:
-    """Elimination certificate polynomials with F kept formal.
-
-    Case "I" (hI/cLI = 1 + p): applying the pure-I singular vector to
-    v_{n+p-1} (x) v and eliminating intermediate indices leaves
-    F s(F) v_{n-1} (x) v.  Case "L" (hI/cLI = 1 - p): the same procedure
-    on v_{n+p} (x) v leaves (q(F) n + r(F)) v_n (x) v.  Case I is the
-    q = 0 form of that certificate, with r(F) = F s(F).  The polynomials
-    live in a context extended by the formal parameters F and n;
-    ``decide_tensor_hv`` runs the same elimination at the series' own F,
-    over Q(n) when F is a number, and does not read them.  Checked
-    exactly for p <= 10: s(F) = C(F/cLI + p - 1, p - 1) and
-    q(F) = (-1)^p C(F/cLI - 1, p - 1), both nonzero polynomials in F.
-    """
-
-    case: str
-    p: int
-    s_poly: Scalar | None = None
-    q_poly: Scalar | None = None
-    r_poly: Scalar | None = None
-
-
 def _eliminate_to_target(space: TensorSpace, u: ModuleVector, target_index: int) -> Scalar:
     """Coefficient left on v_target (x) v after applying the module vector
     u to v_top (x) v, top = target + u.level, and reducing the image
@@ -392,19 +281,122 @@ def _eliminate_to_target(space: TensorSpace, u: ModuleVector, target_index: int)
     return rem.get(tgt, space.scalar_ctx.zero)
 
 
+def subquotient_weight(hw: HighestWeight, s: IntermediateSeries,
+                       n: int) -> HighestWeight:
+    """Highest weight of the n-th layer U_n / U_{n+1} of V' (x) V.
+
+    For a primed series the excluded index carries no layer and is
+    rejected.  The layer is spanned by v_n (x) v over the lowering
+    algebra, with L_0 eigenvalue h - n - alpha - beta; for the twisted
+    algebra the I_0 eigenvalue shifts by F.
+    """
+    _require_index(n, s.excluded_index())
+    shifted = {"h": hw["h"] - (s.ctx.scalar(n) + s.alpha + s.beta)}
+    if hw.kind == HV:
+        shifted["hI"] = hw["hI"] + s.F
+    return HighestWeight(hw.kind, s.ctx, {**hw.weights, **shifted})
+
+
+# ---------------------------------------------------------------------------
+# Decision for the first algebra
+
+
+def decide_tensor(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision:
+    """Irreducibility of V'_{alpha,beta} (x) L(c, h, hW).
+
+    Irreducible exactly when the highest weight carries both u' and a
+    subsingular vector u and alpha + (1 - p) beta is not an integer; the
+    witness is then lambda(0), computed as for the twisted algebra: u on
+    v_{rp-1} (x) v leaves -lambda(0) v_{-1} (x) v, the indices between eliminated.
+    Requires concrete rational weights and series parameters; a symbolic
+    integrality question has no answer and raises instead.
+    """
+    if hw.kind != W22:
+        raise ValueError("decide_tensor handles the first algebra; "
+                         "use decide_tensor_hv")
+    _require_constant(s.alpha, "alpha")
+    _require_constant(s.beta, "beta")
+    if not s.F.is_zero():
+        raise ValueError("the series parameter F must vanish for this algebra")
+    for name in ("c", "h", "hW"):
+        _require_constant(hw[name], name)
+    M = ModuleContext(HighestWeight(W22, s.ctx, hw.weights))
+    rep = classify(M)
+    if rep.verdict == "VermaIrreducible":
+        return TensorDecision(
+            "Reducible", "NoSubsingular", None,
+            notes=("the second factor is an irreducible Verma module; "
+                   "every index yields a Verma subquotient",))
+    if rep.verdict == "UprimeOnly":
+        return TensorDecision(
+            "Reducible", "NoSubsingular", None, p=rep.p,
+            notes=("u' generates the maximal submodule and no subsingular "
+                   "vector exists; the layers U_n / U_{n+1} are irreducible",))
+    p, r = rep.p, rep.r
+    shift = s.alpha + s.beta * (1 - p)
+    t = shift.as_fraction()
+    if t.denominator == 1:
+        k = 1 - p - int(t)
+        notes = [f"U_{k} is irreducible and the quotient chain splits at "
+                 f"indices {[1 - j * p - int(t) for j in range(1, r + 1)]}",
+                 "quotient layers have L_0 weights h + (j - beta) p, j = 1..r"]
+        if hw["hW"].is_zero() and s.excluded_index() is not None and s.beta == 1:
+            notes.append("for this primed series with hW = 0 the layer list "
+                         "may also contain the weight (c, h, 0) itself")
+        return TensorDecision("Reducible", "IntegralShift", k,
+                              notes=tuple(notes), p=p, r=r)
+    witness = -_eliminate_to_target(TensorSpace(witness_quotient(M, rep), s), rep.u, -1)
+    return TensorDecision("Irreducible", "ProductNonzero", witness,
+                          notes=("alpha + (1 - p) beta is not an integer; "
+                                 "the elimination product never vanishes",),
+                          p=p, r=r)
+
+
+# ---------------------------------------------------------------------------
+# Decision for the twisted Heisenberg-Virasoro algebra
+
+
+@dataclass(frozen=True)
+class HVCertificate:
+    """Elimination certificate polynomials with F kept formal.
+
+    Case "I" (hI/cLI = 1 + p): applying the pure-I singular vector to
+    v_{n+p-1} (x) v and eliminating intermediate indices leaves
+    F s(F) v_{n-1} (x) v.  Case "L" (hI/cLI = 1 - p): the same procedure
+    on v_{n+p} (x) v leaves (q(F) n + r(F)) v_n (x) v.  Case I is the
+    q = 0 form of that certificate, with r(F) = F s(F).  The polynomials
+    live in a context extended by the formal parameters F and n;
+    ``decide_tensor_hv`` runs the same elimination at the series' own F,
+    over Q(n) when F is a number, and does not read them.  Checked
+    exactly for p <= 10: s(F) = C(F/cLI + p - 1, p - 1) and
+    q(F) = (-1)^p C(F/cLI - 1, p - 1), both nonzero polynomials in F.
+    """
+
+    case: str
+    p: int
+    s_poly: Scalar | None = None
+    q_poly: Scalar | None = None
+    r_poly: Scalar | None = None
+
+
+def _indexed(hw: HighestWeight, s: IntermediateSeries) -> tuple:
+    """The classify report of hw over the series' field extended by the index n, and the
+    tensor space of the series, alpha shifted by n, with the report's witness quotient."""
+    if "n" in s.ctx.names:
+        raise ValueError("the parameter name 'n' is reserved for the series index")
+    ectx = PolyContext(s.ctx.names + ("n",))
+    M = ModuleContext(HighestWeight(hw.kind, ectx, hw.weights))
+    rep = classify(M)
+    s2 = IntermediateSeries.make(ectx, ectx.scalar(s.alpha) + ectx.var("n"), s.beta, s.F)
+    return rep, TensorSpace(witness_quotient(M, rep), s2)
+
+
 def _hv_certificate(hw: HighestWeight, s: IntermediateSeries) -> Scalar:
     """q(F) n + r(F), or F s(F) in case I, at the series' own F, exact in
     its field extended by the index n.  Each word on v_k (x) v has top
     component v_k (x) X.v with coefficient 1, so the elimination pivots do
     not depend on F and a numeric F gives the formal certificate's value."""
-    if "n" in s.ctx.names:
-        raise ValueError("the parameter name 'n' is reserved for the series index")
-    ectx = PolyContext(s.ctx.names + ("n",))
-    M = ModuleContext(HighestWeight(HV, ectx, hw.weights))
-    rep = classify(M)
-    # The symbolic index n is carried as a shift of alpha.
-    s2 = IntermediateSeries.make(ectx, ectx.scalar(s.alpha) + ectx.var("n"), s.beta, s.F)
-    space = TensorSpace(witness_quotient(M, rep), s2)
+    rep, space = _indexed(hw, s)
     lam = _eliminate_to_target(space, rep.u_prime, -1 if rep.case == "I" else 0)
     if not lam.is_zero() and lam.degree_in("n") > (rep.case == "L"):
         raise ValueError("degenerate elimination: " + (

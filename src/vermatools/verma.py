@@ -594,7 +594,8 @@ def recover_r(p: int, hw: HighestWeight) -> Scalar:
 
 # Highest level at which classify builds a witness vector; beyond it,
 # it and so tensor.hv_decision_polynomials refuse.  At p = 10, r = 1 a
-# numeric weight takes about 0.04 s in the classify command, and the
+# numeric weight takes about 0.03 s in the classify command, 0.06 s in the
+# tensor command, which also eliminates for its witness, and the
 # hv-decide command at F = 3 about 0.65 s in the twisted case L and
 # 0.33 s in case I (2-core x86 VM, Python 3.11).
 CLASSIFY_MAX_LEVEL = 10

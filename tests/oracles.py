@@ -5,7 +5,14 @@ weight-space basis order.  The library holds J' only as the echelon of
 ``quotient_l_prime``, which pivots on the monomials with a W_{-p} factor
 first, so a reduction or certificate checked here is checked against an
 echelon it does not share.
+
+``elimination_product`` is the paper's closed form of the W(2,2) tensor
+certificate, in plain Fractions; the library computes that certificate by
+elimination and keeps no closed form of it.
 """
+
+from fractions import Fraction
+from math import prod
 
 from vermatools import linalg
 from vermatools.verma import weight_space_basis, word_images
@@ -23,3 +30,11 @@ def j_prime_echelon(M, p, level, uprime):
 def in_j_prime(M, p, uprime, vec):
     """Whether the homogeneous vector vec lies in J'."""
     return vec.is_zero() or not j_prime_echelon(M, p, vec.level, uprime).reduce(dict(vec.terms))
+
+
+def elimination_product(n, p, r, alpha, beta) -> Fraction:
+    """lambda(n) = prod_{j=0}^{r-1} (n + (r - j) p - 1 + alpha + (1 - p) beta): the
+    coefficient with which the subsingular vector of shape L_{-p}^r + ... carries
+    v_{n + rp - 1} (x) v to v_{n-1} (x) v, modulo the higher indices."""
+    return prod((Fraction(n + (r - j) * p - 1) + alpha + (1 - p) * beta for j in range(r)),
+                start=Fraction(1))

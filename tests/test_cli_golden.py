@@ -90,6 +90,10 @@ JOBS = [
     ("character", "--family", "l", "--c", "1", "--h", "0", "--hW", "0", "--p", "1", "--r", "2"),
     ("subsingular", "--c", "5", "--hW", "1", "--p", "2", "--r", "1"),
     ("scan", "--pmax", "0", "--rmax", "1"),
+    # Irreducible tensor products whose witness takes the r >= 2 and p = 1 paths
+    ("tensor", "--c", "-8", "--h", "9/4", "--hW", "1", "--alpha", "1/3", "--beta", "2/7"),
+    ("tensor", "--c", "-3", "--h", "37/6", "--hW", "1", "--alpha", "2/7", "--beta", "5"),
+    ("tensor", "--c", "5", "--h", "-1/2", "--hW", "0", "--alpha", "1/3", "--beta", "0"),
 ]
 
 

@@ -1,11 +1,15 @@
 """Every `$ vermatools ...` example of README.md prints exactly what the
 README shows under it: its non-blank stdout and stderr lines, in order."""
 
+import importlib
+import pkgutil
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import vermatools
 from vermatools.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -60,3 +64,30 @@ def test_readme_library_example_prints_its_comments(capsys):
     exec("\n".join(lines), {})
     assert len(shown) == 3
     assert capsys.readouterr().out.splitlines() == shown
+
+
+def _module_references() -> list:
+    """The backticked `module.name` and `vermatools.module.name` of README.md
+    whose module is one of the package's, as (module, attribute chain)."""
+    modules = {info.name for info in pkgutil.iter_modules(vermatools.__path__)}
+    refs = set()
+    for ref in re.findall(r"`([A-Za-z_][\w.]*)`", README.read_text()):
+        module, *chain = ref.removeprefix("vermatools.").split(".")
+        if module in modules and chain:
+            refs.add((module, tuple(chain)))
+    return sorted(refs)
+
+
+def _resolves(module: str, chain: tuple) -> bool:
+    obj = importlib.import_module(f"vermatools.{module}")
+    for name in chain:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def test_readme_module_references_resolve():
+    refs = _module_references()
+    assert [".".join((m,) + c) for m, c in refs if not _resolves(m, c)] == []
+    assert refs

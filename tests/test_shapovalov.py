@@ -212,9 +212,10 @@ def _kernel(rows: list) -> list:
     return kernel
 
 
-# (p, r, hW): the restricted Gram matrices have sizes 4, 15, 55 and 45.
+# (p, r, hW): the restricted Gram matrices have sizes 4, 15, 55, 45 and 120.
+# (4, 2) at hW = 2, also level 8, is left out: it takes about 8 s.
 SUBSINGULAR_KERNELS = [(2, 1, Fraction(1)), (2, 2, Fraction(1)), (3, 2, Fraction(1)),
-                       (2, 3, Fraction(-5, 3))]
+                       (2, 3, Fraction(-5, 3)), (2, 4, Fraction(1))]
 
 
 @pytest.mark.parametrize("p,r,hW", SUBSINGULAR_KERNELS,

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import elimination_product
 from vermatools import tensor, verma
 from vermatools.liealg import HV, W22, I, L, W
 from vermatools.pbw import HighestWeight, ModuleContext, PBWMonomial, Vector
@@ -16,7 +17,6 @@ from vermatools.tensor import (
     decide_tensor,
     decide_tensor_hv,
     hv_decision_polynomials,
-    lambda_product,
     subquotient_free_dims,
     subquotient_weight,
 )
@@ -250,16 +250,14 @@ def test_lambda_roots_are_the_break_indices():
     hw21 = subsingular_weight(2, 1)
     s = IntermediateSeries.make(hw21.ctx, 0, 0)
     for n in range(-3, 3):
-        lam = lambda_product(hw21, s, n, 2, 1)
-        assert lam.is_zero() == (n == -1)
+        assert (elimination_product(n, 2, 1, 0, 0) == 0) == (n == -1)
         if n - 1 != s.excluded_index():
             assert cyclicity_check(hw21, s, n, 4) == (n != -1)
 
     hw12 = subsingular_weight(1, 2)
     s12 = IntermediateSeries.make(hw12.ctx, 0, 0)
     for n in range(-3, 3):
-        lam = lambda_product(hw12, s12, n, 1, 2)
-        assert lam.is_zero() == (n in (-1, 0))
+        assert (elimination_product(n, 1, 2, 0, 0) == 0) == (n in (-1, 0))
         if n - 1 != s12.excluded_index():
             assert cyclicity_check(hw12, s12, n, 4) == (n not in (-1, 0))
 
@@ -360,9 +358,15 @@ _PRIMED = IntermediateSeries.make(_HW.ctx, 1, 0)  # excluded index -1
      "index must be an integer, not 0.5"),
     (lambda: subquotient_free_dims(_HW, _PRIMED, Fraction(1, 2), 2),
      "index must be an integer, not Fraction(3, 2)"),
+    (lambda: subquotient_weight(_HW, _PRIMED, Fraction(1, 2)),
+     "index must be an integer, not Fraction(1, 2)"),
+    (lambda: subquotient_weight(_HW, _PRIMED, True), "index must be an integer, not True"),
+    (lambda: cyclicity_check(_HW, _PRIMED, Fraction(1, 2), 2),
+     "index must be an integer, not Fraction(1, 2)"),
 ], ids=["vacuum-excluded", "layer-excluded", "negative-depth", "target-excluded",
         "twisted-weight", "w22-weight", "nonzero-F", "fraction-index", "bool-index",
-        "float-index", "fraction-layer"])
+        "float-index", "fraction-layer", "fraction-layer-weight", "bool-layer-weight",
+        "fraction-target"])
 def test_refusal_messages(call, message):
     with pytest.raises(ValueError) as info:
         call()
@@ -494,26 +498,71 @@ def test_subquotient_weight_arithmetic():
 
 _LAMBDA_GRID = [(2, 1), (1, 2), (3, 1), (2, 2), (1, 3), (3, 2), (2, 3), (2, 4), (4, 2),
                 (2, 5), (5, 2), (10, 1)]
+# every (p, r) that classify reaches: rp <= 10
+_LAMBDA_PAIRS = [(p, r) for p in range(1, 11) for r in range(1, 11) if r * p <= 10]
 
 
-@pytest.mark.parametrize("alpha,beta", [(Fraction(1, 3), 0), (Fraction(2, 7), 5)],
-                         ids=["a=1/3-b=0", "a=2/7-b=5"])
-@pytest.mark.parametrize("p,r", _LAMBDA_GRID)
-def test_w22_elimination_is_minus_lambda(p, r, alpha, beta):
-    """The twisted certificate's elimination, run unchanged on W(2,2): the
-    subsingular vector applied to v_{rp-1} (x) v in V/J, over Q(n) with
-    alpha shifted by n, leaves -lambda(n) on v_{-1} (x) v, where
-    decide_tensor quotes lambda(n) from the paper's closed form."""
-    ctx = PolyContext(("n",))
-    hw = (HighestWeight.w22(ctx, c=5, h=verma.necessary_h(1, r, Fraction(0)), hW=0) if p == 1
-          else HighestWeight.w22(ctx, c=Fraction(-24, p * p - 1), h=verma.necessary_h(p, r, 1),
-                                 hW=1))
-    M = ModuleContext(hw)
-    rep = verma.classify(M)
+def _lambda_weight(p, r, hW=None):
+    """The weight with u' at level p and a subsingular vector at level rp:
+    hW = 0 (and c = 5) at p = 1, else hW = 1 unless given."""
+    if p == 1:
+        return w22_weight(5, verma.necessary_h(1, r, Fraction(0)), 0)
+    hW = Fraction(1 if hW is None else hW)
+    return w22_weight(-24 * hW / (p * p - 1), verma.necessary_h(p, r, hW), hW)
+
+
+# two series on the grid, two more on its points with rp <= 6, one on the
+# other pairs, and one weight with hW = 2
+_LAMBDA_CASES = (
+    [(p, r, a, b, None) for a, b in [(Fraction(1, 3), 0), (Fraction(2, 7), 5)]
+     for p, r in _LAMBDA_GRID]
+    + [(p, r, a, b, None) for a, b in [(Fraction(1, 2), 1), (Fraction(-5, 4), Fraction(-3, 2))]
+       for p, r in _LAMBDA_GRID if r * p <= 6]
+    + [(p, r, Fraction(1, 3), 0, None) for p, r in _LAMBDA_PAIRS if (p, r) not in _LAMBDA_GRID]
+    + [(3, 2, Fraction(1, 3), Fraction(2, 7), 2)])
+
+
+@pytest.mark.parametrize("p,r,alpha,beta,hW", _LAMBDA_CASES,
+                         ids=[f"{p}-{r}-a={a}-b={b}" + ("" if hW is None else f"-hW={hW}")
+                              for p, r, a, b, hW in _LAMBDA_CASES])
+def test_w22_elimination_is_minus_lambda(p, r, alpha, beta, hW):
+    """The twisted certificate's elimination over Q(n), alpha shifted by n,
+    run on W(2,2): the subsingular vector applied to v_{rp-1} (x) v in V/J
+    leaves -lambda(n) on v_{-1} (x) v, as a polynomial in n, where
+    lambda(n) is the paper's closed form."""
+    hw = _lambda_weight(p, r, hW)
+    rep, space = tensor._indexed(hw, IntermediateSeries.make(hw.ctx, alpha, beta))
     assert (rep.verdict, rep.p, rep.r) == ("UprimeAndSubsingular", p, r)
-    s = IntermediateSeries.make(ctx, ctx.var("n") + alpha, beta)
-    space = TensorSpace(verma.witness_quotient(M, rep), s)
-    assert tensor._eliminate_to_target(space, rep.u, -1) == -lambda_product(hw, s, 0, p, r)
+    lam = tensor._eliminate_to_target(space, rep.u, -1)
+    # degree r and r + 1 values fix the polynomial
+    assert lam.degree_in("n") == r
+    for n in range(r + 1):
+        value = sum(lam.coeff_of("n", k).as_fraction() * n ** k for k in range(r + 1))
+        assert value == -elimination_product(n, p, r, alpha, beta), n
+
+
+@pytest.mark.parametrize("p,r,hW", [(p, r, None) for p, r in _LAMBDA_PAIRS] + [(2, 3, -1)],
+                         ids=[f"{p}-{r}" for p, r in _LAMBDA_PAIRS] + ["2-3-hW=-1"])
+def test_decide_tensor_witness_is_lambda_at_zero(p, r, hW):
+    """decide_tensor eliminates at n = 0 over the series' own field; its
+    witness is the paper's lambda(0) at every (p, r) that classify reaches."""
+    hw = _lambda_weight(p, r, hW)
+    alpha, beta = Fraction(1, 3), Fraction(2, 7)
+    d = decide_tensor(hw, IntermediateSeries.make(hw.ctx, alpha, beta))
+    assert (d.verdict, d.reason, d.p, d.r) == ("Irreducible", "ProductNonzero", p, r)
+    assert d.witness.as_fraction() == elimination_product(0, p, r, alpha, beta)
+
+
+@pytest.mark.parametrize("hw_names,s_names", [((), ("t",)), (("t",), ()), ((), ("n",))])
+def test_decide_tensor_series_field_may_differ(hw_names, s_names):
+    """Numeric weights and series parameters decide alike whatever fields
+    carry them; the witness lives in the series' field, whose parameters
+    may have any names."""
+    hw = HighestWeight.w22(PolyContext(hw_names), c=-8, h=Fraction(9, 4), hW=1)
+    s = IntermediateSeries.make(PolyContext(s_names), Fraction(1, 3), Fraction(2, 7))
+    d = decide_tensor(hw, s)
+    assert (d.verdict, d.p, d.r) == ("Irreducible", 2, 2)
+    assert d.witness.ctx is s.ctx and d.witness.as_fraction() == Fraction(1408, 441)
 
 
 # ---------------------------------------------------------------------------

@@ -172,10 +172,9 @@ def test_u_prime_refused_where_only_the_level_condition_holds():
 def test_levels_below_one_are_refused():
     """At c = 24 hW the level condition holds at p = 0, and at r = 0 the
     subsingular ansatz is the bare highest weight vector, which every
-    raising generator kills; neither names a vector.  The characters,
-    the degeneracy check and the elimination product refuse r = 0 too:
-    their answers there (all zeros, P2(n + p), the empty product 1) would
-    describe no module and certify no step."""
+    raising generator kills; neither names a vector.  The characters and
+    the degeneracy check refuse r = 0 too: their answers there (all zeros,
+    P2(n + p)) would describe no module."""
     ctx = PolyContext(())
     M = ModuleContext(HighestWeight.w22(ctx, c=24, h=0, hW=1))
     with pytest.raises(ValueError, match="p must be a positive integer, not 0"):
@@ -187,10 +186,8 @@ def test_levels_below_one_are_refused():
     with pytest.raises(ValueError, match="r must be a positive integer, not 0"):
         verma.conjecture_scan_point(2, 0)
     hw = HighestWeight.w22(ctx, c=-8, h=verma.necessary_h(2, 0, 1), hW=1)
-    s = tensor.IntermediateSeries.make(ctx, 0, 0)
     for refused in (lambda: verma.char_l(hw, 2, 0, 6), lambda: verma.char_j(hw, 2, 0, 6),
-                    lambda: verma.require_degenerate(hw, 2, 0),
-                    lambda: tensor.lambda_product(hw, s, 0, 2, 0)):
+                    lambda: verma.require_degenerate(hw, 2, 0)):
         with pytest.raises(ValueError, match="r must be a positive integer, not 0"):
             refused()
 
