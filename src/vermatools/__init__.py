@@ -34,7 +34,6 @@ from .verma import (
     conjecture_scan,
     conjecture_scan_point,
     necessary_h,
-    quotient_l,
     quotient_l_prime,
     singular_space,
     subsingular,
@@ -78,7 +77,6 @@ __all__ = [
     "conjecture_scan",
     "conjecture_scan_point",
     "necessary_h",
-    "quotient_l",
     "quotient_l_prime",
     "singular_space",
     "subsingular",

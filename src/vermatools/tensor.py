@@ -24,7 +24,7 @@ from . import linalg
 from .liealg import HV, W22, Generator, check_generator
 from .pbw import HighestWeight, ModuleContext, ModuleVector, PBWMonomial, Vector, _accumulate
 from .scalar import PolyContext, Scalar
-from .verma import classify, hv_find_p, witness_quotient, word_images
+from .verma import classify, hv_find_p, word_images
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +162,9 @@ def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
     the target.  It returns True at the first start whose words put the
     target in the span, which is the answer for the whole range of starts
     since membership only grows; False means the whole truncated span
-    misses the target.  ``quotient`` is "auto", the
-    ``witness_quotient`` of the classification of the highest weight, or
-    "verma", the Verma module itself; any other choice raises ValueError.
+    misses the target.  ``quotient`` is "auto", the ``classify`` report's
+    quotient (V itself when V is irreducible), or "verma", the Verma
+    module itself; any other choice raises ValueError.
     """
     _require_index(n)
     if depth < 0:
@@ -173,7 +173,7 @@ def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
         raise ValueError(f"unknown quotient choice {quotient!r}")
     M = ModuleContext(hw)
     if quotient == "auto":
-        M = witness_quotient(M, classify(M)) or M
+        M = classify(M).quotient or M
     space = TensorSpace(M, s)
     if space.excluded == n - 1:
         raise ValueError("target index is excluded from the primed series")
@@ -198,6 +198,7 @@ def subquotient_free_dims(hw: HighestWeight, s: IntermediateSeries, n: int,
     level is freeness evidence at this truncation.
     """
     space = TensorSpace(ModuleContext(hw), s)
+    _require_index(n, space.excluded)
     dims = {}
     for d in range(1, max_level + 1):
         ech = linalg.Echelon(key=_column_key)
@@ -345,7 +346,7 @@ def decide_tensor(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision:
                          "may also contain the weight (c, h, 0) itself")
         return TensorDecision("Reducible", "IntegralShift", k,
                               notes=tuple(notes), p=p, r=r)
-    witness = -_eliminate_to_target(TensorSpace(witness_quotient(M, rep), s), rep.u, -1)
+    witness = -_eliminate_to_target(TensorSpace(rep.quotient, s), rep.u, -1)
     return TensorDecision("Irreducible", "ProductNonzero", witness,
                           notes=("alpha + (1 - p) beta is not an integer; "
                                  "the elimination product never vanishes",),
@@ -381,14 +382,14 @@ class HVCertificate:
 
 def _indexed(hw: HighestWeight, s: IntermediateSeries) -> tuple:
     """The classify report of hw over the series' field extended by the index n, and the
-    tensor space of the series, alpha shifted by n, with the report's witness quotient."""
+    tensor space of the series, alpha shifted by n, with the report's quotient."""
     if "n" in s.ctx.names:
         raise ValueError("the parameter name 'n' is reserved for the series index")
     ectx = PolyContext(s.ctx.names + ("n",))
     M = ModuleContext(HighestWeight(hw.kind, ectx, hw.weights))
     rep = classify(M)
     s2 = IntermediateSeries.make(ectx, ectx.scalar(s.alpha) + ectx.var("n"), s.beta, s.F)
-    return rep, TensorSpace(witness_quotient(M, rep), s2)
+    return rep, TensorSpace(rep.quotient, s2)
 
 
 def _hv_certificate(hw: HighestWeight, s: IntermediateSeries) -> Scalar:

@@ -325,26 +325,26 @@ def subsingular(M: ModuleContext, p: int, r: int):
     except (ValueError, ZeroDivisionError) as exc:
         _log.debug("subsingular(p=%d, r=%d): u' failed: %s", p, r, exc)
         raise
-    return _subsingular_direct(M, p, r, uprime)
+    return _subsingular_direct(quotient_l_prime(M, p, uprime), p, r)
 
 
-def _subsingular_direct(M: ModuleContext, p: int, r: int, uprime: ModuleVector):
-    """Build the subsingular system and solve it exactly over the
-    coefficient field.
+def _subsingular_direct(Q: QuotientModule, p: int, r: int):
+    """Build the subsingular system in Q = V / J', J' = U(g) u', and solve
+    it exactly over the coefficient field.
 
     The unknowns are the ansatz monomials and the lead L_{-p}^r is the
-    known part; each g.u is taken in the quotient V / J', J' = U(g) u'.
-    The system is consistent exactly at the necessary h.  There the
-    ansatz of L-degree <= r, when smaller, is solved first; an answer
-    with no unknown free solves the full system too (zeros elsewhere), so
-    it is taken.  Every other case, a symbolic h included, is decided on
-    the full ansatz, which refuses an unknown left free.
+    known part; each g.u is taken in Q.  The system is consistent exactly
+    at the necessary h.  There the ansatz of L-degree <= r, when smaller,
+    is solved first; an answer with no unknown free solves the full system
+    too (zeros elsewhere), so it is taken.  Every other case, a symbolic h
+    included, is decided on the full ansatz, which refuses an unknown left
+    free.
     """
     lead = PBWMonomial((), (p,) * r)
-    Q, known, ctx = quotient_l_prime(M, p, uprime), M.vector({lead: 1}), M.scalar_ctx
+    known, ctx = Q.M.vector({lead: 1}), Q.scalar_ctx
     unknowns = [m for m in weight_space_basis(r * p) if Q.basis_pred(m) and m != lead]
     small = [m for m in unknowns if len(m.l) <= r]
-    first = len(small) < len(unknowns) and (M.hw["h"] - necessary_h(p, r, M.hw["hW"])).is_zero()
+    first = len(small) < len(unknowns) and (Q.hw["h"] - necessary_h(p, r, Q.hw["hW"])).is_zero()
     for ansatz in ([small] if first else []) + [unknowns]:
         rows, columns = _raising_system(Q, ansatz, known)
         res = linalg.solve(rows, columns)
@@ -361,7 +361,7 @@ def _subsingular_direct(M: ModuleContext, p: int, r: int, uprime: ModuleVector):
     sol, free = res
     if free:
         raise ValueError(f"subsingular solve underdetermined at p={p}, r={r}: {free}")
-    return M.vector({lead: ctx.one, **sol})
+    return Q.M.vector({lead: ctx.one, **sol})
 
 
 def _certify_subsingular(M: ModuleContext, p: int, u: ModuleVector) -> bool:
@@ -521,6 +521,14 @@ class QuotientModule(ModuleContext):
     def dim(self, level: int) -> int:
         return len(weight_space_basis(level)) - len(self._echelon(level).pivots)
 
+    def extended(self, rel: ModuleVector, basis_pred) -> QuotientModule:
+        """The quotient by one more relation, with basis predicate
+        ``basis_pred``.  Below ``rel.level`` the relations are the same, and
+        the caller's predicate must agree there, so those echelons are kept."""
+        Q = QuotientModule(self.M, self.relations + [rel], basis_pred)
+        Q._ech = {n: ech for n, ech in self._ech.items() if n < rel.level}
+        return Q
+
     def _act_mono_compute(self, g: Generator, mono: PBWMonomial):
         image = self.M._act_mono(g, mono)
         if not image:
@@ -538,32 +546,13 @@ def quotient_l_prime(M: ModuleContext, p: int, uprime: ModuleVector | None = Non
     return QuotientModule(M, [uprime], lambda m: p not in m.w)
 
 
-def quotient_l(M: ModuleContext, p: int, r: int,
-               uprime: ModuleVector, u: ModuleVector) -> QuotientModule:
-    """V / U(g){u', u}: the basis monomials avoid W_{-p} and L_{-p}^r."""
-    return QuotientModule(M, [uprime, u],
-                          lambda m: p not in m.w and m.l.count(p) < r)
-
-
-def witness_quotient(M: ModuleContext, rep: StructureReport) -> QuotientModule | None:
-    """The quotient of the Verma module by the vectors of its classify
-    report: the full irreducible quotient when a subsingular vector
-    exists, the quotient by u' when only u' does, and None for an
-    irreducible Verma module."""
-    if rep.verdict == "VermaIrreducible":
-        return None
-    if rep.verdict == "UprimeAndSubsingular":
-        return quotient_l(M, rep.p, rep.r, rep.u_prime, rep.u)
-    return quotient_l_prime(M, rep.p, rep.u_prime)
-
-
 # ---------------------------------------------------------------------------
 # Classification
 
 
 @dataclass
 class StructureReport:
-    """Outcome of classifying a Verma module's submodule structure."""
+    """Outcome of classifying a Verma module's structure, and the quotient it is read in."""
 
     kind: str
     verdict: str                 # VermaIrreducible | UprimeOnly | UprimeAndSubsingular
@@ -573,6 +562,7 @@ class StructureReport:
     u: ModuleVector | None = None
     case: str | None = None      # HV only: "I" or "L"
     notes: list = field(default_factory=list)
+    quotient: QuotientModule | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -636,15 +626,17 @@ def _classify(M: ModuleContext) -> StructureReport:
             return StructureReport(kind=W22, verdict="VermaIrreducible")
         _check_reach(p)
         uprime = u_prime(M, p)
-        rep = StructureReport(kind=W22, verdict="UprimeOnly", p=p, u_prime=uprime)
+        Q = quotient_l_prime(M, p, uprime)
+        rep = StructureReport(kind=W22, verdict="UprimeOnly", p=p, u_prime=uprime, quotient=Q)
         r_val = recover_r(p, hw)
         r = int(r_val.as_fraction()) if r_val.is_integer() else 0
         if r >= 1:
             _check_reach(p, r)
-            u = _subsingular_direct(M, p, r, uprime)
+            u = _subsingular_direct(Q, p, r)
             if u is not None:
-                return StructureReport(kind=W22, verdict="UprimeAndSubsingular",
-                                       p=p, r=r, u_prime=uprime, u=u)
+                return StructureReport(
+                    kind=W22, verdict="UprimeAndSubsingular", p=p, r=r, u_prime=uprime, u=u,
+                    quotient=Q.extended(u, lambda m: p not in m.w and m.l.count(p) < r))
             rep.notes.append(f"h matches r={r} but no subsingular vector found")
         return rep
     # twisted Heisenberg-Virasoro
@@ -653,7 +645,9 @@ def _classify(M: ModuleContext) -> StructureReport:
         return StructureReport(kind=HV, verdict="VermaIrreducible")
     p, case = found
     _check_reach(p)
-    return StructureReport(kind=HV, verdict="UprimeOnly", p=p, case=case, u_prime=u_prime(M, p))
+    uprime = u_prime(M, p)
+    return StructureReport(kind=HV, verdict="UprimeOnly", p=p, case=case, u_prime=uprime,
+                           quotient=quotient_l_prime(M, p, uprime))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Every `$ vermatools ...` example of README.md prints exactly what the
 README shows under it: its non-blank stdout and stderr lines, in order."""
 
+import ast
+import builtins
 import importlib
 import pkgutil
 import re
@@ -91,3 +93,33 @@ def test_readme_module_references_resolve():
     refs = _module_references()
     assert [".".join((m,) + c) for m, c in refs if not _resolves(m, c)] == []
     assert refs
+
+
+# Backticked names in README.md that are not Python names of the package.
+_NOT_PACKAGE_NAMES = {"I_n", "L_n", "W_n", "wall_s"}
+
+
+def _package_definitions() -> set:
+    """Every name src/vermatools defines: functions, classes, and the
+    names and attributes it assigns."""
+    names = set()
+    for path in Path(vermatools.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+    return names
+
+
+def test_readme_names_are_defined_in_the_package():
+    """Every backticked bare name with an underscore, and the last name of
+    every backticked call, is defined somewhere in the package."""
+    text = README.read_text()
+    bare = {n for n in re.findall(r"`([A-Za-z_]\w*)`", text) if "_" in n}
+    called = {n.rsplit(".", 1)[-1] for n in re.findall(r"`([A-Za-z_][\w.]*)\(", text)}
+    assert bare and called
+    known = _package_definitions() | set(dir(builtins)) | _NOT_PACKAGE_NAMES
+    assert sorted((bare | called) - known) == []

@@ -12,9 +12,9 @@ the PBW basis under the anti-involution that the form is built on.
 
 ``gram_matrix`` uses only the generator action and exact rationals: no
 solver, no QuotientModule and no character formula.  The tests compare
-its rank with the quotient that ``classify`` and ``witness_quotient``
-give, and its determinant with the product formula over the factors that
-``zd_find_p`` and ``hv_find_p`` read.
+its rank with the quotient that a ``classify`` report carries (V / J'
+or V / J), and its determinant with the product formula over the
+factors that ``zd_find_p`` and ``hv_find_p`` read.
 """
 
 import math
@@ -127,7 +127,7 @@ def test_gram_rank_is_the_witness_quotient_dimension(label):
         return
     rep = verma.classify(M)
     assert rep.verdict == verdict
-    quotient = verma.witness_quotient(M, rep)
+    quotient = rep.quotient
     for n in range(LEVELS + 1):
         expected = (len(verma.weight_space_basis(n)) if quotient is None
                     else quotient.dim(n))

@@ -357,7 +357,7 @@ _PRIMED = IntermediateSeries.make(_HW.ctx, 1, 0)  # excluded index -1
     (lambda: TensorSpace(ModuleContext(_HW), _PRIMED).vacuum_at(0.5),
      "index must be an integer, not 0.5"),
     (lambda: subquotient_free_dims(_HW, _PRIMED, Fraction(1, 2), 2),
-     "index must be an integer, not Fraction(3, 2)"),
+     "index must be an integer, not Fraction(1, 2)"),
     (lambda: subquotient_weight(_HW, _PRIMED, Fraction(1, 2)),
      "index must be an integer, not Fraction(1, 2)"),
     (lambda: subquotient_weight(_HW, _PRIMED, True), "index must be an integer, not True"),
@@ -371,6 +371,36 @@ def test_refusal_messages(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n,message", [
+    (True, "index must be an integer, not True"),
+    (Fraction(1, 2), "index must be an integer, not Fraction(1, 2)"),
+    (-1, "index -1 is excluded from the primed series"),
+], ids=["bool", "fraction", "excluded"])
+def test_free_dims_refuses_its_index_before_any_span(monkeypatch, n, message):
+    def no_span(*_args, **_kwargs):
+        raise AssertionError("a span was built before the index was checked")
+    monkeypatch.setattr(tensor, "word_images", no_span)
+    with pytest.raises(ValueError) as info:
+        subquotient_free_dims(_HW, _PRIMED, n, 2)
+    assert str(info.value) == message
+
+
+def test_decide_tensor_builds_each_quotient_echelon_once(monkeypatch):
+    """classify solves u in V / J' and extends that quotient to V / J, so
+    the witness elimination rebuilds no echelon of a relation's words."""
+    calls, word_images = [], verma.word_images
+
+    def recorded(space, degree, start, *args, **kwargs):
+        if isinstance(space, ModuleContext):
+            calls.append((id(start), degree))
+        return word_images(space, degree, start, *args, **kwargs)
+    monkeypatch.setattr(verma, "word_images", recorded)
+    hw = subsingular_weight(2, 3)
+    d = decide_tensor(hw, IntermediateSeries.make(hw.ctx, Fraction(1, 3), Fraction(2, 7)))
+    assert (d.verdict, d.p, d.r) == ("Irreducible", 2, 3)
+    assert calls and len(set(calls)) == len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +432,7 @@ def _dense_cyclic(hw, s, n, depth, quotient):
     every start's word images?"""
     M = ModuleContext(hw)
     if quotient == "auto":
-        M = verma.witness_quotient(M, verma.classify(M)) or M
+        M = verma.classify(M).quotient or M
     space = TensorSpace(M, s)
     rows = [row for k in range(n, n + depth + 1) if k != space.excluded
             for row in verma.word_images(space, k - (n - 1), space.vacuum_at(k)).values()]

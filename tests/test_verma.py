@@ -272,7 +272,7 @@ def test_subsingular_solve_ignores_row_order():
         M = subsingular_module(p, r)
         uprime = verma.u_prime(M, p)
         lead, (rows, columns) = _full_ansatz_system(M, p, r, uprime)
-        expected = verma._subsingular_direct(M, p, r, uprime)
+        expected = verma._subsingular_direct(verma.quotient_l_prime(M, p, uprime), p, r)
         assert expected is not None
         for _ in range(3):
             shuffled = rng.sample(rows, len(rows))
@@ -284,7 +284,8 @@ def test_subsingular_solve_ignores_row_order():
                                h=M.hw["h"] + Fraction(1, 3), hW=M.hw["hW"])
     M_off = ModuleContext(hw_off)
     assert verma.subsingular(M_off, 2, 1) is None
-    assert verma._subsingular_direct(M_off, 2, 1, verma.u_prime(M_off, 2)) is None
+    Q_off = verma.quotient_l_prime(M_off, 2, verma.u_prime(M_off, 2))
+    assert verma._subsingular_direct(Q_off, 2, 1) is None
 
 
 @pytest.mark.parametrize("p,r", FIRST_PASS_POINTS)
@@ -301,14 +302,14 @@ def test_first_pass_gives_the_full_ansatz_vector(monkeypatch, p, r):
     full = M.vector({lead: 1, **sol})
     assert verma.subsingular(M, p, r) == full
     sizes = _solve_sizes(monkeypatch)
-    assert verma._subsingular_direct(M, p, r, uprime) == full
+    assert verma._subsingular_direct(verma.quotient_l_prime(M, p, uprime), p, r) == full
     assert len(sizes) == 1 and (sizes[0] < len(columns)) == (p > 1)
     hw_off = HighestWeight.w22(M.scalar_ctx, c=M.hw["c"],
                                h=M.hw["h"] + Fraction(1, 3), hW=M.hw["hW"])
     M_off = ModuleContext(hw_off)
     uprime_off = verma.u_prime(M_off, p)
     del sizes[:]
-    assert verma._subsingular_direct(M_off, p, r, uprime_off) is None
+    assert verma._subsingular_direct(verma.quotient_l_prime(M_off, p, uprime_off), p, r) is None
     assert sizes == [len(columns)]
 
 
@@ -317,7 +318,7 @@ def test_symbolic_h_solves_the_full_ansatz_only(monkeypatch):
     uprime = verma.u_prime(M, 3)
     _, (_, columns) = _full_ansatz_system(M, 3, 2, uprime)
     sizes = _solve_sizes(monkeypatch)
-    assert verma._subsingular_direct(M, 3, 2, uprime) is None
+    assert verma._subsingular_direct(verma.quotient_l_prime(M, 3, uprime), 3, 2) is None
     assert sizes == [len(columns)]
 
 
@@ -327,7 +328,7 @@ def test_rejected_first_pass_falls_back_to_the_full_ansatz(monkeypatch, caplog, 
     dropped, the full ansatz decides, and the log line says why."""
     M = subsingular_module(3, 2)
     uprime = verma.u_prime(M, 3)
-    expected = verma._subsingular_direct(M, 3, 2, uprime)
+    expected = verma._subsingular_direct(verma.quotient_l_prime(M, 3, uprime), 3, 2)
 
     def reject_first(i, columns, res):
         if i > 1:
@@ -335,7 +336,7 @@ def test_rejected_first_pass_falls_back_to_the_full_ansatz(monkeypatch, caplog, 
         return None if first == "inconsistent" else (res[0], columns[:1])
     sizes = _solve_sizes(monkeypatch, reject_first)
     caplog.set_level(logging.DEBUG, logger="vermatools.verma")
-    assert verma._subsingular_direct(M, 3, 2, uprime) == expected
+    assert verma._subsingular_direct(verma.quotient_l_prime(M, 3, uprime), 3, 2) == expected
     assert sizes == [37, 54]
     [record] = caplog.records
     assert record.getMessage() == (
@@ -348,7 +349,7 @@ def test_full_ansatz_keeps_the_underdetermined_refusal(monkeypatch):
     uprime = verma.u_prime(M, 2)
     _solve_sizes(monkeypatch, lambda i, columns, res: (res[0], columns[:1]))
     with pytest.raises(ValueError, match="subsingular solve underdetermined at p=2, r=2"):
-        verma._subsingular_direct(M, 2, 2, uprime)
+        verma._subsingular_direct(verma.quotient_l_prime(M, 2, uprime), 2, 2)
 
 
 def test_solved_vector_passes_the_certificate():
@@ -502,10 +503,25 @@ def test_quotient_dimensions():
         assert Q.dim(k) == pchar.coeffs[k]
     Msub = subsingular_module(2, 1)
     rep = verma.classify(Msub)
-    Ql = verma.quotient_l(Msub, 2, 1, rep.u_prime, rep.u)
+    Ql = rep.quotient
     lchar = verma.char_l(Msub.hw, 2, 1, 6)
     for k in range(7):
         assert Ql.dim(k) == lchar.coeffs[k]
+
+
+def test_extended_quotient_rebuilds_from_the_new_relation_level():
+    """V / J' extended by u keeps the V / J' echelons below level rp = 4
+    only; from level 4 up both quotients have their own dimensions."""
+    M = subsingular_module(2, 2)
+    uprime = verma.u_prime(M, 2)
+    Q = verma.quotient_l_prime(M, 2, uprime)
+    assert (Q.dim(4), Q.dim(5)) == tuple(verma.char_l_prime(M.hw, 2, 5).coeffs[4:])
+    u = verma.subsingular(M, 2, 2)
+    QJ = Q.extended(u, lambda m: 2 not in m.w and m.l.count(2) < 2)
+    lchar, pchar = verma.char_l(M.hw, 2, 2, 6), verma.char_l_prime(M.hw, 2, 6)
+    for n in range(7):
+        assert QJ.dim(n) == lchar.coeffs[n]
+        assert Q.dim(n) == pchar.coeffs[n]
 
 
 
@@ -550,11 +566,11 @@ def _quotients_for_representation_check():
     yield verma.quotient_l_prime(M, 2), W
     rep = verma.classify(M)
     assert (rep.p, rep.r) == (2, 2)
-    yield verma.quotient_l(M, 2, 2, rep.u_prime, rep.u), W
+    yield rep.quotient, W
     Mhv = ModuleContext(HighestWeight.hv(ctx, cL=1, cLI=1, h=3, hI=-1, cI=0))
     rep = verma.classify(Mhv)
     assert rep.case == "L"
-    yield verma.witness_quotient(Mhv, rep), I
+    yield rep.quotient, I
     yield verma.quotient_l_prime(twisted_case_l_module(3, False), 3), I
 
 
@@ -695,7 +711,7 @@ def test_quotient_l_solves_u_prime_once(monkeypatch):
 
     monkeypatch.setattr(verma, "u_prime", counted)
     M = subsingular_module(2, 1)
-    Q = verma.witness_quotient(M, verma.classify(M))
+    Q = verma.classify(M).quotient
     assert calls == [2]
     assert Q.dim(2) == verma.pair_partition_count(2) - 2
 
@@ -703,7 +719,7 @@ def test_quotient_l_solves_u_prime_once(monkeypatch):
 def test_classify_without_a_subsingular_vector_at_its_h(monkeypatch):
     """When h matches r but the solve finds no subsingular vector, the
     verdict is UprimeOnly with a note, and the tensor product is reducible."""
-    monkeypatch.setattr(verma, "_subsingular_direct", lambda M, p, r, uprime: None)
+    monkeypatch.setattr(verma, "_subsingular_direct", lambda Q, p, r: None)
     hw = HighestWeight.w22(PolyContext(()), c=-8, h=Fraction(13, 4), hW=1)
     rep = verma.classify(ModuleContext(hw))
     assert (rep.verdict, rep.p, rep.notes) == (
