@@ -24,7 +24,7 @@ from . import linalg
 from .liealg import HV, W22, Generator, check_generator
 from .pbw import HighestWeight, ModuleContext, ModuleVector, PBWMonomial, Vector, _accumulate
 from .scalar import PolyContext, Scalar
-from .verma import classify, hv_find_p, word_images
+from .verma import WordWalker, classify, hv_find_p, word_images
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +105,16 @@ def _column_key(col):
     return (-m, mono.sort_key())
 
 
+def _distinct_leads(leads: set, rows: list) -> bool:
+    """Add the leading columns of ``rows`` (least under _column_key) to
+    ``leads``; whether they stay pairwise distinct, which proves the rows,
+    and a target whose column is in ``leads``, independent: in a vanishing
+    combination the row of the least lead is alone in its column."""
+    before = len(leads)
+    leads.update(min(row, key=_column_key) for row in rows)
+    return len(leads) == before + len(rows)
+
+
 class TensorSpace:
     """The tensor product (intermediate series) (x) M.
 
@@ -159,12 +169,16 @@ def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
 
     The span is built from all lowering words applied to v_k (x) v for
     k in [n, n + depth], each word of the degree matching the weight of
-    the target.  It returns True at the first start whose words put the
-    target in the span, which is the answer for the whole range of starts
-    since membership only grows; False means the whole truncated span
-    misses the target.  ``quotient`` is "auto", the ``classify`` report's
-    quotient (V itself when V is irreducible), or "verma", the Verma
-    module itself; any other choice raises ValueError.
+    the target.  While the rows and the target have distinct leading
+    columns, the target is outside the span; from the first collision on,
+    the rows are eliminated, and it returns True at the first start whose
+    words put the target in the span, which is the answer for the whole
+    range of starts since membership only grows.  False means the whole
+    truncated span misses the target.  ``quotient`` is "auto", the
+    ``classify`` report's quotient (V itself when V is irreducible), or
+    "verma", the Verma module itself, where the answer is always False: a
+    word X on v_k (x) v has top component v_k (x) X.v, so no leads
+    collide.  Any other choice raises ValueError.
     """
     _require_index(n)
     if depth < 0:
@@ -177,11 +191,17 @@ def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
     space = TensorSpace(M, s)
     if space.excluded == n - 1:
         raise ValueError("target index is excluded from the primed series")
-    ech = linalg.Echelon(key=_column_key)
     target = {(n - 1, PBWMonomial.make()): M.scalar_ctx.one}
+    rows, leads, ech = [], set(target), None
     for k in range(n, n + depth + 1):
         if k != space.excluded:
-            ech.extend(word_images(space, k - (n - 1), space.vacuum_at(k)).values())
+            new = list(word_images(space, k - (n - 1), space.vacuum_at(k)).values())
+            if ech is None:
+                rows += new
+                if _distinct_leads(leads, new):
+                    continue
+                ech, new = linalg.Echelon(key=_column_key), rows
+            ech.extend(new)
             if ech.contains(target):
                 return True
     return False
@@ -194,20 +214,21 @@ def subquotient_free_dims(hw: HighestWeight, s: IntermediateSeries, n: int,
     U_k is the submodule generated by v_k (x) v.  For each degree d up
     to max_level, counts how many new directions the degree-d words on
     v_n (x) v add beyond the span of words on v_k (x) v for
-    k in (n, n + 2].  A count of pair_partition_count(d) at every
-    level is freeness evidence at this truncation.
+    k in (n, n + 2], each start walked once.  V is the Verma module: the
+    word X on v_k (x) v has top component v_k (x) X.v, so the rows' leads
+    are distinct and the count is P2(d) at every truncation.  That exact
+    check is its evidence, not freeness of the layer; a collision raises.
     """
     space = TensorSpace(ModuleContext(hw), s)
     _require_index(n, space.excluded)
+    walkers = {k: WordWalker(space, space.vacuum_at(k)) for k in (n, n + 1, n + 2)
+               if k != space.excluded}
     dims = {}
     for d in range(1, max_level + 1):
-        ech = linalg.Echelon(key=_column_key)
-        for k in (n + 1, n + 2):
-            if k != space.excluded:
-                ech.extend(word_images(space, d + (k - n), space.vacuum_at(k)).values())
-        before = len(ech)
-        ech.extend(word_images(space, d, space.vacuum_at(n)).values())
-        dims[d] = len(ech) - before
+        rows = {k: list(w.images(d + k - n).values()) for k, w in walkers.items()}
+        if not _distinct_leads(set(), sum(rows.values(), [])):
+            raise ValueError(f"word images collide in their leading columns at degree {d}")
+        dims[d] = len(rows[n])
     return dims
 
 

@@ -86,46 +86,45 @@ def weight_space_basis(level: int) -> tuple:
     return tuple(monos)
 
 
-def word_images(space, degree: int, start, words=None) -> dict:
-    """Nonzero images, as term dicts keyed by word, of every PBW word of the
-    given degree (none when it is negative), or of those in ``words``,
-    applied to ``start``, in weight_space_basis(degree) order; ``space`` is
-    a ModuleContext or a TensorSpace.
+class WordWalker:
+    """The images of PBW words applied to one start vector, kept by word
+    across degrees; ``space`` is a ModuleContext or a TensorSpace.
 
     The image of a word X r, with X its leftmost factor, is
-    ``space.act(X, image of r)``, so each word costs one action.  The
-    suffixes r are walked depth first; a branch stops at a zero image, at a
-    suffix of no word in ``words``, or where no word of the degree extends
-    it (a leftmost W mode k leaves 0 or at least k to go).
+    ``space.act(X, image of r)``: a word with a nonzero suffix image costs
+    one action, once, whatever degrees or words are asked for later.
     """
-    if degree < 0 or start.is_zero():
-        return {}
-    if words is not None:
-        keep = {PBWMonomial(m.w[i:], m.l) for m in words for i in range(len(m.w) + 1)}
-        keep |= {PBWMonomial((), m.l[i:]) for m in words for i in range(len(m.l) + 1)}
-    fam = second_family(space.kind)
-    images = {}
-    stack = [(0, EMPTY, None, start)]
-    while stack:
-        level, mono, g, vec = stack.pop()
-        if words is not None and mono not in keep:
-            continue
-        if g is not None:
-            vec = space.act(g, vec)
-            if vec.is_zero():
-                continue
-        rest = degree - level
-        if not rest:
-            images[mono] = vec.terms
-            continue
-        w, l = mono.w, mono.l
-        for k in range(w[0] if w else 1, rest + 1):
-            if k == rest or 2 * k <= rest:
-                stack.append((level + k, PBWMonomial((k,) + w, l), Generator(fam, -k), vec))
-        if not w:
-            for n in range(l[0] if l else 1, rest + 1):
-                stack.append((level + n, PBWMonomial((), (n,) + l), Generator("L", -n), vec))
-    return {m: images[m] for m in weight_space_basis(degree) if m in images}
+
+    def __init__(self, space, start):
+        self.space, self.start = space, start
+        self._family = second_family(space.kind)
+        self._images = {EMPTY: start}
+
+    def image(self, mono: PBWMonomial):
+        """The image of one word, as a vector of ``space``."""
+        vec = self._images.get(mono)
+        if vec is None:
+            w, l = mono
+            g, rest = ((Generator(self._family, -w[0]), PBWMonomial(w[1:], l)) if w
+                       else (Generator("L", -l[0]), PBWMonomial((), l[1:])))
+            vec = self.image(rest)
+            if not vec.is_zero():
+                vec = self.space.act(g, vec)
+            self._images[mono] = vec
+        return vec
+
+    def images(self, degree: int, words=None) -> dict:
+        """Nonzero images, as term dicts keyed by word, of every PBW word of
+        the given degree (none when it is negative), or of those in
+        ``words``, in weight_space_basis(degree) order."""
+        return {m: vec.terms for m in weight_space_basis(degree)
+                if (words is None or m in words) and not (vec := self.image(m)).is_zero()}
+
+
+def word_images(space, degree: int, start, words=None) -> dict:
+    """``WordWalker(space, start).images(degree, words)``: the images of one
+    degree's words, for a caller that walks ``start`` once."""
+    return WordWalker(space, start).images(degree, words)
 
 
 def pure_w_basis(level: int) -> list:
@@ -488,7 +487,7 @@ class QuotientModule(ModuleContext):
     def __init__(self, M: ModuleContext, relations: list, basis_pred):
         super().__init__(M.hw)
         self.M = M
-        self.relations = list(relations)
+        self._walkers = [WordWalker(M, rel) for rel in relations]
         self.basis_pred = basis_pred
         self._ech: dict[int, linalg.Echelon] = {}
 
@@ -499,9 +498,9 @@ class QuotientModule(ModuleContext):
         priority = {m: (bool(self.basis_pred(m)), i)
                     for i, m in enumerate(weight_space_basis(level))}
         ech = linalg.Echelon(key=lambda m: priority[m])
-        for rel in self.relations:
-            if rel.level is not None:
-                ech.extend(word_images(self.M, level - rel.level, rel).values())
+        for walker in self._walkers:
+            if walker.start.level is not None:
+                ech.extend(walker.images(level - walker.start.level).values())
         nonbasis = {m for m, (in_basis, _) in priority.items() if not in_basis}
         if ech.pivots.keys() != nonbasis:
             raise ValueError(
@@ -524,8 +523,10 @@ class QuotientModule(ModuleContext):
     def extended(self, rel: ModuleVector, basis_pred) -> QuotientModule:
         """The quotient by one more relation, with basis predicate
         ``basis_pred``.  Below ``rel.level`` the relations are the same, and
-        the caller's predicate must agree there, so those echelons are kept."""
-        Q = QuotientModule(self.M, self.relations + [rel], basis_pred)
+        the caller's predicate must agree there, so those echelons are kept,
+        and so are the relations' walkers with the word images they hold."""
+        Q = QuotientModule(self.M, [rel], basis_pred)
+        Q._walkers[:0] = self._walkers
         Q._ech = {n: ech for n, ech in self._ech.items() if n < rel.level}
         return Q
 

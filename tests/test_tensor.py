@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import elimination_product
-from vermatools import tensor, verma
+from vermatools import linalg, tensor, verma
 from vermatools.liealg import HV, W22, I, L, W
 from vermatools.pbw import HighestWeight, ModuleContext, PBWMonomial, Vector
 from vermatools.scalar import PolyContext
@@ -319,11 +319,18 @@ def test_cyclicity_rejects_unknown_quotient_choice():
             cyclicity_check(hw, s, 0, 2, quotient=choice)
 
 
-def test_layer_dimensions_match_free_modules():
+def test_layer_dimensions_match_free_modules(monkeypatch):
+    """On the Verma module the leads prove each count P2(d) with no
+    echelon; leads that collide raise, naming the degree."""
+    eliminations = _tensor_eliminations(monkeypatch)
     hw = subsingular_weight(2, 1)
     s = IntermediateSeries.make(hw.ctx, Fraction(1, 2), 0)
-    dims = subquotient_free_dims(hw, s, 0, 3)
-    assert dims == {1: 2, 2: 5, 3: 10}
+    dims = subquotient_free_dims(hw, s, 0, 5)
+    assert dims == {1: 2, 2: 5, 3: 10, 4: 20, 5: 36} and not eliminations
+    # lowest index first: the rows lead with components below their tops
+    monkeypatch.setattr(tensor, "_column_key", lambda col: (col[0], col[1].sort_key()))
+    with pytest.raises(ValueError, match="at degree 1$"):
+        subquotient_free_dims(hw, s, 0, 2)
 
 
 def test_cyclicity_rejects_excluded_target():
@@ -381,26 +388,27 @@ def test_refusal_messages(call, message):
 def test_free_dims_refuses_its_index_before_any_span(monkeypatch, n, message):
     def no_span(*_args, **_kwargs):
         raise AssertionError("a span was built before the index was checked")
-    monkeypatch.setattr(tensor, "word_images", no_span)
+    monkeypatch.setattr(tensor, "WordWalker", no_span)
     with pytest.raises(ValueError) as info:
         subquotient_free_dims(_HW, _PRIMED, n, 2)
     assert str(info.value) == message
 
 
 def test_decide_tensor_builds_each_quotient_echelon_once(monkeypatch):
-    """classify solves u in V / J' and extends that quotient to V / J, so
-    the witness elimination rebuilds no echelon of a relation's words."""
-    calls, word_images = [], verma.word_images
+    """classify solves u in V / J' and extends that quotient to V / J with
+    V / J''s walkers, so the witness elimination computes no word image of
+    a relation that the subsingular solve computed."""
+    computed, image = [], verma.WordWalker.image
 
-    def recorded(space, degree, start, *args, **kwargs):
-        if isinstance(space, ModuleContext):
-            calls.append((id(start), degree))
-        return word_images(space, degree, start, *args, **kwargs)
-    monkeypatch.setattr(verma, "word_images", recorded)
+    def recorded(walker, mono):
+        if isinstance(walker.space, ModuleContext) and mono not in walker._images:
+            computed.append((id(walker.start), mono))
+        return image(walker, mono)
+    monkeypatch.setattr(verma.WordWalker, "image", recorded)
     hw = subsingular_weight(2, 3)
     d = decide_tensor(hw, IntermediateSeries.make(hw.ctx, Fraction(1, 3), Fraction(2, 7)))
     assert (d.verdict, d.p, d.r) == ("Irreducible", 2, 3)
-    assert calls and len(set(calls)) == len(calls)
+    assert computed and len(set(computed)) == len(computed)
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +470,30 @@ ORACLE_SERIES = [(a, b) for a in (Fraction(0), Fraction(1, 2), Fraction(1, 3))
                  for b in (Fraction(0), Fraction(1, 2), Fraction(1))]
 
 
+def _tensor_eliminations(monkeypatch) -> list:
+    """Record each echelon that a tensor span builds (the ones pivoting by
+    tensor._column_key) in the returned list."""
+    built = []
+
+    class Recording(linalg.Echelon):
+        def __init__(self, key=None):
+            if key is tensor._column_key:
+                built.append(key)
+            super().__init__(key)
+    monkeypatch.setattr(linalg, "Echelon", Recording)
+    return built
+
+
 @pytest.mark.parametrize("name", ORACLE_WEIGHTS)
-def test_cyclicity_matches_dense_elimination(name):
+def test_cyclicity_matches_dense_elimination(name, monkeypatch):
     """Every (alpha, beta), n in [-3, 2] and both quotients, at depths 0-4
-    in turn, against the whole span eliminated densely."""
+    in turn, against the whole span eliminated densely.  On the Verma
+    module ("verma", or "auto" at "irr") the leading columns prove every
+    answer False with no elimination; "auto" at a reducible weight takes
+    both paths, the leads alone and the elimination after a collision."""
     hw = ORACLE_WEIGHTS[name]
-    answers = set()
+    eliminations = _tensor_eliminations(monkeypatch)
+    answers, eliminated = set(), set()
     for i, (a, b) in enumerate(ORACLE_SERIES):
         s = IntermediateSeries.make(hw.ctx, a, b)
         for n in range(-3, 3):
@@ -476,9 +502,35 @@ def test_cyclicity_matches_dense_elimination(name):
             for quotient in ("auto", "verma"):
                 depth = (i + n) % 5
                 want = _dense_cyclic(hw, s, n, depth, quotient)
+                before = len(eliminations)
                 assert cyclicity_check(hw, s, n, depth, quotient) == want, (a, b, n, quotient)
                 answers.add(want)
+                if quotient == "verma" or name == "irr":
+                    assert (want, len(eliminations)) == (False, before)
+                else:
+                    eliminated.add(len(eliminations) > before)
     assert answers == {True, False} or name == "irr"
+    assert eliminated == (set() if name == "irr" else {True, False})
+
+
+def test_distinct_leads_certify_independence():
+    """Leading columns, each row's least under _column_key, that are
+    pairwise distinct prove the rows independent; rows whose leads
+    collide, with each other or with the target's, prove nothing."""
+    one = PolyContext(()).one
+    a, b, c = ((k, PBWMonomial.make()) for k in (2, 1, 0))
+    assert tensor._column_key(a) < tensor._column_key(b) < tensor._column_key(c)
+    rows = [{a: one, b: one}, {b: one, c: one}]
+    leads = set()
+    assert tensor._distinct_leads(leads, rows) and leads == {a, b}
+    assert _dense_rank(rows) == 2
+    # independent rows whose trailing columns differ, but not their leads
+    assert not tensor._distinct_leads(set(), [{a: one, b: one}, {a: one, c: one}])
+    # the target c stays outside the span of a row that does not lead with c ...
+    assert tensor._distinct_leads({c}, [{b: one, c: one}])
+    assert _dense_rank([{b: one, c: one}, {c: one}]) == 2
+    # ... and is not certified against a row that leads with it
+    assert not tensor._distinct_leads({c}, [{b: one, c: one}, {c: one + one}])
 
 
 @pytest.mark.parametrize("name", ORACLE_WEIGHTS)
@@ -507,7 +559,7 @@ def test_cyclicity_stops_at_its_first_proof(monkeypatch):
     monkeypatch.setattr(tensor, "word_images", counting)
     depth = 8
     assert cyclicity_check(hw, s, 0, depth)
-    assert len(starts) < depth + 1
+    assert 0 < len(starts) < depth + 1
 
 
 def test_subquotient_weight_arithmetic():
