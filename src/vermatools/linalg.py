@@ -56,9 +56,6 @@ class Echelon:
         self.pivots: dict = {}
         self._seen: set = set()
 
-    def __len__(self):
-        return len(self.pivots)
-
     def reduce(self, row: dict) -> dict:
         """Fully reduce a row against the stored pivots (returns a new dict)."""
         row = {c: v for c, v in row.items() if not v.is_zero()}

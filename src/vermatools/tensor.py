@@ -24,7 +24,7 @@ from . import linalg
 from .liealg import HV, W22, Generator, check_generator
 from .pbw import HighestWeight, ModuleContext, ModuleVector, PBWMonomial, Vector, _accumulate
 from .scalar import PolyContext, Scalar
-from .verma import WordWalker, classify, hv_find_p, word_images
+from .verma import WordWalker, classify, hv_find_p
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +195,7 @@ def cyclicity_check(hw: HighestWeight, s: IntermediateSeries, n: int,
     rows, leads, ech = [], set(target), None
     for k in range(n, n + depth + 1):
         if k != space.excluded:
-            new = list(word_images(space, k - (n - 1), space.vacuum_at(k)).values())
+            new = list(WordWalker(space, space.vacuum_at(k)).images(k - (n - 1)).values())
             if ech is None:
                 rows += new
                 if _distinct_leads(leads, new):
@@ -281,21 +281,21 @@ def _eliminate_to_target(space: TensorSpace, u: ModuleVector, target_index: int)
     the level of a relation of the quotient (r >= 2).  The multiple of the
     bare target vector left is unique unless an intermediate image reaches
     the bare target; that case raises, as does a remainder away from it.
+
+    The target needs no pivot key of its own: a degree-(k - target) word on
+    v_k (x) v reaches the target index only on the empty monomial, so the bare
+    target is the one column of the lowest index, which _column_key pivots last.
     """
     top = target_index + u.level
     tgt = (target_index, PBWMonomial.make())
-
-    def key(col):
-        return (1 if col == tgt else 0,) + _column_key(col)
-
-    ech = linalg.Echelon(key=key)
+    ech = linalg.Echelon(key=_column_key)
     for k in range(target_index + 1, top):
-        ech.extend(word_images(space, k - target_index, space.vacuum_at(k)).values())
+        ech.extend(WordWalker(space, space.vacuum_at(k)).images(k - target_index).values())
     if tgt in ech.pivots:
         raise ValueError("degenerate elimination: an intermediate word "
                          "reduced to the bare target vector")
-    images = word_images(space, u.level, space.vacuum_at(top), u.terms)
-    T = sum((Vector(space, x).scaled(u.terms[m]) for m, x in images.items()), space.zero())
+    walker = WordWalker(space, space.vacuum_at(top))
+    T = sum((walker.image(m).scaled(c) for m, c in u.terms.items()), space.zero())
     rem = ech.reduce(T.terms)
     if set(rem) - {tgt}:
         raise ValueError("degenerate elimination: the reduction left "

@@ -113,18 +113,11 @@ class WordWalker:
             self._images[mono] = vec
         return vec
 
-    def images(self, degree: int, words=None) -> dict:
+    def images(self, degree: int) -> dict:
         """Nonzero images, as term dicts keyed by word, of every PBW word of
-        the given degree (none when it is negative), or of those in
-        ``words``, in weight_space_basis(degree) order."""
+        the given degree (none when it is negative), in basis order."""
         return {m: vec.terms for m in weight_space_basis(degree)
-                if (words is None or m in words) and not (vec := self.image(m)).is_zero()}
-
-
-def word_images(space, degree: int, start, words=None) -> dict:
-    """``WordWalker(space, start).images(degree, words)``: the images of one
-    degree's words, for a caller that walks ``start`` once."""
-    return WordWalker(space, start).images(degree, words)
+                if not (vec := self.image(m)).is_zero()}
 
 
 def pure_w_basis(level: int) -> list:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import prod
 
 from vermatools import linalg
-from vermatools.verma import weight_space_basis, word_images
+from vermatools.verma import WordWalker, weight_space_basis
 
 
 def j_prime_echelon(M, p, level, uprime):
@@ -23,7 +23,7 @@ def j_prime_echelon(M, p, level, uprime):
     in basis order; empty below level p."""
     order = {m: i for i, m in enumerate(weight_space_basis(level))}
     ech = linalg.Echelon(key=order.__getitem__)
-    ech.extend(word_images(M, level - p, uprime).values())
+    ech.extend(WordWalker(M, uprime).images(level - p).values())
     return ech
 
 

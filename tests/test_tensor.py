@@ -228,18 +228,21 @@ def _word_image_case(label):
                                    "tensor quotient", "tensor primed"])
 def test_word_images_match_factor_by_factor_loop(label):
     space, start = _word_image_case(label)
+    walker = verma.WordWalker(space, start)
     for degree in range(7):
         expected = _word_images_by_loop(space, degree, start)
-        assert list(verma.word_images(space, degree, start).items()) == list(expected.items())
+        assert list(walker.images(degree).items()) == list(expected.items())
         if label == "tensor quotient" and degree:
             assert len(expected) < len(verma.weight_space_basis(degree))
-        # a subset of the words: their images, and only theirs
+        # a subset of the words, each asked of a fresh walker: their images, and only theirs
         words = set(verma.weight_space_basis(degree)[degree % 3::3])
         chosen = _word_images_by_loop(space, degree, start, words)
-        assert list(verma.word_images(space, degree, start, words).items()) == list(
-            chosen.items()), degree
-    assert verma.word_images(space, -1, start) == {}
-    assert verma.word_images(space, 3, space.zero()) == {}
+        fresh = verma.WordWalker(space, start)
+        images = {m: vec.terms for m in verma.weight_space_basis(degree)
+                  if m in words and not (vec := fresh.image(m)).is_zero()}
+        assert list(images.items()) == list(chosen.items()), degree
+    assert walker.images(-1) == {}
+    assert verma.WordWalker(space, space.zero()).images(3) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +446,7 @@ def _dense_cyclic(hw, s, n, depth, quotient):
         M = verma.classify(M).quotient or M
     space = TensorSpace(M, s)
     rows = [row for k in range(n, n + depth + 1) if k != space.excluded
-            for row in verma.word_images(space, k - (n - 1), space.vacuum_at(k)).values()]
+            for row in verma.WordWalker(space, space.vacuum_at(k)).images(k - (n - 1)).values()]
     target = {(n - 1, PBWMonomial.make()): M.scalar_ctx.one}
     return _dense_rank(rows + [target]) == _dense_rank(rows)
 
@@ -455,8 +458,8 @@ def _dense_free_dims(hw, s, n, max_level):
     dims = {}
     for d in range(1, max_level + 1):
         higher = [row for k in (n + 1, n + 2) if k != space.excluded
-                  for row in verma.word_images(space, d + k - n, space.vacuum_at(k)).values()]
-        own = list(verma.word_images(space, d, space.vacuum_at(n)).values())
+                  for row in verma.WordWalker(space, space.vacuum_at(k)).images(d + k - n).values()]
+        own = list(verma.WordWalker(space, space.vacuum_at(n)).images(d).values())
         dims[d] = _dense_rank(higher + own) - _dense_rank(higher)
     return dims
 
@@ -552,11 +555,12 @@ def test_cyclicity_stops_at_its_first_proof(monkeypatch):
     s = IntermediateSeries.make(hw.ctx, Fraction(1, 3), 0)
     starts = []
 
-    def counting(space, degree, start):
-        starts.append(degree)
-        return verma.word_images(space, degree, start)
+    class Counting(verma.WordWalker):
+        def images(self, degree):
+            starts.append(degree)
+            return super().images(degree)
 
-    monkeypatch.setattr(tensor, "word_images", counting)
+    monkeypatch.setattr(tensor, "WordWalker", Counting)
     depth = 8
     assert cyclicity_check(hw, s, 0, depth)
     assert 0 < len(starts) < depth + 1
@@ -621,6 +625,26 @@ def test_w22_elimination_is_minus_lambda(p, r, alpha, beta, hW):
     for n in range(r + 1):
         value = sum(lam.coeff_of("n", k).as_fraction() * n ** k for k in range(r + 1))
         assert value == -elimination_product(n, p, r, alpha, beta), n
+
+
+@pytest.mark.parametrize("p,r", _LAMBDA_PAIRS, ids=[f"{p}-{r}" for p, r in _LAMBDA_PAIRS])
+def test_w22_certificate_is_lambda_as_an_identity(p, r):
+    """Over Q(hW, a, b), or Q(c, a, b) at p = 1 where hW = 0, with the series
+    (a, b): the witness elimination leaves exactly the paper's lambda(0), as a
+    rational function.  The index only shifts a, so this is lambda(n) too."""
+    if p == 1:
+        ctx = PolyContext(("c", "a", "b"))
+        hw = HighestWeight.w22(ctx, c=ctx.var("c"), h=verma.necessary_h(1, r, Fraction(0)), hW=0)
+    else:
+        ctx = PolyContext(("hW", "a", "b"))
+        hW = ctx.var("hW")
+        hw = HighestWeight.w22(ctx, c=hW * Fraction(-24, p * p - 1),
+                               h=verma.necessary_h(p, r, hW), hW=hW)
+    rep = verma.classify(ModuleContext(hw))
+    assert (rep.verdict, rep.p, rep.r) == ("UprimeAndSubsingular", p, r)
+    a, b = ctx.var("a"), ctx.var("b")
+    space = TensorSpace(rep.quotient, IntermediateSeries.make(ctx, a, b))
+    assert -tensor._eliminate_to_target(space, rep.u, -1) == elimination_product(0, p, r, a, b)
 
 
 @pytest.mark.parametrize("p,r,hW", [(p, r, None) for p, r in _LAMBDA_PAIRS] + [(2, 3, -1)],
@@ -753,30 +777,40 @@ def test_certificate_refusals():
 
 
 def test_certificate_walks_only_the_suffixes_of_u_prime(monkeypatch):
-    """Applying u' costs at most one action per distinct nonempty suffix
-    of its words, not one per word of its degree."""
-    calls, walks = [], []
+    """Applying u' asks the walker on v_top (x) v for u''s words only, and
+    costs at most one action per distinct nonempty suffix of them, not one
+    per word of its degree."""
+    calls, walkers = [], []
     act = TensorSpace.act
 
     def counting_act(space, g, x):
         calls.append(g)
         return act(space, g, x)
 
-    def walk(space, degree, start, words=None):
-        before = len(calls)
-        out = verma.word_images(space, degree, start, words)
-        if words is not None:
-            walks.append((list(words), len(calls) - before))
-        return out
+    class Recording(verma.WordWalker):
+        """Records the degree-8 words asked of it, and the actions made
+        from its creation on."""
+        def __init__(self, space, start):
+            super().__init__(space, start)
+            self.asked, self.acts_before = set(), len(calls)
+            walkers.append(self)
+
+        def image(self, mono):
+            if mono.level == 8:
+                self.asked.add(mono)
+            return super().image(mono)
 
     monkeypatch.setattr(TensorSpace, "act", counting_act)
-    monkeypatch.setattr(tensor, "word_images", walk)
+    monkeypatch.setattr(tensor, "WordWalker", Recording)
     hw = hv_weight(1, 1, 3, 1 + 8)
     cert = hv_decision_polynomials(hw, IntermediateSeries.make(hw.ctx, Fraction(1, 3), 0, F=1), 8)
     assert cert.case == "I"
-    [(words, count)] = walks
+    # the walker on v_top (x) v, top = target + 8, is made last
+    top = walkers[-1]
+    words = set(verma.u_prime(ModuleContext(hw), 8).terms)
+    assert top.asked == words
     suffixes = {m.as_word(HV)[i:] for m in words for i in range(len(m.as_word(HV)))}
-    assert 0 < count <= len(suffixes)
+    assert 0 < len(calls) - top.acts_before <= len(suffixes)
 
 
 def test_certificate_beyond_budget_is_refused():
