@@ -49,10 +49,10 @@ def _subtract(row: dict, coeff, prow: dict, piv) -> None:
 
 
 class Echelon:
-    """Incrementally built reduced row echelon form."""
+    """Incrementally built reduced row echelon form, pivoting by ``key``."""
 
-    def __init__(self, key=None):
-        self._key = key if key is not None else lambda c: c
+    def __init__(self, key):
+        self._key = key
         self.pivots: dict = {}
         self._seen: set = set()
 

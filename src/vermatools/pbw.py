@@ -46,6 +46,12 @@ class PBWMonomial(NamedTuple):
     def sort_key(self):
         return (self.l, self.w)
 
+    def split(self, family: str) -> tuple[Generator, "PBWMonomial"]:
+        """(leftmost factor, rest) of a nonempty monomial; ``family`` modes stand first."""
+        if self.w:
+            return Generator(family, -self.w[0]), PBWMonomial(self.w[1:], self.l)
+        return Generator("L", -self.l[0]), PBWMonomial((), self.l[1:])
+
     def as_word(self, kind: str) -> tuple[Generator, ...]:
         """The monomial as a product of lowering generators, left to right."""
         fam = second_family(kind)
@@ -257,12 +263,7 @@ class ModuleContext:
         ):
             return ((PBWMonomial.make((), (-g.mode,) + mono.l), one),)
         # general case: peel the leftmost factor A and recurse on the rest
-        if mono.w:
-            a = Generator(self.current, -mono.w[0])
-            rest = PBWMonomial(mono.w[1:], mono.l)
-        else:
-            a = Generator("L", -mono.l[0])
-            rest = PBWMonomial(mono.w, mono.l[1:])
+        a, rest = mono.split(self.current)
         acc: dict = {}
         for m1, c1 in self._act_mono(g, rest):
             for m2, c2 in self._act_mono(a, m1):

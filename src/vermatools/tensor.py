@@ -382,11 +382,11 @@ def decide_tensor(hw: HighestWeight, s: IntermediateSeries) -> TensorDecision:
 class HVCertificate:
     """Elimination certificate polynomials with F kept formal.
 
-    Case "I" (hI/cLI = 1 + p): applying the pure-I singular vector to
-    v_{n+p-1} (x) v and eliminating intermediate indices leaves
-    F s(F) v_{n-1} (x) v.  Case "L" (hI/cLI = 1 - p): the same procedure
-    on v_{n+p} (x) v leaves (q(F) n + r(F)) v_n (x) v.  Case I is the
-    q = 0 form of that certificate, with r(F) = F s(F).  The polynomials
+    Applying the singular vector u' to v_{n+p} (x) v and eliminating the
+    intermediate indices leaves (q(F) n + r(F)) v_n (x) v in case "L"
+    (hI/cLI = 1 - p) and F s(F) v_n (x) v, free of n, in case "I"
+    (hI/cLI = 1 + p, u' pure I).  Case I is the q = 0 form of that
+    certificate, with r(F) = F s(F).  The polynomials
     live in a context extended by the formal parameters F and n;
     ``decide_tensor_hv`` runs the same elimination at the series' own F,
     over Q(n) when F is a number, and does not read them.  Checked
@@ -414,12 +414,12 @@ def _indexed(hw: HighestWeight, s: IntermediateSeries) -> tuple:
 
 
 def _hv_certificate(hw: HighestWeight, s: IntermediateSeries) -> Scalar:
-    """q(F) n + r(F), or F s(F) in case I, at the series' own F, exact in
-    its field extended by the index n.  Each word on v_k (x) v has top
-    component v_k (x) X.v with coefficient 1, so the elimination pivots do
-    not depend on F and a numeric F gives the formal certificate's value."""
+    """q(F) n + r(F), or F s(F) in case I, at the series' own F and exact in
+    its field extended by the index n: u' on v_{n+p} (x) v, eliminated onto
+    v_n (x) v.  Words on v_k (x) v have top component v_k (x) X.v, so the
+    pivots do not depend on F and a numeric F gives the formal value."""
     rep, space = _indexed(hw, s)
-    lam = _eliminate_to_target(space, rep.u_prime, -1 if rep.case == "I" else 0)
+    lam = _eliminate_to_target(space, rep.u_prime, 0)
     if not lam.is_zero() and lam.degree_in("n") > (rep.case == "L"):
         raise ValueError("degenerate elimination: " + (
             "unexpected index dependence in the pure-I certificate" if rep.case == "I"

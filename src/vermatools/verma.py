@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalar import PolyContext, Scalar
-from .liealg import W22, HV, L, W, Generator, second_family
+from .liealg import W22, L, W, Generator, second_family
 from .pbw import EMPTY, PBWMonomial, HighestWeight, ModuleVector, ModuleContext
 from . import linalg
 
@@ -104,9 +104,7 @@ class WordWalker:
         """The image of one word, as a vector of ``space``."""
         vec = self._images.get(mono)
         if vec is None:
-            w, l = mono
-            g, rest = ((Generator(self._family, -w[0]), PBWMonomial(w[1:], l)) if w
-                       else (Generator("L", -l[0]), PBWMonomial((), l[1:])))
+            g, rest = mono.split(self._family)
             vec = self.image(rest)
             if not vec.is_zero():
                 vec = self.space.act(g, vec)
@@ -317,7 +315,7 @@ def subsingular(M: ModuleContext, p: int, r: int):
     except (ValueError, ZeroDivisionError) as exc:
         _log.debug("subsingular(p=%d, r=%d): u' failed: %s", p, r, exc)
         raise
-    return _subsingular_direct(quotient_l_prime(M, p, uprime), p, r)
+    return _subsingular_direct(quotient_l_prime(M, uprime), p, r)
 
 
 def _subsingular_direct(Q: QuotientModule, p: int, r: int):
@@ -356,11 +354,10 @@ def _subsingular_direct(Q: QuotientModule, p: int, r: int):
     return Q.M.vector({lead: ctx.one, **sol})
 
 
-def _certify_subsingular(M: ModuleContext, p: int, u: ModuleVector) -> bool:
-    """Exact check that g.u lies in J' for every raising generator: each
-    image reduces to zero in V / J'."""
-    Q = quotient_l_prime(M, p)
-    return all(Q.reduce(M.act(g, u)).is_zero() for g in _raising_generators(M.kind))
+def _certify_subsingular(Q: QuotientModule, u: ModuleVector) -> bool:
+    """Whether every raising generator g sends u into J': g.u is zero in Q, which is
+    V / J' or a classify report's V / J; the two agree below level rp, where g.u lies."""
+    return all(Q.reduce(Q.M.act(g, u)).is_zero() for g in _raising_generators(Q.kind))
 
 
 # bench/tracing.py wraps the sampled solver of earlier versions under
@@ -468,7 +465,7 @@ def char_j(hw: HighestWeight, p: int, r: int, N: int) -> CharacterSeries:
 
 class QuotientModule(ModuleContext):
     """The quotient of a Verma module M by the submodule its relation
-    vectors generate, as a module in its own right.
+    vector generates (``extended`` adds more), as a module in its own right.
 
     A predicate selects the quotient-basis monomials at each level;
     ``reduce`` rewrites any vector of M as an equal vector supported on
@@ -477,10 +474,10 @@ class QuotientModule(ModuleContext):
     proposed basis is wrong.
     """
 
-    def __init__(self, M: ModuleContext, relations: list, basis_pred):
+    def __init__(self, M: ModuleContext, relation: ModuleVector, basis_pred):
         super().__init__(M.hw)
         self.M = M
-        self._walkers = [WordWalker(M, rel) for rel in relations]
+        self._walkers = [WordWalker(M, relation)]
         self.basis_pred = basis_pred
         self._ech: dict[int, linalg.Echelon] = {}
 
@@ -492,8 +489,7 @@ class QuotientModule(ModuleContext):
                     for i, m in enumerate(weight_space_basis(level))}
         ech = linalg.Echelon(key=lambda m: priority[m])
         for walker in self._walkers:
-            if walker.start.level is not None:
-                ech.extend(walker.images(level - walker.start.level).values())
+            ech.extend(walker.images(level - walker.start.level).values())
         nonbasis = {m for m, (in_basis, _) in priority.items() if not in_basis}
         if ech.pivots.keys() != nonbasis:
             raise ValueError(
@@ -518,7 +514,7 @@ class QuotientModule(ModuleContext):
         ``basis_pred``.  Below ``rel.level`` the relations are the same, and
         the caller's predicate must agree there, so those echelons are kept,
         and so are the relations' walkers with the word images they hold."""
-        Q = QuotientModule(self.M, [rel], basis_pred)
+        Q = QuotientModule(self.M, rel, basis_pred)
         Q._walkers[:0] = self._walkers
         Q._ech = {n: ech for n, ech in self._ech.items() if n < rel.level}
         return Q
@@ -530,14 +526,13 @@ class QuotientModule(ModuleContext):
         return tuple(self._echelon(image[0][0].level).reduce(dict(image)).items())
 
 
-def quotient_l_prime(M: ModuleContext, p: int, uprime: ModuleVector | None = None) -> QuotientModule:
-    """V / J': the basis monomials avoid the lead monomial of u', which is
-    W_{-p}, I_{-p} (twisted case I) or L_{-p} (twisted case L)."""
-    if uprime is None:
-        uprime = u_prime(M, p)
+def quotient_l_prime(M: ModuleContext, uprime: ModuleVector) -> QuotientModule:
+    """V / J' for u' = ``u_prime(M, p)``, p = u'.level: the basis avoids the lead
+    monomial of u', W_{-p}, I_{-p} (twisted case I) or L_{-p} (twisted case L)."""
+    p = uprime.level
     if PBWMonomial((), (p,)) in uprime.terms:
-        return QuotientModule(M, [uprime], lambda m: p not in m.l)
-    return QuotientModule(M, [uprime], lambda m: p not in m.w)
+        return QuotientModule(M, uprime, lambda m: p not in m.l)
+    return QuotientModule(M, uprime, lambda m: p not in m.w)
 
 
 # ---------------------------------------------------------------------------
@@ -614,34 +609,28 @@ def classify(M: ModuleContext) -> StructureReport:
 
 def _classify(M: ModuleContext) -> StructureReport:
     hw = M.hw
-    if hw.kind == W22:
-        p = zd_find_p(hw)
-        if p is None:
-            return StructureReport(kind=W22, verdict="VermaIrreducible")
-        _check_reach(p)
-        uprime = u_prime(M, p)
-        Q = quotient_l_prime(M, p, uprime)
-        rep = StructureReport(kind=W22, verdict="UprimeOnly", p=p, u_prime=uprime, quotient=Q)
-        r_val = recover_r(p, hw)
-        r = int(r_val.as_fraction()) if r_val.is_integer() else 0
-        if r >= 1:
-            _check_reach(p, r)
-            u = _subsingular_direct(Q, p, r)
-            if u is not None:
-                return StructureReport(
-                    kind=W22, verdict="UprimeAndSubsingular", p=p, r=r, u_prime=uprime, u=u,
-                    quotient=Q.extended(u, lambda m: p not in m.w and m.l.count(p) < r))
-            rep.notes.append(f"h matches r={r} but no subsingular vector found")
-        return rep
-    # twisted Heisenberg-Virasoro
-    found = hv_find_p(hw)
+    found = zd_find_p(hw) if hw.kind == W22 else hv_find_p(hw)
     if found is None:
-        return StructureReport(kind=HV, verdict="VermaIrreducible")
-    p, case = found
+        return StructureReport(kind=hw.kind, verdict="VermaIrreducible")
+    p, case = (found, None) if hw.kind == W22 else found
     _check_reach(p)
     uprime = u_prime(M, p)
-    return StructureReport(kind=HV, verdict="UprimeOnly", p=p, case=case, u_prime=uprime,
-                           quotient=quotient_l_prime(M, p, uprime))
+    Q = quotient_l_prime(M, uprime)
+    rep = StructureReport(kind=hw.kind, verdict="UprimeOnly", p=p, u_prime=uprime, case=case,
+                          quotient=Q)
+    if hw.kind != W22:  # only W(2,2) goes on to the subsingular u at level rp
+        return rep
+    r_val = recover_r(p, hw)
+    r = int(r_val.as_fraction()) if r_val.is_integer() else 0
+    if r >= 1:
+        _check_reach(p, r)
+        u = _subsingular_direct(Q, p, r)
+        if u is not None:
+            return StructureReport(
+                kind=W22, verdict="UprimeAndSubsingular", p=p, r=r, u_prime=uprime, u=u,
+                quotient=Q.extended(u, lambda m: p not in m.w and m.l.count(p) < r))
+        rep.notes.append(f"h matches r={r} but no subsingular vector found")
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,24 @@ def test_polynomial_coefficients_are_bracketed_sign_outside():
     assert render.latex_scalar(1 - hW) == "-h_{W}+1"
 
 
+def test_vectors_without_a_word_render():
+    """The zero vector is 0; a term on v itself keeps its coefficient, a unit included."""
+    ctx = PolyContext(("hW",))
+    hW = ctx.var("hW")
+    M = ModuleContext(HighestWeight.w22(ctx, c=1, h=0, hW=hW))
+    assert (render.text_vector(M.zero()), render.latex_vector(M.zero())) == ("0", "0")
+    assert (render.text_vector(M.vacuum()), render.latex_vector(M.vacuum())) == ("1.v", "1v")
+    vec = M.vacuum().scaled(hW - 1)
+    assert (render.text_vector(vec), render.latex_vector(vec)) == (
+        "(hW - 1).v", "\\left(h_{W}-1\\right)v")
+
+
+def test_latex_param_of_an_unmapped_name():
+    """A mapped name has its own LaTeX, one letter stays, a longer name is upright."""
+    assert [render.latex_param(x) for x in ("hW", "x", "gamma")] == [
+        "h_{W}", "x", "\\mathrm{gamma}"]
+
+
 def test_singular_level_three_latex(capsys):
     code, out, _ = run_main(capsys, "singular", "--p", "3",
                             "--symbolic", "hW", "--format", "latex")

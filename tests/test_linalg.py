@@ -105,7 +105,7 @@ def test_nullspace_and_solve_match_sympy(augmented):
     assert ours == theirs
 
     # the stored pivot rows are the nonzero rows of the reduced row echelon form
-    ech = linalg.Echelon()
+    ech = linalg.Echelon(key=lambda c: c)
     ech.extend(rows)
     rref, _ = A.rref()
     assert ([as_fractions(r, columns) for r in pivot_rows(ech)]
@@ -135,7 +135,7 @@ def test_nullspace_and_solve_match_sympy(augmented):
 def test_rank_and_membership_do_not_depend_on_the_pivot_priority(matrix, probe):
     """A key and its reverse choose other pivots but span the same rows."""
     rows = [{j: CTX.scalar(x) for j, x in enumerate(row) if x} for row in matrix]
-    forward, backward = linalg.Echelon(), linalg.Echelon(key=lambda c: -c)
+    forward, backward = linalg.Echelon(key=lambda c: c), linalg.Echelon(key=lambda c: -c)
     forward.extend(rows)
     backward.extend(rows)
     assert len(forward.pivots) == len(backward.pivots)

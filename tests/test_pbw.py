@@ -208,6 +208,15 @@ def test_monomial_is_a_sorted_value():
     assert hash(mono) == hash(direct) == hash(round_trip) == hash(((2, 1), (3, 1)))
 
 
+@pytest.mark.parametrize("kind,family", [(W22, "W"), (HV, "I")])
+def test_split_peels_the_leftmost_factor_of_the_word(kind, family):
+    """split gives the first factor of as_word and the monomial of the rest."""
+    for level in range(1, 6):
+        for mono in weight_space_basis(level):
+            first, rest = mono.split(family)
+            assert (first,) + rest.as_word(kind) == mono.as_word(kind)
+
+
 def test_equal_keys_share_one_memo_entry():
     M = w22_module()
     first = PBWMonomial.make(w=(1, 2), l=(1, 3))

@@ -216,7 +216,7 @@ def _word_image_case(label):
         # factor is zero in V / J'
         M = ModuleContext(w22_weight(1, 0, 0))
         s = IntermediateSeries.make(M.scalar_ctx, Fraction(1, 3), 0)
-        space = TensorSpace(verma.quotient_l_prime(M, 1), s)
+        space = TensorSpace(verma.quotient_l_prime(M, verma.u_prime(M, 1)), s)
         return space, space.vacuum_at(2)
     hw = subsingular_weight(2, 1)
     space = TensorSpace(ModuleContext(hw), IntermediateSeries.make(hw.ctx, 0, 0))
@@ -774,6 +774,39 @@ def test_certificate_refusals():
     nctx = PolyContext(("n",))
     reserved = HighestWeight.hv(nctx, cL=1, cLI=2, h=nctx.var("n"), hI=4, cI=0)
     assert _refusal(reserved, 1) == "the parameter name 'n' is reserved for the series index"
+
+
+@pytest.mark.parametrize("case,lam,message", [
+    ("L", lambda n: n * n, "certificate is not linear in the index"),
+    ("I", lambda n: n, "unexpected index dependence in the pure-I certificate"),
+], ids=["L", "I"])
+def test_certificate_refuses_an_elimination_of_the_wrong_degree_in_n(monkeypatch, case, lam,
+                                                                      message):
+    """The certificate is linear in the index n in case L and free of it in
+    case I; an elimination that breaks this is refused."""
+    monkeypatch.setattr(tensor, "_eliminate_to_target",
+                        lambda space, u, target: lam(space.scalar_ctx.var("n")))
+    hw = hv_weight(1, 2, 3, 2 * (1 + 2 if case == "I" else 1 - 2))
+    with pytest.raises(ValueError, match=f"^degenerate elimination: {message}$"):
+        hv_decision_polynomials(hw, IntermediateSeries.make(hw.ctx, Fraction(1, 3), 0, F=1), 2)
+
+
+@pytest.mark.parametrize("lowest_index_first,message", [
+    (False, "the reduction left components away from the target index"),
+    (True, "an intermediate word reduced to the bare target vector"),
+], ids=["highest index first", "lowest index first"])
+def test_elimination_refuses_a_vector_that_is_not_singular(monkeypatch, lowest_index_first,
+                                                           message):
+    """L_{-1}^2 v is not singular, so on v_1 (x) v its image keeps components
+    away from v_{-1} (x) v; pivoting the lowest index first makes the degree-1
+    word on v_0 (x) v pivot on the bare target, which is refused first."""
+    if lowest_index_first:
+        monkeypatch.setattr(tensor, "_column_key", lambda col: (col[0], col[1].sort_key()))
+    hw = w22_weight(-8, Fraction(1, 3), 1)
+    M = ModuleContext(hw)
+    space = TensorSpace(M, IntermediateSeries.make(hw.ctx, Fraction(1, 3), Fraction(2, 7)))
+    with pytest.raises(ValueError, match=f"^degenerate elimination: {message}$"):
+        tensor._eliminate_to_target(space, M.monomial_vector((), (1, 1)), -1)
 
 
 def test_certificate_walks_only_the_suffixes_of_u_prime(monkeypatch):

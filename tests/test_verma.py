@@ -123,8 +123,8 @@ def test_case_l_quotient_avoids_l_p(p, symbolic):
     gives, and the level dimensions follow char_l_prime to level 2p."""
     M = twisted_case_l_module(p, symbolic)
     u = verma.u_prime(M, p)
-    Q = verma.quotient_l_prime(M, p)
-    direct = verma.QuotientModule(M, [u], lambda m: p not in m.l)
+    Q = verma.quotient_l_prime(M, u)
+    direct = verma.QuotientModule(M, u, lambda m: p not in m.l)
     gens = [C_L, C_I, C_LI] + [g(n) for g in (L, I) for n in range(-2, 3)]
     for level in range(p + 2):
         for m in verma.weight_space_basis(level):
@@ -249,7 +249,7 @@ def _full_ansatz_system(M, p, r, uprime):
     """The subsingular system on every level-rp monomial without W_{-p}."""
     lead = PBWMonomial.make(l=(p,) * r)
     unknowns = [m for m in verma.weight_space_basis(r * p) if p not in m.w and m != lead]
-    return lead, verma._raising_system(verma.quotient_l_prime(M, p, uprime), unknowns,
+    return lead, verma._raising_system(verma.quotient_l_prime(M, uprime), unknowns,
                                        M.vector({lead: 1}))
 
 
@@ -272,7 +272,7 @@ def test_subsingular_solve_ignores_row_order():
         M = subsingular_module(p, r)
         uprime = verma.u_prime(M, p)
         lead, (rows, columns) = _full_ansatz_system(M, p, r, uprime)
-        expected = verma._subsingular_direct(verma.quotient_l_prime(M, p, uprime), p, r)
+        expected = verma._subsingular_direct(verma.quotient_l_prime(M, uprime), p, r)
         assert expected is not None
         for _ in range(3):
             shuffled = rng.sample(rows, len(rows))
@@ -284,7 +284,7 @@ def test_subsingular_solve_ignores_row_order():
                                h=M.hw["h"] + Fraction(1, 3), hW=M.hw["hW"])
     M_off = ModuleContext(hw_off)
     assert verma.subsingular(M_off, 2, 1) is None
-    Q_off = verma.quotient_l_prime(M_off, 2, verma.u_prime(M_off, 2))
+    Q_off = verma.quotient_l_prime(M_off, verma.u_prime(M_off, 2))
     assert verma._subsingular_direct(Q_off, 2, 1) is None
 
 
@@ -302,14 +302,14 @@ def test_first_pass_gives_the_full_ansatz_vector(monkeypatch, p, r):
     full = M.vector({lead: 1, **sol})
     assert verma.subsingular(M, p, r) == full
     sizes = _solve_sizes(monkeypatch)
-    assert verma._subsingular_direct(verma.quotient_l_prime(M, p, uprime), p, r) == full
+    assert verma._subsingular_direct(verma.quotient_l_prime(M, uprime), p, r) == full
     assert len(sizes) == 1 and (sizes[0] < len(columns)) == (p > 1)
     hw_off = HighestWeight.w22(M.scalar_ctx, c=M.hw["c"],
                                h=M.hw["h"] + Fraction(1, 3), hW=M.hw["hW"])
     M_off = ModuleContext(hw_off)
     uprime_off = verma.u_prime(M_off, p)
     del sizes[:]
-    assert verma._subsingular_direct(verma.quotient_l_prime(M_off, p, uprime_off), p, r) is None
+    assert verma._subsingular_direct(verma.quotient_l_prime(M_off, uprime_off), p, r) is None
     assert sizes == [len(columns)]
 
 
@@ -318,7 +318,7 @@ def test_symbolic_h_solves_the_full_ansatz_only(monkeypatch):
     uprime = verma.u_prime(M, 3)
     _, (_, columns) = _full_ansatz_system(M, 3, 2, uprime)
     sizes = _solve_sizes(monkeypatch)
-    assert verma._subsingular_direct(verma.quotient_l_prime(M, 3, uprime), 3, 2) is None
+    assert verma._subsingular_direct(verma.quotient_l_prime(M, uprime), 3, 2) is None
     assert sizes == [len(columns)]
 
 
@@ -328,7 +328,7 @@ def test_rejected_first_pass_falls_back_to_the_full_ansatz(monkeypatch, caplog, 
     dropped, the full ansatz decides, and the log line says why."""
     M = subsingular_module(3, 2)
     uprime = verma.u_prime(M, 3)
-    expected = verma._subsingular_direct(verma.quotient_l_prime(M, 3, uprime), 3, 2)
+    expected = verma._subsingular_direct(verma.quotient_l_prime(M, uprime), 3, 2)
 
     def reject_first(i, columns, res):
         if i > 1:
@@ -336,7 +336,7 @@ def test_rejected_first_pass_falls_back_to_the_full_ansatz(monkeypatch, caplog, 
         return None if first == "inconsistent" else (res[0], columns[:1])
     sizes = _solve_sizes(monkeypatch, reject_first)
     caplog.set_level(logging.DEBUG, logger="vermatools.verma")
-    assert verma._subsingular_direct(verma.quotient_l_prime(M, 3, uprime), 3, 2) == expected
+    assert verma._subsingular_direct(verma.quotient_l_prime(M, uprime), 3, 2) == expected
     assert sizes == [37, 54]
     [record] = caplog.records
     assert record.getMessage() == (
@@ -349,7 +349,7 @@ def test_full_ansatz_keeps_the_underdetermined_refusal(monkeypatch):
     uprime = verma.u_prime(M, 2)
     _solve_sizes(monkeypatch, lambda i, columns, res: (res[0], columns[:1]))
     with pytest.raises(ValueError, match="subsingular solve underdetermined at p=2, r=2"):
-        verma._subsingular_direct(verma.quotient_l_prime(M, 2, uprime), 2, 2)
+        verma._subsingular_direct(verma.quotient_l_prime(M, uprime), 2, 2)
 
 
 def test_solved_vector_passes_the_certificate():
@@ -359,8 +359,9 @@ def test_solved_vector_passes_the_certificate():
         uprime = verma.u_prime(M, p)
         off = M.vector({PBWMonomial.make(l=(1,) * (r * p)): 1})
         in_jp = M.act(L(-(r - 1) * p), uprime) if r > 1 else uprime
+        Q = verma.quotient_l_prime(M, uprime)
         for vec, expected in ((u, True), (u + off, False), (u + in_jp, True)):
-            assert verma._certify_subsingular(M, p, vec) is expected
+            assert verma._certify_subsingular(Q, vec) is expected
             assert all(oracles.in_j_prime(M, p, uprime, M.act(g, vec))
                        for g in RAISERS_W22) is expected
 
@@ -387,7 +388,8 @@ def test_certificate_refuses_a_vector_only_some_raisers_send_into_j_prime(checke
     refused = [x for x in passing
                if not all(oracles.in_j_prime(M, p, uprime, M.act(g, x)) for g in RAISERS_W22)]
     assert refused
-    assert not any(verma._certify_subsingular(M, p, x) for x in refused)
+    Q = verma.quotient_l_prime(M, uprime)
+    assert not any(verma._certify_subsingular(Q, x) for x in refused)
 
 
 def test_off_weight_solve_is_logged(caplog):
@@ -497,7 +499,7 @@ def test_character_text_rendering():
 
 def test_quotient_dimensions():
     M = degenerate_module(2, extra=())
-    Q = verma.quotient_l_prime(M, 2)
+    Q = verma.quotient_l_prime(M, verma.u_prime(M, 2))
     pchar = verma.char_l_prime(M.hw, 2, 8)
     for k in range(9):
         assert Q.dim(k) == pchar.coeffs[k]
@@ -514,7 +516,7 @@ def test_extended_quotient_rebuilds_from_the_new_relation_level():
     only; from level 4 up both quotients have their own dimensions."""
     M = subsingular_module(2, 2)
     uprime = verma.u_prime(M, 2)
-    Q = verma.quotient_l_prime(M, 2, uprime)
+    Q = verma.quotient_l_prime(M, uprime)
     assert (Q.dim(4), Q.dim(5)) == tuple(verma.char_l_prime(M.hw, 2, 5).coeffs[4:])
     u = verma.subsingular(M, 2, 2)
     QJ = Q.extended(u, lambda m: 2 not in m.w and m.l.count(2) < 2)
@@ -537,7 +539,7 @@ def test_quotient_refuses_a_basis_the_relations_do_not_fit(pred, nonbasis):
     M = degenerate_module(2, extra=())
     uprime = verma.u_prime(M, 2)
     assert PBWMonomial.make(l=(2,)) not in uprime.terms
-    Q = verma.QuotientModule(M, [uprime], pred)
+    Q = verma.QuotientModule(M, uprime, pred)
     with pytest.raises(ValueError, match=(
             f"^quotient basis mismatch at level 2: 1 relations, {nonbasis} non-basis monomials$")):
         Q.dim(2)
@@ -546,7 +548,7 @@ def test_quotient_refuses_a_basis_the_relations_do_not_fit(pred, nonbasis):
 def test_quotient_reduce_is_projection():
     M = degenerate_module(2, extra=())
     uprime = verma.u_prime(M, 2)
-    Q = verma.quotient_l_prime(M, 2, uprime)
+    Q = verma.quotient_l_prime(M, uprime)
     rng = random.Random(5151)
     basis = verma.weight_space_basis(4)
     for _ in range(10):
@@ -563,7 +565,7 @@ def _quotients_for_representation_check():
     ctx = PolyContext(())
     hw = HighestWeight.w22(ctx, c=-8, h=verma.necessary_h(2, 2, Fraction(1)), hW=1)
     M = ModuleContext(hw)
-    yield verma.quotient_l_prime(M, 2), W
+    yield verma.quotient_l_prime(M, verma.u_prime(M, 2)), W
     rep = verma.classify(M)
     assert (rep.p, rep.r) == (2, 2)
     yield rep.quotient, W
@@ -571,7 +573,8 @@ def _quotients_for_representation_check():
     rep = verma.classify(Mhv)
     assert rep.case == "L"
     yield rep.quotient, I
-    yield verma.quotient_l_prime(twisted_case_l_module(3, False), 3), I
+    M3 = twisted_case_l_module(3, False)
+    yield verma.quotient_l_prime(M3, verma.u_prime(M3, 3)), I
 
 
 def test_quotient_is_a_representation():
@@ -686,18 +689,50 @@ def test_classify_with_subsingular():
 
 
 def test_classify_solves_u_prime_once(monkeypatch):
-    calls = []
-    u_prime = verma.u_prime
+    """One path for both algebras: u' is solved and V / J' built from it once,
+    for W(2,2) with its subsingular vector and in the twisted cases I and L."""
+    calls, built = [], []
+    u_prime, quotient_l_prime = verma.u_prime, verma.quotient_l_prime
 
     def counted(M, p):
         calls.append(p)
         return u_prime(M, p)
 
+    def counted_quotient(M, uprime):
+        built.append(uprime)
+        return quotient_l_prime(M, uprime)
+
     monkeypatch.setattr(verma, "u_prime", counted)
+    monkeypatch.setattr(verma, "quotient_l_prime", counted_quotient)
     ctx = PolyContext(())
     rep = verma.classify(ModuleContext(HighestWeight.w22(ctx, c=-8, h=Fraction(13, 4), hW=1)))
     assert rep.verdict == "UprimeAndSubsingular"
     assert calls == [2]
+    assert built == [rep.u_prime]
+    for M, p, case in ((twisted_case_i_module(2), 2, "I"),
+                       (twisted_case_l_module(3, False), 3, "L")):
+        del calls[:], built[:]
+        rep = verma.classify(M)
+        assert (rep.verdict, rep.p, rep.case) == ("UprimeOnly", p, case)
+        assert calls == [p]
+        assert built == [rep.u_prime]
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (3, 2)])
+def test_certificate_reads_the_quotient_it_is_given(monkeypatch, p, r):
+    """The certificate decides in the classify report's V / J, which agrees
+    with V / J' below level rp, and solves no second u'."""
+    M = subsingular_module(p, r)
+    rep = verma.classify(M)
+    assert (rep.verdict, rep.p, rep.r) == ("UprimeAndSubsingular", p, r)
+
+    def refused(*_args):
+        raise AssertionError("u' solved a second time")
+
+    monkeypatch.setattr(verma, "u_prime", refused)
+    off = M.vector({PBWMonomial.make(l=(1,) * (r * p)): 1})
+    assert verma._certify_subsingular(rep.quotient, rep.u)
+    assert not verma._certify_subsingular(rep.quotient, rep.u + off)
 
 
 def test_quotient_l_solves_u_prime_once(monkeypatch):
