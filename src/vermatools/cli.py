@@ -199,11 +199,11 @@ def _product_terms(op: ast.operator, left: Scalar, right: Scalar) -> int:
 
 
 class _Params:
-    """Every parameter of one job, and the names the job has read."""
+    """Every parameter of one job, the names it has read, and its derived bindings."""
 
-    def __init__(self, parameters: dict, notes: list):
+    def __init__(self, parameters: dict):
         self.given = {k: v for k, v in parameters.items() if k != "symbolic"}
-        self.notes = notes
+        self.notes: list = []
         self.read: set = set()
         seen = dict.fromkeys(parameters.get("symbolic") or [])
         for name in seen:
@@ -263,39 +263,33 @@ class _Params:
                              f"or --symbolic {name}")
         return val
 
-    def default(self, name: str, value, why: str) -> Scalar:
-        """The declared value, or a derived binding recorded in the notes."""
+    def default(self, name: str, value, why: str, formula: str = "") -> Scalar:
+        """The declared value, or a derived binding noted with its formula if given."""
         val = self.value(name)
         if val is not None:
             return val
         bound = self.ctx.scalar(value)
-        self.notes.append(f"bound {name} = {bound} ({why})")
+        derived = f"{formula} = " if formula else ""
+        self.notes.append(f"bound {name} = {derived}{bound} ({why})")
         return bound
 
 
 def _w22_weight(params: _Params, p: int | None = None,
                 r: int | None = None) -> HighestWeight:
     """W(2,2) highest weight, deriving degenerate values when omitted."""
-    ctx = params.ctx
     if p == 1:
         hW = params.default("hW", 0, "degeneracy at p = 1 forces hW = 0")
         c = params.require("c")
     else:
         hW = params.require("hW")
-        c = params.value("c") if p is not None else params.require("c")
-        if c is None:
-            c = hW * Fraction(-24, p * p - 1)
-            params.notes.append(f"bound c = -24 hW / (p^2 - 1) = {c} "
-                                "(degeneracy at p)")
+        c = params.require("c") if p is None else params.default(
+            "c", hW * Fraction(-24, p * p - 1), "degeneracy at p", "-24 hW / (p^2 - 1)")
     if r is not None:
-        h = params.value("h")
-        if h is None:
-            h = ctx.scalar(verma.necessary_h(p, r, hW))
-            params.notes.append(f"bound h = {h} (the necessary value for "
-                                f"(p, r) = ({p}, {r}))")
+        h = params.default("h", verma.necessary_h(p, r, hW),
+                           f"the necessary value for (p, r) = ({p}, {r})")
     else:
         h = params.default("h", 0, "h defaults to 0 when omitted")
-    return HighestWeight.w22(ctx, c=c, h=h, hW=hW)
+    return HighestWeight.w22(params.ctx, c=c, h=h, hW=hW)
 
 
 def _hv_weight(params: _Params, p: int | None = None) -> HighestWeight:
@@ -309,9 +303,8 @@ def _hv_weight(params: _Params, p: int | None = None) -> HighestWeight:
     if hI is None:
         case = params.get("case", "I")
         mult = 1 + p if case == "I" else 1 - p
-        hI = cLI * mult
-        params.notes.append(f"bound hI = {mult} cLI = {hI} "
-                            f"(case {case} degeneracy at p = {p})")
+        hI = params.default("hI", cLI * mult, f"case {case} degeneracy at p = {p}",
+                            f"{mult} cLI")
     return HighestWeight.hv(ctx=params.ctx, cL=cL, cLI=cLI, h=h, hI=hI, cI=cI)
 
 
@@ -479,14 +472,13 @@ def run(job: Job) -> Report:
     if job.command not in _COMMANDS:
         raise ValueError(f"unknown command {job.command!r}")
     runner = _COMMANDS[job.command][1]
-    notes: list = []
-    params = _Params(job.parameters, notes)
+    params = _Params(job.parameters)
     started = time.perf_counter()
     report = runner(job, params)
     unread = params.unread()
     if unread:
         raise ValueError(f"parameters not read by {job.command}: {', '.join(unread)}")
-    report.notes = notes + list(report.notes)
+    report.notes = params.notes
     report.timing = {"seconds": round(time.perf_counter() - started, 6)}
     return report
 

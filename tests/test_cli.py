@@ -482,6 +482,33 @@ def test_report_notes_record_bindings():
     assert "h = 0" in joined
 
 
+_HV_JOB = {"cLI": "1", "h": "3", "alpha": "1/3", "beta": "0", "F": "3", "p": 2}
+
+
+@pytest.mark.parametrize("command, parameters, names", [
+    ("subsingular", {"p": 2, "r": 2, "symbolic": ["hW"]}, ["c", "h"]),
+    ("singular", {"algebra": "w22", "p": 1, "c": "1/2"}, ["hW", "h"]),
+    ("hv-decide", {**_HV_JOB, "case": "I"}, ["cL", "cI", "hI"]),
+    ("hv-decide", {**_HV_JOB, "case": "L"}, ["cL", "cI", "hI"]),
+])
+def test_every_binding_note_comes_from_params_default(monkeypatch, command, parameters,
+                                                      names):
+    made = []
+    default = cli._Params.default
+
+    def recording(self, *args, **kwargs):
+        before = len(self.notes)
+        value = default(self, *args, **kwargs)
+        made.extend(self.notes[before:])
+        return value
+
+    monkeypatch.setattr(cli._Params, "default", recording)
+    notes = run(Job(command, parameters)).notes
+    bound = [note for note in notes if note.startswith("bound ")]
+    assert [note.split()[1] for note in bound] == names
+    assert bound == made
+
+
 def test_subsingular_none_is_a_clean_report(capsys):
     code, out, _ = run_main(capsys, "subsingular", "--hW", "1", "--p", "2",
                             "--r", "1", "--h", "99", "--format", "json")

@@ -180,6 +180,13 @@ def test_vector_arithmetic_contract(where):
     assert x + y == y + x and hash(x + y) == hash(y + x)
     assert x + x == x.scaled(2) and hash(x + x) == hash(x.scaled(2))
     assert x.scaled(0).is_zero() and (x + y).ctx is ctx
+    assert (x == "x") is False and x != "x"
+
+
+def test_highest_weight_repr_lists_its_weights():
+    ctx = PolyContext(("hW",))
+    hw = HighestWeight.w22(ctx, c=-8, h=0, hW=ctx.var("hW"))
+    assert repr(hw) == "HighestWeight(w22: c=-8, h=0, hW=hW)"
 
 
 def test_level_grading_under_action():

@@ -85,6 +85,11 @@ def test_json_round_trip(a):
     assert Scalar.from_json(CTX, a.to_json()) == a
 
 
+def test_a_foreign_value_is_unequal_and_a_context_reprs_its_names():
+    assert (X == "x") is False and X != "x"
+    assert repr(CTX) == "PolyContext(('x', 'y'))"
+
+
 def test_fraction_arithmetic_embeds():
     vals = [Fraction(3, 7), Fraction(-2, 5), Fraction(11, 4)]
     for p in vals:

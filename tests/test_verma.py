@@ -690,7 +690,8 @@ def test_classify_with_subsingular():
 
 def test_classify_solves_u_prime_once(monkeypatch):
     """One path for both algebras: u' is solved and V / J' built from it once,
-    for W(2,2) with its subsingular vector and in the twisted cases I and L."""
+    for W(2,2) with its subsingular vector and in the twisted cases I and L;
+    the report's quotient reads its levels without a second u'."""
     calls, built = [], []
     u_prime, quotient_l_prime = verma.u_prime, verma.quotient_l_prime
 
@@ -707,6 +708,7 @@ def test_classify_solves_u_prime_once(monkeypatch):
     ctx = PolyContext(())
     rep = verma.classify(ModuleContext(HighestWeight.w22(ctx, c=-8, h=Fraction(13, 4), hW=1)))
     assert rep.verdict == "UprimeAndSubsingular"
+    assert rep.quotient.dim(2) == verma.pair_partition_count(2) - 2
     assert calls == [2]
     assert built == [rep.u_prime]
     for M, p, case in ((twisted_case_i_module(2), 2, "I"),
@@ -735,20 +737,34 @@ def test_certificate_reads_the_quotient_it_is_given(monkeypatch, p, r):
     assert not verma._certify_subsingular(rep.quotient, rep.u + off)
 
 
-def test_quotient_l_solves_u_prime_once(monkeypatch):
-    """The quotient of a classify report reuses the report's u'."""
-    calls = []
-    u_prime = verma.u_prime
+def _laurent(coefficients) -> bool:
+    """Whether every coefficient's denominator is one term, a power of the
+    field's single parameter."""
+    return all(len(c.den) == 1 for c in coefficients)
 
-    def counted(M, p):
-        calls.append(p)
-        return u_prime(M, p)
 
-    monkeypatch.setattr(verma, "u_prime", counted)
-    M = subsingular_module(2, 1)
-    Q = verma.classify(M).quotient
-    assert calls == [2]
-    assert Q.dim(2) == verma.pair_partition_count(2) - 2
+REACHABLE_PR = [(p, r) for p in range(1, verma.CLASSIFY_MAX_LEVEL + 1)
+                for r in range(1, verma.CLASSIFY_MAX_LEVEL // p + 1)]
+
+
+@pytest.mark.parametrize("p,r", REACHABLE_PR)
+def test_structure_is_regular_in_its_parameter(p, r):
+    """Over Q(hW), or Q(c) at p = 1, u', u and the J' echelon rows at levels
+    p .. rp - 1 (where V / J and V / J' agree) divide only by powers of the
+    parameter, so they specialise at every nonzero value of it."""
+    M = subsingular_module(p, r)
+    rep = verma.classify(M)
+    assert (rep.verdict, rep.p, rep.r) == ("UprimeAndSubsingular", p, r)
+    assert _laurent(rep.u_prime.terms.values())
+    assert _laurent(rep.u.terms.values())
+    Q = rep.quotient
+    for level in range(p, r * p):
+        Q.dim(level)
+        assert _laurent(c for row in Q._ech[level].pivots.values() for c in row.values())
+    if (p, r) == (2, 2):
+        mono, coeff = next(iter(rep.u.terms.items()))
+        spurious = coeff / (M.scalar_ctx.var("hW") + 1)
+        assert not _laurent({**rep.u.terms, mono: spurious}.values())
 
 
 def test_classify_without_a_subsingular_vector_at_its_h(monkeypatch):
