@@ -450,6 +450,9 @@ class Scalar:
             const = self._const = _pis_const(self.num) and _pis_const(self.den)
         return const
 
+    def is_monomial(self) -> bool:
+        return len(self.num) <= 1 and len(self.den) <= 1
+
     @property
     def cont(self) -> Fraction:
         """The rational content cn / cd as a Fraction."""

@@ -144,3 +144,84 @@ def test_rank_and_membership_do_not_depend_on_the_pivot_priority(matrix, probe):
     probes += [{**a, **b} for a in rows for b in rows]
     for row in probes:
         assert forward.contains(row) == backward.contains(row)
+
+
+# ---------------------------------------------------------------------------
+# Monomial pivots over Q(x): the same answers as the fixed priority
+
+QX = PolyContext(("x",))
+X = QX.var("x")
+
+
+def fixed_priority(rows, columns):
+    """solve and nullspace under the plain priority of ``columns``, RHS last,
+    whatever the pivot values: (solve's result, nullspace's basis)."""
+    order = {c: i for i, c in enumerate([*columns, linalg.RHS])}
+    ech = linalg.Echelon(key=order.__getitem__)
+    ech.extend(rows)
+    free = [c for c in columns if c not in ech.pivots]
+    basis = [{f: QX.one, **{p: -prow[f] for p, prow in ech.pivots.items() if f in prow}}
+             for f in free]
+    if linalg.RHS in ech.pivots:
+        return None, basis
+    sol = {p: prow[linalg.RHS] for p, prow in ech.pivots.items() if linalg.RHS in prow}
+    return (sol, free), basis
+
+
+def test_right_hand_side_is_never_an_early_pivot():
+    """A monomial right-hand side does not win over a non-monomial unknown."""
+    assert linalg.solve([{"a": X + 1, linalg.RHS: QX.one}], ["a"]) == ({"a": 1 / (X + 1)}, [])
+
+
+def test_a_monomial_pivot_replaces_a_spurious_one(inverted):
+    """(x + 1) a + x b = 1 and a + b = 1: the fixed priority divides by x + 1,
+    which the solution a = 1 - x, b = x does not contain; the rule divides
+    by monomials alone."""
+    rows = [{"a": X + 1, "b": X, linalg.RHS: QX.one}, {"a": QX.one, "b": QX.one, linalg.RHS: QX.one}]
+    expected, _ = fixed_priority(rows, ["a", "b"])
+    assert X + 1 in inverted
+    inverted.clear()
+    assert linalg.solve(rows, ["a", "b"]) == expected == ({"a": 1 - X, "b": X}, [])
+    assert inverted and all(s.is_monomial() for s in inverted)
+
+
+POLYS_X = [QX.scalar(0), QX.one, -QX.one, QX.scalar(2), X, -X, X + 1, X - 2, 2 * X + 1, X * X, X * X - 3]
+
+
+@st.composite
+def kernel_systems(draw):
+    """A system over Q(x) of rank at most ncols - 2: rows are combinations
+    of at most ncols - 2 drawn rows, so the kernel has dimension 2 or more."""
+    ncols = draw(st.integers(min_value=3, max_value=6))
+    entry = st.sampled_from(POLYS_X)
+    base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=ncols - 2))
+    combos = draw(st.lists(st.lists(entry, min_size=len(base), max_size=len(base)),
+                           min_size=1, max_size=5))
+    matrix = [[sum((k * row[j] for k, row in zip(combo, base)), QX.zero) for j in range(ncols)]
+              for combo in combos]
+    return [{j: v for j, v in enumerate(row) if not v.is_zero()} for row in matrix], list(range(ncols))
+
+
+@given(kernel_systems(), st.lists(st.sampled_from(POLYS_X), min_size=8, max_size=8),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_monomial_pivots_keep_the_fixed_priority_answers(system, values, rnd):
+    """nullspace returns the fixed priority's basis.  solve agrees with it on
+    consistency and on the number of free columns, and once the fixed
+    priority's free columns are pinned, on the unique solution.  Shuffling
+    the rows changes none of these."""
+    rows, columns = system
+    shuffled = rnd.sample(rows, len(rows))
+    (_, fixed_free), basis = fixed_priority(rows, columns)
+    assert linalg.nullspace(rows, columns, QX) == linalg.nullspace(shuffled, columns, QX) == basis
+    rhs = [{**row, linalg.RHS: v} if not v.is_zero() else row for row, v in zip(rows, values)]
+    expected, _ = fixed_priority(rhs, columns)
+    for batch in (rhs, rnd.sample(rhs, len(rhs))):
+        res = linalg.solve(batch, columns)
+        assert (res is None) == (expected is None)
+        assert res is None or len(res[1]) == len(expected[1])
+    pinned = rows + [{f: QX.one, linalg.RHS: v} for f, v in zip(fixed_free, values)]
+    expected, _ = fixed_priority(pinned, columns)
+    assert expected[1] == []
+    assert linalg.solve(pinned, columns) == linalg.solve(rnd.sample(pinned, len(pinned)), columns) == expected

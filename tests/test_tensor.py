@@ -479,10 +479,10 @@ def _tensor_eliminations(monkeypatch) -> list:
     built = []
 
     class Recording(linalg.Echelon):
-        def __init__(self, key=None):
+        def __init__(self, key=None, **kw):
             if key is tensor._column_key:
                 built.append(key)
-            super().__init__(key)
+            super().__init__(key, **kw)
     monkeypatch.setattr(linalg, "Echelon", Recording)
     return built
 

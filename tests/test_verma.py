@@ -767,6 +767,16 @@ def test_structure_is_regular_in_its_parameter(p, r):
         assert not _laurent({**rep.u.terms, mono: spurious}.values())
 
 
+@pytest.mark.parametrize("p,r", REACHABLE_PR)
+def test_classify_inverts_only_monomials(inverted, p, r):
+    """Over Q(hW), or Q(c) at p = 1, classify divides by no value with more
+    than one term: its solves pivot on monomial values, so no spurious factor
+    such as h_W + 5/4 at (2, 3), which no answer contains, enters a row."""
+    rep = verma.classify(subsingular_module(p, r))
+    assert (rep.verdict, rep.p, rep.r) == ("UprimeAndSubsingular", p, r)
+    assert [str(s) for s in inverted if not s.is_monomial()] == []
+
+
 def test_classify_without_a_subsingular_vector_at_its_h(monkeypatch):
     """When h matches r but the solve finds no subsingular vector, the
     verdict is UprimeOnly with a note, and the tensor product is reducible."""
